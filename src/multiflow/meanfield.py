@@ -25,6 +25,7 @@ with a positive final size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,14 +107,22 @@ class SteadyState:
         return self.n_inf == 0.0
 
 
-def _validate_p(p: float) -> None:
-    if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
+def _validate_p(p: float) -> float:
+    """Check an attack fraction and return it as a Python float.
+
+    Any real scalar in (0, 1) is accepted, numpy scalars included; ``bool``
+    is rejected as not a number.
+    """
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"attack fraction p must be a real number, got {type(p).__name__}")
+    if not 0.0 < p < 1.0:
         raise ValueError(f"attack fraction p must lie strictly in (0, 1), got {p}")
+    return float(p)
 
 
 def initial_state(p: float, cfg: SystemConfig) -> CascadeState:
     """State right after the attack: n = 1-p, q = p*E[L]/(1-p) per layer."""
-    _validate_p(p)
+    p = _validate_p(p)
     scale = p / (1.0 - p)
     return CascadeState(t=0, n=1.0 - p,
                         q_a=scale * cfg.joint.mean_load_a,
@@ -135,7 +144,7 @@ def _next_state(t: int, p: float, cfg: SystemConfig, stats: SurvivalStats) -> Ca
 
 def step(state: CascadeState, p: float, cfg: SystemConfig) -> CascadeState:
     """One round of the recursion; collapse is absorbing."""
-    _validate_p(p)
+    p = _validate_p(p)
     if state.collapsed:
         return _collapse_state(state.t + 1)
     eff_a, eff_b = cfg.effective(state.q_a, state.q_b)
@@ -153,7 +162,7 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
     collapse counts as converged.  The limit point is the element-wise
     minimum of the stable set.
     """
-    _validate_p(p)
+    p = _validate_p(p)
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     cursor = cfg.joint.cascade_cursor()
@@ -219,7 +228,7 @@ def is_stable_point(x: float, y: float, p: float, cfg: SystemConfig,
     limit can undershoot the sharp boundary by roughly the solver tolerance;
     ``rel_tol`` loosens the threshold accordingly (0 gives the sharp test).
     """
-    _validate_p(p)
+    p = _validate_p(p)
     if x < 0 or y < 0:
         raise ValueError(f"excess loads must be >= 0, got ({x}, {y})")
     lhs_a, lhs_b = _lhs_surfaces(float(x), float(y), p, cfg)
@@ -265,7 +274,7 @@ def stable_set_grid(p: float, cfg: SystemConfig,
     The default extent is 1.2x the free-space cap, which contains every
     excess load still compatible with survival.
     """
-    _validate_p(p)
+    p = _validate_p(p)
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     cap = 1.2 * cfg.joint.free_space_cap()

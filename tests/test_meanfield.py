@@ -52,6 +52,22 @@ class TestInitialState:
         with pytest.raises(ValueError):
             initial_state(p, symmetric_uniform_config)
 
+    @pytest.mark.parametrize("p", [np.float32(0.3), np.float64(0.3)])
+    def test_accepts_numpy_real_scalars(self, p, symmetric_uniform_config):
+        state = initial_state(p, symmetric_uniform_config)
+        # computed in double precision from the scalar's exact value
+        assert state == initial_state(float(p), symmetric_uniform_config)
+        assert type(state.n) is float and type(state.q_a) is float
+        assert final_size(p, symmetric_uniform_config) == final_size(
+            float(p), symmetric_uniform_config)
+
+    @pytest.mark.parametrize("p, type_name", [(True, "bool"), (False, "bool"),
+                                              ("0.5", "str")])
+    def test_rejects_non_numbers_naming_the_type(self, p, type_name,
+                                                  symmetric_uniform_config):
+        with pytest.raises(ValueError, match=f"must be a real number, got {type_name}"):
+            initial_state(p, symmetric_uniform_config)
+
 
 class TestStep:
     def test_fixed_point_when_no_failures(self, symmetric_uniform_config):

@@ -14,12 +14,38 @@ from multiflow import (
     Uniform,
     Weibull,
     build_population,
+    critical_attack_size,
     final_size,
     monte_carlo_curve,
     run_cascade,
     run_cascade_naive,
+    simulate,
 )
+from multiflow.simulate import MASKED_ROUNDS, Population
 from helpers import random_system
+
+
+def assert_matches_naive(pop, p, factors, attack_seed):
+    """The fast cascade fails the same nodes in the same rounds as the oracle."""
+    fast = run_cascade(pop, p, factors, attack_seed)
+    slow = run_cascade_naive(pop, p, factors, attack_seed)
+    assert np.array_equal(fast.failed, slow.failed)
+    assert fast.rounds == slow.rounds
+    assert fast.surviving_fraction == slow.surviving_fraction
+    return fast
+
+
+def round_one_threshold(p: float, n: int) -> float:
+    """Round-1 threshold of a unit-load population at beta = 1/2."""
+    attacked = math.floor(p * n + 0.5)
+    q = attacked / (n - attacked)
+    assert q == int(q)
+    return q + 0.5 * q
+
+
+def copy_of(pop: Population) -> Population:
+    return Population(pop.load_a.copy(), pop.free_a.copy(), pop.load_b.copy(),
+                      pop.free_b.copy())
 
 
 class TestBuildPopulation:
@@ -54,6 +80,15 @@ class TestRunCascade:
         assert outcome.rounds == 1
         assert outcome.trajectory[0] == (0, 0.75, pytest.approx(10.0, rel=5e-3),
                                          pytest.approx(10.0, rel=5e-3))
+
+    def test_accepts_numpy_scalar_attack_fraction(self, symmetric_uniform_config):
+        pop = build_population(symmetric_uniform_config, 2000, seed=3)
+        factors = symmetric_uniform_config.factors
+        reference = run_cascade(pop, 0.25, factors, attack_seed=4)
+        for p in (np.float32(0.25), np.float64(0.25)):
+            outcome = run_cascade(pop, p, factors, attack_seed=4)
+            assert np.array_equal(outcome.failed, reference.failed)
+            assert outcome.trajectory == reference.trajectory
 
     def test_tiny_attack_rounds_to_zero_nodes(self, symmetric_uniform_config):
         pop = build_population(symmetric_uniform_config, 100, seed=5)
@@ -145,6 +180,80 @@ class TestOracleEquivalence:
             assert fast.surviving_fraction == slow.surviving_fraction
             assert fast.rounds == slow.rounds
 
+    @pytest.mark.parametrize("p", [0.8, 0.9])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_matches_naive_at_dirac_ties(self, p, ulps):
+        # Unit loads and beta = 1/2 make the round-1 threshold exact in both
+        # kernels: q = k/(n-k) per layer is a whole number, the threshold is
+        # q + q/2.  Free space sits exactly on it (ties survive) or one ulp
+        # either side.
+        n = 1000
+        factors = CrossLayerFactors(0.5, 0.5)
+        threshold = round_one_threshold(p, n)
+        free = threshold
+        for _ in range(abs(ulps)):
+            free = np.nextafter(free, math.copysign(math.inf, ulps))
+        ones = np.ones(n)
+        pop = Population(ones, np.full(n, free), ones, np.full(n, threshold))
+        out = assert_matches_naive(pop, p, factors, attack_seed=7)
+        assert out.surviving_fraction == pytest.approx(0.0 if ulps < 0 else 1.0 - p)
+
+    @pytest.mark.parametrize("p", [0.8, 0.9])
+    def test_matches_naive_with_many_ties(self, p):
+        # Per node and layer, free space is the round-1 threshold, one ulp
+        # either side of it, or far above; the cascade runs several rounds.
+        n = 2000
+        factors = CrossLayerFactors(0.5, 0.5)
+        threshold = round_one_threshold(p, n)
+        values = np.array([np.nextafter(threshold, -math.inf), threshold,
+                           np.nextafter(threshold, math.inf), 1e3])
+        rng = np.random.default_rng(8)
+        ones = np.ones(n)
+        for trial in range(5):
+            pop = Population(ones, rng.choice(values, n), ones, rng.choice(values, n))
+            out = assert_matches_naive(pop, p, factors, attack_seed=trial)
+            assert out.rounds >= 2
+
+    def test_matches_naive_past_the_switch_round(self):
+        # Near-critical continuous populations: long cascades run the masked
+        # rounds and then the sorted sweep.
+        rng = np.random.default_rng(41)
+        rounds = []
+        for _ in range(12):
+            cfg = random_system(rng, free_families=("uniform", "pareto", "weibull"))
+            p_star = critical_attack_size(cfg, tol_p=1e-3).p_hat
+            pop = build_population(cfg, 3000, seed=int(rng.integers(2 ** 31)))
+            for offset in (-0.01, -0.003, 0.0, 0.003, 0.01):
+                p = min(max(p_star + offset, 0.01), 0.99)
+                out = assert_matches_naive(pop, p, cfg.factors, int(rng.integers(2 ** 31)))
+                rounds.append(out.rounds)
+        assert sum(r > MASKED_ROUNDS for r in rounds) >= 5
+        assert sum(r <= MASKED_ROUNDS for r in rounds) >= 5
+
+    def test_reused_population_matches_fresh_copy(self):
+        # The sort order cached on a population carries nothing from one
+        # call to the next: each p gives what a fresh copy gives.
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200),
+                                          beta_a=0.3, beta_b=0.3)
+        pop = build_population(cfg, 3000, seed=11)
+        before = copy_of(pop)
+        rounds = []
+        for index, p in enumerate((0.3, 0.1, 0.28, 0.5, 0.3, 0.26)):
+            reused = run_cascade(pop, p, cfg.factors, attack_seed=index)
+            fresh = run_cascade(copy_of(before), p, cfg.factors, attack_seed=index)
+            assert np.array_equal(reused.failed, fresh.failed)
+            assert reused.rounds == fresh.rounds
+            assert reused.surviving_fraction == fresh.surviving_fraction
+            assert reused.trajectory == fresh.trajectory
+            rounds.append(reused.rounds)
+        assert max(rounds) > MASKED_ROUNDS and min(rounds) <= MASKED_ROUNDS
+        order = pop.free_order
+        run_cascade(pop, 0.3, cfg.factors, attack_seed=0)
+        assert pop.free_order is order  # sorted once
+        for name in ("load_a", "free_a", "load_b", "free_b"):
+            assert np.array_equal(getattr(pop, name), getattr(before, name))
+
     def test_naive_rejects_large_populations(self, symmetric_uniform_config):
         pop = build_population(symmetric_uniform_config, 10_001, seed=1)
         with pytest.raises(ValueError, match="naive"):
@@ -163,6 +272,26 @@ class TestOracleEquivalence:
         assert out.surviving_fraction == 0.5
         naive = run_cascade_naive(pop, 0.5, factors, attack_seed=2)
         assert naive.surviving_fraction == 0.5
+
+    @pytest.mark.parametrize("p, switched", [(0.26, False), (0.3, True)])
+    def test_tie_with_final_threshold_survives(self, p, switched):
+        # Lowering a survivor's free space to exactly the last round's
+        # threshold changes nothing, in the masked rounds and in the sweep.
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200),
+                                          beta_a=0.3, beta_b=0.3)
+        pop = build_population(cfg, 3000, seed=11)
+        out = run_cascade(pop, p, cfg.factors, attack_seed=12)
+        assert (out.rounds > MASKED_ROUNDS) == switched and out.surviving_fraction > 0
+        last = out.trajectory[-1]
+        survivors = np.flatnonzero(~out.failed)
+        tied = copy_of(pop)
+        tied.free_a[survivors[0]] = last.q_a + cfg.factors.beta_b * last.q_b
+        tied.free_b[survivors[1]] = last.q_b + cfg.factors.beta_a * last.q_a
+        again = run_cascade(tied, p, cfg.factors, attack_seed=12)
+        assert np.array_equal(again.failed, out.failed)
+        assert again.rounds == out.rounds
+        assert again.trajectory == out.trajectory
 
     def test_dirac_threshold_is_sharp(self):
         # One epsilon above the boundary everyone fails.
@@ -242,6 +371,49 @@ class TestMonteCarloCurve:
         par = monte_carlo_curve(cfg, 800, [0.3, 0.5], runs=3, seed_base=5, workers=2)
         assert np.array_equal(seq.samples, par.samples)
 
+    def test_reuse_mode_parallel_matches_sequential(self):
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200),
+                                          beta_a=0.3, beta_b=0.3)
+        grid = [0.24, 0.27, 0.3]
+        seq = monte_carlo_curve(cfg, 1500, grid, runs=3, seed_base=31, workers=1,
+                                resample_population=False)
+        par = monte_carlo_curve(cfg, 1500, grid, runs=3, seed_base=31, workers=2,
+                                resample_population=False)
+        assert np.array_equal(seq.samples, par.samples)
+        # one population per run index, one attack stream per (p, run) pair
+        for ir in range(3):
+            pop = build_population(cfg, 1500, np.random.SeedSequence(31, spawn_key=(ir,)))
+            for ip, p in enumerate(grid):
+                _, attack_seed = np.random.SeedSequence(31, spawn_key=(ip, ir)).spawn(2)
+                expected = run_cascade(pop, p, cfg.factors, attack_seed).surviving_fraction
+                assert seq.samples[ip, ir] == expected
+
+    def test_workers_capped_at_task_count(self, monkeypatch, symmetric_uniform_config):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single task must not start a process pool")
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        curve = monte_carlo_curve(symmetric_uniform_config, 500, [0.3], runs=1,
+                                  seed_base=3, workers=8)
+        assert curve.samples.shape == (1, 1)
+        # reuse mode: one task per run index
+        curve = monte_carlo_curve(symmetric_uniform_config, 500, [0.2, 0.3], runs=1,
+                                  seed_base=3, workers=8, resample_population=False)
+        assert curve.samples.shape == (2, 1)
+
+    def test_failed_task_names_its_indices(self, monkeypatch, symmetric_uniform_config):
+        original = simulate.run_cascade
+
+        def failing(pop, p, factors, attack_seed):
+            if p == 0.4:
+                raise FloatingPointError("boom")
+            return original(pop, p, factors, attack_seed)
+        monkeypatch.setattr(simulate, "run_cascade", failing)
+        with pytest.raises(RuntimeError, match=r"p_index=1, run_index=0\).*boom") as info:
+            monte_carlo_curve(symmetric_uniform_config, 200, [0.2, 0.4], runs=2,
+                              seed_base=3)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
     def test_population_reuse_mode(self):
         # interior fixed point: the outcome depends on the sampled population
         cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
@@ -260,3 +432,7 @@ class TestMonteCarloCurve:
                               seed_base=1)
         with pytest.raises(ValueError):
             monte_carlo_curve(symmetric_uniform_config, 100, [0.5], runs=0, seed_base=1)
+        with pytest.raises(ValueError, match="got str"):
+            monte_carlo_curve(symmetric_uniform_config, 100, ["0.5"], runs=1, seed_base=1)
+        with pytest.raises(ValueError, match="population size"):
+            monte_carlo_curve(symmetric_uniform_config, 0, [0.5], runs=1, seed_base=1)
