@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .distributions import (
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_SAMPLE_SEED,
     Dirac,
     IndependentJoint,
     MarginalDistribution,
@@ -146,33 +144,38 @@ def per_layer_critical(mu_a: float, mu_b: float, mean_load_a: float, mean_load_b
     return PerLayerBounds(p_a, p_b, min(p_a, p_b))
 
 
+def dirac_free_space(strategy: AllocationStrategy,
+                     mean_load_a: float, mean_load_b: float,
+                     factors: CrossLayerFactors) -> tuple[float, float] | None:
+    """Per-layer Dirac free space (s_A, s_B) of a strategy; None for the tolerance factor."""
+    if isinstance(strategy, LayerWeightedEqual):
+        return layer_weighted_split(mean_load_a, mean_load_b, factors, strategy.s_total)
+    if isinstance(strategy, EqualFreeSpace):
+        half = 0.5 * strategy.s_total
+        return half, half
+    if isinstance(strategy, PerLayerEqual):
+        return strategy.mu_a, strategy.mu_b
+    if isinstance(strategy, EqualToleranceFactor):
+        return None
+    raise TypeError(f"unknown allocation strategy: {strategy!r}")
+
+
 def apply_strategy(strategy: AllocationStrategy,
                    load_a: MarginalDistribution, load_b: MarginalDistribution,
-                   factors: CrossLayerFactors,
-                   sample_count: int = DEFAULT_SAMPLE_COUNT,
-                   sample_seed: int = DEFAULT_SAMPLE_SEED) -> SystemConfig:
+                   factors: CrossLayerFactors) -> SystemConfig:
     """Build the full system configuration realized by an allocation strategy.
 
     The tolerance-factor strategy couples free space to load per node, so its
-    configuration carries a proportional joint (analytic queries then run in
-    the stored-sample mode; populations use the exact coupling).
+    configuration carries a proportional joint (analytic queries then use
+    its fixed stored sample; populations use the exact coupling).
     """
     mean_a = load_a.mean()
     mean_b = load_b.mean()
-    if isinstance(strategy, LayerWeightedEqual):
-        s_a, s_b = layer_weighted_split(mean_a, mean_b, factors, strategy.s_total)
-        joint = IndependentJoint(load_a, Dirac(s_a), load_b, Dirac(s_b))
-    elif isinstance(strategy, EqualFreeSpace):
-        half = 0.5 * strategy.s_total
-        joint = IndependentJoint(load_a, Dirac(half), load_b, Dirac(half))
-    elif isinstance(strategy, PerLayerEqual):
-        joint = IndependentJoint(load_a, Dirac(strategy.mu_a), load_b, Dirac(strategy.mu_b))
-    elif isinstance(strategy, EqualToleranceFactor):
-        alpha = strategy.resolve_alpha(mean_a, mean_b)
-        joint = ProportionalJoint(load_a, load_b, alpha,
-                                  sample_count=sample_count, sample_seed=sample_seed)
+    free = dirac_free_space(strategy, mean_a, mean_b, factors)
+    if free is None:
+        joint = ProportionalJoint(load_a, load_b, strategy.resolve_alpha(mean_a, mean_b))
     else:
-        raise TypeError(f"unknown allocation strategy: {strategy!r}")
+        joint = IndependentJoint(load_a, Dirac(free[0]), load_b, Dirac(free[1]))
     return SystemConfig(joint, factors)
 
 
@@ -186,10 +189,7 @@ def predicted_critical(strategy: AllocationStrategy,
     """
     if isinstance(strategy, LayerWeightedEqual):
         return optimal_critical_attack(mean_load_a, mean_load_b, factors, strategy.s_total)
-    if isinstance(strategy, EqualFreeSpace):
-        half = 0.5 * strategy.s_total
-        return per_layer_critical(half, half, mean_load_a, mean_load_b, factors).p_opt
-    if isinstance(strategy, PerLayerEqual):
-        return per_layer_critical(strategy.mu_a, strategy.mu_b,
-                                  mean_load_a, mean_load_b, factors).p_opt
-    return None
+    free = dirac_free_space(strategy, mean_load_a, mean_load_b, factors)
+    if free is None:
+        return None
+    return per_layer_critical(*free, mean_load_a, mean_load_b, factors).p_opt

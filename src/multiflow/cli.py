@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration or usage error, 3 nonconvergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import allocate, meanfield, simulate
-from .config import ConfigError, ExperimentSpec, SimParams, load_experiment
+from .config import ConfigError, ExperimentSpec, load_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,12 +42,9 @@ def _resolve_config_path(value: str) -> Path:
 def _apply_seed_override(spec: ExperimentSpec, seed: int | None) -> ExperimentSpec:
     if seed is None or spec.sim is None:
         return spec
-    sim = SimParams(n=spec.sim.n, runs=spec.sim.runs, seed_base=seed,
-                    resample_population=spec.sim.resample_population)
-    resolved = dict(spec.resolved)
-    resolved["sim"] = dict(resolved["sim"], seed_base=seed)
-    return ExperimentSpec(systems=spec.systems, p_grid=spec.p_grid, mode=spec.mode,
-                          sim=sim, output=spec.output, resolved=resolved)
+    resolved = dict(spec.resolved, sim=dict(spec.resolved["sim"], seed_base=seed))
+    return dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, seed_base=seed),
+                               resolved=resolved)
 
 
 def _out_dir(args, spec: ExperimentSpec) -> Path:
@@ -58,8 +56,9 @@ def _formats(args, spec: ExperimentSpec) -> tuple[str, ...]:
 
 
 def _fmt(value) -> str:
+    # float() drops a numpy scalar's type name from the repr.
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -227,36 +226,34 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
               "with s_total)", file=sys.stderr)
         return EXIT_CONFIG
 
-    split = allocate.layer_weighted_split(mean_a, mean_b, cfg.factors, s_total)
-    half = 0.5 * s_total
-    alpha = s_total / (mean_a + mean_b)
-    strategies = [
-        ("layer_weighted_equal", split[0], split[1], "",
-         allocate.optimal_critical_attack(mean_a, mean_b, cfg.factors, s_total)),
-        ("equal_free_space", half, half, "",
-         allocate.per_layer_critical(half, half, mean_a, mean_b, cfg.factors).p_opt),
-        ("equal_tolerance_factor", "", "", alpha, ""),
-    ]
     if (args.mu_a is None) != (args.mu_b is None):
         print("error: give both --mu-a and --mu-b or neither", file=sys.stderr)
         return EXIT_CONFIG
+    strategies = [("layer_weighted_equal", allocate.LayerWeightedEqual(s_total)),
+                  ("equal_free_space", allocate.EqualFreeSpace(s_total)),
+                  ("equal_tolerance_factor", allocate.EqualToleranceFactor(s_total=s_total))]
     if args.mu_a is not None:
-        bounds = allocate.per_layer_critical(args.mu_a, args.mu_b, mean_a, mean_b,
-                                             cfg.factors)
-        strategies.append(("per_layer_equal", args.mu_a, args.mu_b, "", bounds.p_opt))
+        strategies.append(("per_layer_equal", allocate.PerLayerEqual(args.mu_a, args.mu_b)))
+    rows = []
+    for label, strategy in strategies:
+        free = allocate.dirac_free_space(strategy, mean_a, mean_b, cfg.factors)
+        s_a, s_b = ("", "") if free is None else free
+        alpha = strategy.resolve_alpha(mean_a, mean_b) if free is None else ""
+        predicted = allocate.predicted_critical(strategy, mean_a, mean_b, cfg.factors)
+        rows.append((label, s_a, s_b, alpha, "" if predicted is None else predicted))
     header = ["strategy", "s_a", "s_b", "alpha", "predicted_critical"]
-    width = max(len(row[0]) for row in strategies)
+    width = max(len(row[0]) for row in rows)
     print(f"loads: E[L_A]={mean_a:.6g}, E[L_B]={mean_b:.6g}; "
           f"beta=({cfg.factors.beta_a:g}, {cfg.factors.beta_b:g}); "
           f"budget={s_total:g}")
-    for row in strategies:
+    for row in rows:
         cells = [f"{row[0]:<{width}}"]
         cells.append(f"s_a={row[1]:.6g}" if row[1] != "" else "s_a=-")
         cells.append(f"s_b={row[2]:.6g}" if row[2] != "" else "s_b=-")
         cells.append(f"alpha={row[3]:.6g}" if row[3] != "" else "alpha=-")
         cells.append(f"p_opt={row[4]:.6g}" if row[4] != "" else "p_opt=-")
         print("  ".join(cells))
-    _table(args, spec, "optimize", name, header, strategies)
+    _table(args, spec, "optimize", name, header, rows)
     return EXIT_OK
 
 

@@ -35,11 +35,19 @@ from .meanfield import CrossLayerFactors, SystemConfig
 
 MODES = ("analytic", "simulate", "both")
 
+# Strategy class and its fields, named as in the spec and the constructor.
 _STRATEGIES = {
-    "layer_weighted_equal": LayerWeightedEqual,
-    "equal_free_space": EqualFreeSpace,
-    "equal_tolerance_factor": EqualToleranceFactor,
-    "per_layer_equal": PerLayerEqual,
+    "layer_weighted_equal": (LayerWeightedEqual, ("s_total",)),
+    "equal_free_space": (EqualFreeSpace, ("s_total",)),
+    "equal_tolerance_factor": (EqualToleranceFactor, ("alpha", "s_total")),
+    "per_layer_equal": (PerLayerEqual, ("mu_a", "mu_b")),
+}
+
+# Keys of a system record besides beta_a/beta_b, by the record's kind.
+_SYSTEM_FIELDS = {
+    "samples": ("samples",),
+    "allocation": ("allocation", "load_a", "load_b"),
+    "marginals": ("load_a", "free_a", "load_b", "free_b"),
 }
 
 
@@ -101,21 +109,28 @@ def _field(record: dict, name: str, where: str, kind=None, required: bool = True
     return value
 
 
+def _check_keys(record: dict, allowed, where: str) -> None:
+    """Reject a key the record type does not define, naming it."""
+    for key in record:
+        if key not in allowed:
+            raise ConfigError(f"{where}.{key}: unknown field; expected one of "
+                              f"{sorted(allowed)}")
+
+
 def _parse_strategy(record: dict, where: str) -> AllocationStrategy:
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where}: expected an object, got {record!r}")
     name = _field(record, "strategy", where)
-    cls = _STRATEGIES.get(name)
-    if cls is None:
+    if not isinstance(name, str) or name not in _STRATEGIES:
         raise ConfigError(
             f"{where}.strategy: expected one of {sorted(_STRATEGIES)}, got {name!r}")
+    cls, fields = _STRATEGIES[name]
+    _check_keys(record, {"strategy", *fields}, where)
+    # The tolerance factor takes exactly one of its two fields.
+    required = cls is not EqualToleranceFactor
     try:
-        if cls is LayerWeightedEqual or cls is EqualFreeSpace:
-            return cls(_field(record, "s_total", where, float))
-        if cls is PerLayerEqual:
-            return cls(_field(record, "mu_a", where, float),
-                       _field(record, "mu_b", where, float))
-        return EqualToleranceFactor(
-            alpha=_field(record, "alpha", where, float, required=False),
-            s_total=_field(record, "s_total", where, float, required=False))
+        return cls(**{f: _field(record, f, where, float, required=required)
+                      for f in fields})
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -147,25 +162,19 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
+    kind = next((k for k in ("samples", "allocation") if k in record), "marginals")
+    _check_keys(record, {"beta_a", "beta_b", *_SYSTEM_FIELDS[kind]}, where)
     try:
-        if "samples" in record:
+        if kind == "samples":
             samples = _load_samples(_field(record, "samples", where), base_dir, where)
             joint = EmpiricalJoint(samples, source={
                 "samples": record["samples"], "count": int(np.asarray(samples).shape[0])})
             cfg = SystemConfig(joint, factors)
-        elif "allocation" in record:
-            allocation = record["allocation"]
-            strategy = _parse_strategy(allocation, f"{where}.allocation")
+        elif kind == "allocation":
+            strategy = _parse_strategy(record["allocation"], f"{where}.allocation")
             load_a = marginal_from_dict(_field(record, "load_a", where), f"{where}.load_a")
             load_b = marginal_from_dict(_field(record, "load_b", where), f"{where}.load_b")
-            extras = {}
-            if "sample_count" in allocation:
-                extras["sample_count"] = _field(allocation, "sample_count",
-                                                f"{where}.allocation", int)
-            if "sample_seed" in allocation:
-                extras["sample_seed"] = _field(allocation, "sample_seed",
-                                               f"{where}.allocation", int)
-            cfg = apply_strategy(strategy, load_a, load_b, factors, **extras)
+            cfg = apply_strategy(strategy, load_a, load_b, factors)
         else:
             joint = IndependentJoint(
                 marginal_from_dict(_field(record, "load_a", where), f"{where}.load_a"),
@@ -178,13 +187,14 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
         raise ConfigError(str(exc)) from exc
 
     resolved = {"beta_a": beta_a, "beta_b": beta_b, **cfg.joint.to_dict()}
-    if "allocation" in record:
+    if kind == "allocation":
         resolved["allocation"] = dict(record["allocation"])
     return cfg, resolved
 
 
 def _parse_p_grid(value, where: str) -> list[float]:
     if isinstance(value, dict):
+        _check_keys(value, ("min", "max", "count"), where)
         lo = _field(value, "min", where, float)
         hi = _field(value, "max", where, float)
         count = _field(value, "count", where, int)
@@ -211,6 +221,7 @@ def parse_experiment(document: dict, base_dir: Path | None = None) -> Experiment
     if not isinstance(document, dict):
         raise ConfigError("spec: expected a JSON object at the top level")
     base_dir = base_dir or Path.cwd()
+    _check_keys(document, ("systems", "mode", "p_grid", "sim", "output"), "spec")
 
     systems_record = _field(document, "systems", "spec")
     if not isinstance(systems_record, dict) or not systems_record:
@@ -235,6 +246,7 @@ def parse_experiment(document: dict, base_dir: Path | None = None) -> Experiment
         record = document["sim"]
         if not isinstance(record, dict):
             raise ConfigError("spec.sim: expected an object")
+        _check_keys(record, ("n", "runs", "seed_base", "resample_population"), "spec.sim")
         sim = SimParams(
             n=_field(record, "n", "spec.sim", int),
             runs=_field(record, "runs", "spec.sim", int),
@@ -254,6 +266,7 @@ def parse_experiment(document: dict, base_dir: Path | None = None) -> Experiment
         record = document["output"]
         if not isinstance(record, dict):
             raise ConfigError("spec.output: expected an object")
+        _check_keys(record, ("directory", "formats"), "spec.output")
         directory = _field(record, "directory", "spec.output", required=False,
                            default="out")
         formats = _field(record, "formats", "spec.output", required=False,

@@ -4,17 +4,18 @@ Four marginal families cover the configurations used throughout the package:
 uniform, Pareto (classical, location-scale form), Weibull shifted by a
 minimum value, and a Dirac point mass.  All supports are strictly positive.
 
-The joint objects answer the two queries the mean-field solver needs:
-
-* ``joint_survival(x, y)``        -- P[S_A > x, S_B > y]
-* ``partial_load_expectation``    -- E[L_i * 1{S_A > x, S_B > y}]
+Each joint object answers one query, ``survival_stats(x, y)``: the joint
+survival P[S_A > x, S_B > y] and the partial load means E[L_i * 1{S_A > x,
+S_B > y}].  The solver reads it through a monotone ``cascade_cursor``;
+``joint_survival`` and ``partial_load_expectation`` derive from it.
 
 Three joint flavours exist: independent marginals (closed form), an
 empirical sample matrix for correlated inputs (e.g. multivariate-normal
 draws supplied by the user), and a per-node proportional coupling
 S = alpha * L used by the tolerance-factor allocation strategy.  The
 proportional coupling has no factorized closed form, so its analytic
-queries are served from a deterministic stored sample matrix.
+queries are served from a fixed stored sample matrix (10^6 rows, seed
+424242).
 
 Survival uses the strict inequality P[S > x].  For continuous marginals
 this equals the non-strict version; for a Dirac mass the mass at ``v``
@@ -24,19 +25,12 @@ allocations must be evaluated strictly below their critical attack size.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
-
-# Sample count / seed used when a coupled joint falls back to stored samples.
-DEFAULT_SAMPLE_COUNT = 1_000_000
-DEFAULT_SAMPLE_SEED = 424_242
 
 MIN_EMPIRICAL_SAMPLES = 10_000
 
@@ -191,7 +185,13 @@ class Dirac:
 
 MarginalDistribution = Union[Uniform, Pareto, Weibull, Dirac]
 
-_KINDS = {"uniform", "pareto", "weibull", "dirac"}
+# Constructor and record fields (in constructor order) of each marginal kind.
+_KINDS = {
+    "uniform": (Uniform, ("min", "max")),
+    "pareto": (Pareto, ("min", "b")),
+    "weibull": (Weibull, ("min", "lambda", "k")),
+    "dirac": (Dirac, ("value",)),
+}
 
 
 def marginal_from_dict(record: dict, where: str = "distribution") -> MarginalDistribution:
@@ -199,8 +199,13 @@ def marginal_from_dict(record: dict, where: str = "distribution") -> MarginalDis
     if not isinstance(record, dict):
         raise DistributionError(f"{where}: expected a tagged record, got {record!r}")
     kind = record.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DistributionError(f"{where}.kind: expected one of {sorted(_KINDS)}, got {kind!r}")
+    cls, names = _KINDS[kind]
+    for key in record:
+        if key != "kind" and key not in names:
+            raise DistributionError(f"{where}.{key}: unknown field for kind={kind!r}; "
+                                    f"expected {list(names)}")
 
     def field(name: str) -> float:
         if name not in record:
@@ -211,13 +216,7 @@ def marginal_from_dict(record: dict, where: str = "distribution") -> MarginalDis
             raise DistributionError(f"{where}.{name}: expected a number, got {record[name]!r}")
 
     try:
-        if kind == "uniform":
-            return Uniform(field("min"), field("max"))
-        if kind == "pareto":
-            return Pareto(field("min"), field("b"))
-        if kind == "weibull":
-            return Weibull(field("min"), field("lambda"), field("k"))
-        return Dirac(field("value"))
+        return cls(*(field(name) for name in names))
     except DistributionError as exc:
         raise DistributionError(f"{where}: {exc}") from exc
 
@@ -260,26 +259,22 @@ class JointLoadSpace:
     mean_free_a: float
     mean_free_b: float
 
-    def mean_load(self, layer: str) -> float:
-        if layer == "A":
-            return self.mean_load_a
-        if layer == "B":
-            return self.mean_load_b
-        raise ValueError(f"layer must be 'A' or 'B', got {layer!r}")
-
-    def joint_survival(self, x: float, y: float) -> float:
+    def survival_stats(self, x: float, y: float) -> SurvivalStats:
+        """The one query each joint implements; the others derive from it."""
         raise NotImplementedError
 
+    def joint_survival(self, x: float, y: float) -> float:
+        """P[S_A > x, S_B > y]."""
+        return self.survival_stats(x, y).probability
+
     def partial_load_expectation(self, layer: str, x: float, y: float) -> float:
+        """E[L_layer * 1{S_A > x, S_B > y}] for layer "A" or "B"."""
         stats = self.survival_stats(x, y)
         if layer == "A":
             return stats.load_a
         if layer == "B":
             return stats.load_b
         raise ValueError(f"layer must be 'A' or 'B', got {layer!r}")
-
-    def survival_stats(self, x: float, y: float) -> SurvivalStats:
-        raise NotImplementedError
 
     def cascade_cursor(self) -> "CascadeCursor":
         """Stateful view for solves whose thresholds only ever increase."""
@@ -337,14 +332,8 @@ class IndependentJoint(JointLoadSpace):
     def mean_free_b(self) -> float:
         return self.free_b.mean()
 
-    def joint_survival(self, x, y):
-        return self.free_a.survival(x) * self.free_b.survival(y)
-
-    def partial_load_expectation(self, layer: str, x: float, y: float) -> float:
-        # L independent of (S_A, S_B): the indicator factors out.
-        return self.mean_load(layer) * self.joint_survival(x, y)
-
     def survival_stats(self, x: float, y: float) -> SurvivalStats:
+        # L independent of (S_A, S_B): the indicator factors out.
         prob = self.free_a.survival(x) * self.free_b.survival(y)
         return SurvivalStats(prob, self.mean_load_a * prob, self.mean_load_b * prob)
 
@@ -506,17 +495,6 @@ class EmpiricalJoint(JointLoadSpace):
     def mean_free_b(self) -> float:
         return float(self._free_b.mean())
 
-    def joint_survival(self, x: float, y: float) -> float:
-        mask = (self._free_a > x) & (self._free_b > y)
-        return float(np.count_nonzero(mask)) / self.sample_count
-
-    def partial_load_expectation(self, layer: str, x: float, y: float) -> float:
-        loads = self._loads_a if layer == "A" else self._loads_b if layer == "B" else None
-        if loads is None:
-            raise ValueError(f"layer must be 'A' or 'B', got {layer!r}")
-        mask = (self._free_a > x) & (self._free_b > y)
-        return float(loads[mask].sum()) / self.sample_count
-
     def survival_stats(self, x: float, y: float) -> SurvivalStats:
         mask = (self._free_a > x) & (self._free_b > y)
         m = self.sample_count
@@ -543,36 +521,33 @@ class EmpiricalJoint(JointLoadSpace):
         return {"empirical": {"count": self.sample_count}}
 
 
+# Size and seed of the tolerance-factor joint's stored sample.
+_STORED_ROWS = 1_000_000
+_STORED_SEED = 424_242
+
+
 @dataclass(frozen=True)
 class ProportionalJoint(JointLoadSpace):
     """Free space coupled to load per node: S_{x,i} = alpha * L_{x,i}.
 
-    Populations use the exact coupling.  Analytic queries have no factorized
-    closed form (S is a deterministic function of L), so they are estimated
-    from a stored sample matrix generated once from ``sample_seed``.
+    Populations use the exact coupling.  Analytic queries are answered from
+    a stored sample matrix of ``_STORED_ROWS`` rows drawn once from
+    ``_STORED_SEED``, the same for every instance.
     """
 
     load_a: MarginalDistribution
     load_b: MarginalDistribution
     alpha: float
-    sample_count: int = DEFAULT_SAMPLE_COUNT
-    sample_seed: int = DEFAULT_SAMPLE_SEED
 
     def __post_init__(self) -> None:
         _require(math.isfinite(self.alpha) and self.alpha > 0,
                  f"tolerance factor alpha must be > 0, got {self.alpha}")
-        _require(self.sample_count >= MIN_EMPIRICAL_SAMPLES,
-                 f"sample_count must be at least {MIN_EMPIRICAL_SAMPLES}")
 
     @cached_property
     def _empirical(self) -> EmpiricalJoint:
-        logger.info(
-            "free space is proportional to load (alpha=%g); analytic queries "
-            "use %d stored samples (seed %d)",
-            self.alpha, self.sample_count, self.sample_seed)
-        rng = np.random.default_rng(np.random.SeedSequence(self.sample_seed))
-        load_a = np.asarray(self.load_a.sample(rng, self.sample_count), dtype=float)
-        load_b = np.asarray(self.load_b.sample(rng, self.sample_count), dtype=float)
+        rng = np.random.default_rng(np.random.SeedSequence(_STORED_SEED))
+        load_a = np.asarray(self.load_a.sample(rng, _STORED_ROWS), dtype=float)
+        load_b = np.asarray(self.load_b.sample(rng, _STORED_ROWS), dtype=float)
         samples = np.column_stack([load_a, self.alpha * load_a, load_b, self.alpha * load_b])
         return EmpiricalJoint(samples)
 
@@ -595,12 +570,6 @@ class ProportionalJoint(JointLoadSpace):
     def mean_free_b(self) -> float:
         return self.alpha * self.load_b.mean()
 
-    def joint_survival(self, x: float, y: float) -> float:
-        return self._empirical.joint_survival(x, y)
-
-    def partial_load_expectation(self, layer: str, x: float, y: float) -> float:
-        return self._empirical.partial_load_expectation(layer, x, y)
-
     def survival_stats(self, x: float, y: float) -> SurvivalStats:
         return self._empirical.survival_stats(x, y)
 
@@ -620,8 +589,8 @@ class ProportionalJoint(JointLoadSpace):
             "load_a": marginal_to_dict(self.load_a),
             "load_b": marginal_to_dict(self.load_b),
             "alpha": self.alpha,
-            "sample_count": self.sample_count,
-            "sample_seed": self.sample_seed,
+            "sample_count": _STORED_ROWS,
+            "sample_seed": _STORED_SEED,
         }
 
     def __getstate__(self):
@@ -629,6 +598,3 @@ class ProportionalJoint(JointLoadSpace):
         state = dict(self.__dict__)
         state.pop("_empirical", None)
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)

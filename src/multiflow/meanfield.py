@@ -186,7 +186,7 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
             break
     # Final size evaluated at the limit point itself, so the identity
     # n_inf = (1-p) * P[S_A > x*+bB y*, S_B > y*+bA x*] holds exactly.
-    prob = cfg.joint.joint_survival(*cfg.effective(state.q_a, state.q_b))
+    prob = cursor.advance(*cfg.effective(state.q_a, state.q_b)).probability
     if prob < COLLAPSE_EPS:
         return SteadyState(0.0, math.inf, math.inf, iterations, converged)
     return SteadyState((1.0 - p) * prob, state.q_a, state.q_b,

@@ -124,13 +124,13 @@ class TestApplyStrategy:
 
     def test_tolerance_factor_alpha_from_budget(self):
         cfg = apply_strategy(EqualToleranceFactor(s_total=720.0), Pareto(100, 5),
-                             Uniform(150, 200), FACTORS, sample_count=20_000)
+                             Uniform(150, 200), FACTORS)
         assert isinstance(cfg.joint, ProportionalJoint)
         assert cfg.joint.alpha == pytest.approx(2.4, rel=1e-12)
 
     def test_tolerance_factor_explicit_alpha(self):
         cfg = apply_strategy(EqualToleranceFactor(alpha=1.5), Uniform(20, 40),
-                             Uniform(20, 40), FACTORS, sample_count=20_000)
+                             Uniform(20, 40), FACTORS)
         assert cfg.joint.alpha == 1.5
 
     def test_per_layer_equal(self):
@@ -145,8 +145,7 @@ class TestApplyStrategy:
         EqualToleranceFactor(s_total=720.0),
     ], ids=lambda s: type(s).__name__)
     def test_budget_conservation(self, strategy):
-        cfg = apply_strategy(strategy, Pareto(100, 5), Uniform(150, 200), FACTORS,
-                             sample_count=20_000)
+        cfg = apply_strategy(strategy, Pareto(100, 5), Uniform(150, 200), FACTORS)
         total = cfg.joint.mean_free_a + cfg.joint.mean_free_b
         assert total == pytest.approx(720.0, rel=1e-12)
 
@@ -179,8 +178,7 @@ class TestDistributionIndependence:
         from multiflow import critical_attack_size
 
         cfg = apply_strategy(EqualToleranceFactor(s_total=720.0),
-                             Weibull(10, 84.25, 0.4), Pareto(5, 2), FACTORS,
-                             sample_count=200_000)
+                             Weibull(10, 84.25, 0.4), Pareto(5, 2), FACTORS)
         bound = optimal_critical_attack(cfg.joint.mean_load_a, cfg.joint.mean_load_b,
                                         FACTORS, 720.0)
         estimate = critical_attack_size(cfg, tol_p=1e-3)
@@ -203,6 +201,12 @@ class TestStrategyValidation:
             PerLayerEqual(0.0, 10.0)
         with pytest.raises(ValueError):
             EqualToleranceFactor(alpha=-1.0)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(TypeError, match="unknown allocation strategy"):
+            apply_strategy(object(), Pareto(100, 5), Uniform(150, 200), FACTORS)
+        with pytest.raises(TypeError, match="unknown allocation strategy"):
+            predicted_critical(object(), 125.0, 175.0, FACTORS)
 
 
 class TestPredictedCritical:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from multiflow import cli
-from multiflow.config import ConfigError, load_experiment
+from multiflow.config import ConfigError, load_experiment, parse_experiment
 
 SMALL_SPEC = {
     "systems": {
@@ -153,6 +153,42 @@ class TestConfigErrors:
 
     def test_usage_error_exit_code(self):
         assert cli.main(["curve"]) == 2  # --config is required
+
+    TYPOS = [
+        ((), {"p_grd": [0.2]}, "spec.p_grd"),
+        (("systems", "demo"), {"beta_aa": 0.3}, "spec.systems.demo.beta_aa"),
+        (("systems", "demo"), {"alpha": 2.0}, "spec.systems.demo.alpha"),
+        (("systems", "alloc", "allocation"), {"sample_count": 20_000},
+         "spec.systems.alloc.allocation.sample_count"),
+        (("systems", "alloc"), {"free_a": {"kind": "dirac", "value": 1}},
+         "spec.systems.alloc.free_a"),
+        (("systems", "emp"), {"load_a": {"kind": "dirac", "value": 1}},
+         "spec.systems.emp.load_a"),
+        (("p_grid",), {"cnt": 3}, "spec.p_grid.cnt"),
+        (("sim",), {"resample": False}, "spec.sim.resample"),
+        (("output",), {"fmt": ["csv"]}, "spec.output.fmt"),
+    ]
+
+    @pytest.mark.parametrize("path, value, field", TYPOS, ids=[t[2] for t in TYPOS])
+    def test_unknown_field_is_named(self, tmp_path, path, value, field):
+        import numpy as np
+        np.save(tmp_path / "samples.npy", np.full((20_000, 4), 30.0))
+        document = dict(json.loads(json.dumps(SMALL_SPEC)),
+                        p_grid={"min": 0.1, "max": 0.5, "count": 3},
+                        sim={"n": 100, "runs": 1, "seed_base": 1},
+                        output={"directory": "out"})
+        document["systems"]["alloc"] = {
+            "load_a": {"kind": "pareto", "min": 100, "b": 5},
+            "load_b": {"kind": "uniform", "min": 150, "max": 200},
+            "allocation": {"strategy": "equal_tolerance_factor", "s_total": 720}}
+        document["systems"]["emp"] = {"samples": "samples.npy"}
+        parse_experiment(document, base_dir=tmp_path)  # valid without the typo
+        record = document
+        for key in path:
+            record = record[key]
+        record.update(value)
+        with pytest.raises(ConfigError, match=f"^{field}: unknown field"):
+            parse_experiment(document, base_dir=tmp_path)
 
 
 class TestCriticalCommand:
@@ -301,6 +337,29 @@ class TestSimulateCommand:
         _, raw_header, raw_rows = read_table(out / "simulate_demo_runs.csv")
         assert raw_header == ["p", "run", "n_inf"]
         assert len(raw_rows) == 6
+
+    def test_table_cells_are_plain_numbers(self, tmp_path):
+        document = dict(SMALL_SPEC, mode="simulate", p_grid=[0.25, 0.5],
+                        sim={"n": 1000, "runs": 2, "seed_base": 7})
+        spec = write_spec(tmp_path, document)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", spec, "--out", str(out), "--raw",
+                         "--threads", "1"]) == 0
+        for name in ("simulate_demo.csv", "simulate_demo_runs.csv"):
+            _, _, rows = read_table(out / name)
+            assert rows and all(float(cell) >= 0.0 for row in rows for cell in row)
+
+    def test_seed_override_keeps_the_other_sim_fields(self, tmp_path):
+        document = dict(SMALL_SPEC, mode="simulate",
+                        sim={"n": 500, "runs": 2, "seed_base": 7,
+                             "resample_population": False})
+        spec = load_experiment(write_spec(tmp_path, document))
+        overridden = cli._apply_seed_override(spec, 99)
+        assert overridden.sim == type(spec.sim)(n=500, runs=2, seed_base=99,
+                                                resample_population=False)
+        assert overridden.resolved["sim"] == dict(spec.resolved["sim"], seed_base=99)
+        assert overridden.systems is spec.systems and overridden.output == spec.output
+        assert spec.sim.seed_base == 7  # the parsed spec is left as it was
 
     def test_seed_override_changes_output(self, tmp_path):
         document = dict(SMALL_SPEC, mode="simulate", p_grid=[0.45],

@@ -195,6 +195,18 @@ class TestValidation:
         with pytest.raises(DistributionError, match="load_a.b"):
             marginal_from_dict({"kind": "pareto", "min": 5, "b": "two"}, where="load_a")
 
+    @pytest.mark.parametrize("record, typo", [
+        ({"kind": "uniform", "min": 20, "max": 40, "maximum": 50}, "maximum"),
+        ({"kind": "pareto", "min": 5, "b": 2, "shape": 2}, "shape"),
+        ({"kind": "weibull", "min": 10, "lambda": 30, "k": 2, "scale": 30}, "scale"),
+        ({"kind": "dirac", "value": 5, "min": 5}, "min"),
+    ])
+    def test_from_dict_rejects_unknown_fields(self, record, typo):
+        valid = {key: value for key, value in record.items() if key != typo}
+        assert marginal_to_dict(marginal_from_dict(valid)) == valid
+        with pytest.raises(DistributionError, match=f"^load_a.{typo}: unknown field"):
+            marginal_from_dict(record, where="load_a")
+
 
 @pytest.fixture(scope="module")
 def uniform_joint() -> IndependentJoint:
@@ -259,15 +271,22 @@ class TestIndependentJoint:
     def test_partial_equals_mean_times_survival(self, x, y):
         joint = IndependentJoint(Pareto(24, 5), Uniform(25, 75),
                                  Uniform(20, 40), Uniform(30, 90))
-        for layer in ("A", "B"):
+        for layer, mean in (("A", joint.mean_load_a), ("B", joint.mean_load_b)):
             assert joint.partial_load_expectation(layer, x, y) == pytest.approx(
-                joint.mean_load(layer) * joint.joint_survival(x, y), rel=1e-12)
+                mean * joint.joint_survival(x, y), rel=1e-12)
 
     def test_survival_stats_consistent(self, uniform_joint):
-        stats = uniform_joint.survival_stats(50.0, 40.0)
-        assert stats.probability == uniform_joint.joint_survival(50.0, 40.0)
-        assert stats.load_a == uniform_joint.partial_load_expectation("A", 50.0, 40.0)
-        assert stats.load_b == uniform_joint.partial_load_expectation("B", 50.0, 40.0)
+        # every joint flavour answers the derived queries from survival_stats
+        joints = (uniform_joint, EmpiricalJoint(_matched_samples(50_000, 8)),
+                  ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4))
+        for joint in joints:
+            stats = joint.survival_stats(50.0, 40.0)
+            assert 0.0 < stats.probability < 1.0
+            assert stats.probability == joint.joint_survival(50.0, 40.0)
+            assert stats.load_a == joint.partial_load_expectation("A", 50.0, 40.0)
+            assert stats.load_b == joint.partial_load_expectation("B", 50.0, 40.0)
+            with pytest.raises(ValueError, match="layer"):
+                joint.partial_load_expectation("C", 50.0, 40.0)
 
 
 def _matched_samples(m: int, seed: int) -> np.ndarray:
@@ -339,36 +358,32 @@ class TestEmpiricalJoint:
 
 class TestProportionalJoint:
     def test_population_uses_exact_coupling(self):
-        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), alpha=2.4,
-                                  sample_count=20_000)
+        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), alpha=2.4)
         load_a, free_a, load_b, free_b = joint.sample_population(500, np.random.default_rng(1))
         assert np.allclose(free_a, 2.4 * load_a)
         assert np.allclose(free_b, 2.4 * load_b)
 
     def test_analytic_queries_reflect_coupling(self):
-        joint = ProportionalJoint(Uniform(20, 40), Uniform(20, 40), alpha=2.0,
-                                  sample_count=200_000)
+        joint = ProportionalJoint(Uniform(20, 40), Uniform(20, 40), alpha=2.0)
         # S_A = 2 L_A <= 80, so surviving x=79 requires L_A > 39.5
         assert joint.joint_survival(79.0, 0.0) == pytest.approx(0.025, abs=0.005)
         # thresholds below 2*min never fail anyone
         assert joint.joint_survival(39.9, 39.9) == 1.0
 
     def test_free_space_means_track_alpha(self):
-        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), alpha=2.4,
-                                  sample_count=20_000)
+        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), alpha=2.4)
         assert joint.mean_free_a == pytest.approx(2.4 * 30.0)
         assert joint.mean_free_b == pytest.approx(2.4 * 10.0)
 
     def test_sample_matrix_is_seed_deterministic(self):
-        a = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4, sample_count=20_000)
-        b = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4, sample_count=20_000)
+        a = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
+        b = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
         assert a.joint_survival(55.0, 13.0) == b.joint_survival(55.0, 13.0)
 
     def test_solver_moments_come_from_the_stored_samples(self):
         # one consistent measure: mean loads must match the sample matrix,
         # otherwise the cascade recursion loses its monotone trajectory
-        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4,
-                                  sample_count=20_000)
+        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
         stats = joint.survival_stats(0.0, 0.0)
         assert stats.probability == 1.0
         assert joint.mean_load_a == stats.load_a
@@ -377,8 +392,7 @@ class TestProportionalJoint:
     def test_pickles_without_the_cached_matrix(self):
         import pickle
 
-        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4,
-                                  sample_count=20_000)
+        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
         reference = joint.joint_survival(55.0, 13.0)  # materializes the cache
         blob = pickle.dumps(joint)
         assert len(blob) < 10_000  # workers rebuild the samples from the seed
@@ -390,7 +404,7 @@ class TestProportionalJoint:
         #                              * P[L_B > y/alpha]
         alpha = 2.4
         load_a, load_b = Uniform(20, 40), Pareto(5, 2)
-        joint = ProportionalJoint(load_a, load_b, alpha, sample_count=400_000)
+        joint = ProportionalJoint(load_a, load_b, alpha)
 
         def truncated_mean(pdf, lower, upper, threshold):
             lo = max(lower, threshold)

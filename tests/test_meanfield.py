@@ -9,6 +9,7 @@ from multiflow import (
     CrossLayerFactors,
     Dirac,
     EmpiricalJoint,
+    EqualToleranceFactor,
     IndependentJoint,
     LayerWeightedEqual,
     Pareto,
@@ -169,6 +170,22 @@ class TestIterate:
             prob = cfg.joint.joint_survival(*cfg.effective(steady.x_star, steady.y_star))
             assert steady.n_inf == pytest.approx((1 - p) * prob, rel=1e-12)
         assert found >= 10
+        # The final probability comes from the solve's cursor; the identity
+        # must hold for the sample-backed joints too.
+        rng = np.random.default_rng(24)
+        m = 50_000
+        samples = np.column_stack([rng.uniform(20, 40, m), rng.uniform(5, 150, m),
+                                   rng.uniform(20, 40, m), rng.uniform(5, 150, m)])
+        coupled = [
+            (SystemConfig(EmpiricalJoint(samples), CrossLayerFactors(0.25, 0.1)), 0.2),
+            (apply_strategy(EqualToleranceFactor(s_total=720.0), Uniform(80, 100),
+                            Weibull(10, 225.68, 2), CrossLayerFactors(0.2, 0.2)), 0.3),
+        ]
+        for cfg, p in coupled:
+            steady = iterate_to_steady_state(p, cfg)
+            assert not steady.collapsed and steady.iterations > 1
+            prob = cfg.joint.joint_survival(*cfg.effective(steady.x_star, steady.y_star))
+            assert steady.n_inf == pytest.approx((1 - p) * prob, rel=1e-12)
 
     def test_final_size_bounded_by_attack_survivors(self):
         # equality exactly when nothing fails beyond the attack

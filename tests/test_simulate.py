@@ -365,8 +365,7 @@ class TestMonteCarloCurve:
         from multiflow import CrossLayerFactors, EqualToleranceFactor, apply_strategy
 
         cfg = apply_strategy(EqualToleranceFactor(alpha=2.4), Uniform(20, 40),
-                             Uniform(20, 40), CrossLayerFactors(0.2, 0.2),
-                             sample_count=20_000)
+                             Uniform(20, 40), CrossLayerFactors(0.2, 0.2))
         seq = monte_carlo_curve(cfg, 800, [0.3, 0.5], runs=3, seed_base=5, workers=1)
         par = monte_carlo_curve(cfg, 800, [0.3, 0.5], runs=3, seed_base=5, workers=2)
         assert np.array_equal(seq.samples, par.samples)
