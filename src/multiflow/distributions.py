@@ -17,6 +17,14 @@ proportional coupling has no factorized closed form, so its analytic
 queries are served from a fixed stored sample matrix (10^6 rows, seed
 424242).
 
+A sample-backed joint answers cursor queries from one sorted slab per layer:
+the sample rows in ascending order of that layer's free space, held as four
+contiguous columns (that free space, the other layer's free space, L_A and
+L_B).  The rows a threshold step crosses are then one contiguous slice.  At
+10^6 rows the two slabs take 64 MB, as much as the column copies and sort
+orders they replace; a slab is built the first time a threshold reaches its
+layer's lowest free space.
+
 Survival uses the strict inequality P[S > x].  For continuous marginals
 this equals the non-strict version; for a Dirac mass the mass at ``v``
 does not survive a threshold of exactly ``v``, so optimal Dirac
@@ -359,51 +367,77 @@ class IndependentJoint(JointLoadSpace):
         }
 
 
+# Rows per chunk when gathering a slab: 512 KB of rows, split into columns
+# while they are still in cache.
+_SLAB_CHUNK = 1 << 14
+
+
+class _Slab(NamedTuple):
+    """Sample rows in ascending order of one layer's free space."""
+
+    free: np.ndarray  # this layer's free space, sorted
+    other: np.ndarray  # the other layer's free space, same row order
+    load_a: np.ndarray
+    load_b: np.ndarray
+
+
 class _EmpiricalCursor(CascadeCursor):
     """Incremental sweep over a fixed sample matrix.
 
     Rows drop out once their free space falls at or below the running
-    thresholds; alive counts and load sums are maintained incrementally so a
-    whole solve costs O(m) plus per-call overhead.  Produces the same
-    probabilities as the stateless queries (counts are exact; load sums agree
-    up to summation-order rounding).
+    thresholds.  Each layer's slab (``_Slab``) lists the rows in ascending
+    order of that layer's free space, as four contiguous columns: 32 MB per
+    slab at 10^6 rows, shared by every cursor of the joint.  The rows a
+    threshold step crosses are one contiguous slice of that slab; of these,
+    the ones whose other-layer free space is still above the other threshold
+    had not yet failed and drop now, in slab order.  The cursor keeps two
+    slab positions, two thresholds, the alive count and two load sums and no
+    per-row state; a step allocates only in proportion to the rows it
+    crosses, so a whole solve costs O(m) plus per-call overhead.  Counts
+    equal the stateless queries exactly; load sums agree up to
+    summation-order rounding.  Thresholds must not be NaN.
     """
 
     def __init__(self, joint: "EmpiricalJoint"):
         self._joint = joint
-        m = joint.sample_count
-        self._failed = np.zeros(m, dtype=bool)
-        self._alive = m
-        self._sum_a = float(joint._loads_a_total)
-        self._sum_b = float(joint._loads_b_total)
+        self._lowest_a, self._lowest_b = joint._lowest_free
+        self._m = joint.sample_count
+        self._alive = self._m
+        self._sum_a = joint._loads_a_total
+        self._sum_b = joint._loads_b_total
         self._pos_a = 0
         self._pos_b = 0
         self._x = -math.inf
         self._y = -math.inf
 
-    def _drop(self, order: np.ndarray, lo: int, hi: int) -> None:
-        idx = order[lo:hi]
-        idx = idx[~self._failed[idx]]
-        if idx.size:
-            self._failed[idx] = True
-            self._alive -= idx.size
-            self._sum_a -= float(self._joint._loads_a[idx].sum())
-            self._sum_b -= float(self._joint._loads_b[idx].sum())
+    def _drop(self, slab: _Slab, lo: int, threshold: float, other: float) -> int:
+        """Drop the rows crossed between ``lo`` and ``threshold``; returns the new position."""
+        hi = int(np.searchsorted(slab.free, threshold, side="right"))
+        alive = slab.other[lo:hi] > other
+        count = int(np.count_nonzero(alive))
+        if count:
+            self._alive -= count
+            self._sum_a -= float(slab.load_a[lo:hi][alive].sum())
+            self._sum_b -= float(slab.load_b[lo:hi][alive].sum())
+        return hi
 
     def advance(self, x: float, y: float) -> SurvivalStats:
-        # Thresholds never move backwards within one solve.
+        for name, value in (("x", x), ("y", y)):
+            if math.isnan(value):
+                raise ValueError(f"cursor threshold {name} must not be NaN")
+        # Thresholds never move backwards within one solve.  Below a layer's
+        # lowest free space no row crosses, and its slab is not needed yet.
         x = max(x, self._x)
         y = max(y, self._y)
-        joint = self._joint
         if x > self._x:
-            hi = int(np.searchsorted(joint._sorted_free_a, x, side="right"))
-            self._drop(joint._order_free_a, self._pos_a, hi)
-            self._pos_a, self._x = hi, x
+            if x >= self._lowest_a:
+                self._pos_a = self._drop(self._joint._slab_a, self._pos_a, x, self._y)
+            self._x = x
         if y > self._y:
-            hi = int(np.searchsorted(joint._sorted_free_b, y, side="right"))
-            self._drop(joint._order_free_b, self._pos_b, hi)
-            self._pos_b, self._y = hi, y
-        m = joint.sample_count
+            if y >= self._lowest_b:
+                self._pos_b = self._drop(self._joint._slab_b, self._pos_b, y, self._x)
+            self._y = y
+        m = self._m
         return SurvivalStats(self._alive / m, self._sum_a / m, self._sum_b / m)
 
 
@@ -440,44 +474,35 @@ class EmpiricalJoint(JointLoadSpace):
         return self.samples.shape[0]
 
     @cached_property
-    def _loads_a(self) -> np.ndarray:
-        return np.ascontiguousarray(self.samples[:, 0])
-
-    @cached_property
-    def _free_a(self) -> np.ndarray:
-        return np.ascontiguousarray(self.samples[:, 1])
-
-    @cached_property
-    def _loads_b(self) -> np.ndarray:
-        return np.ascontiguousarray(self.samples[:, 2])
-
-    @cached_property
-    def _free_b(self) -> np.ndarray:
-        return np.ascontiguousarray(self.samples[:, 3])
-
-    @cached_property
     def _loads_a_total(self) -> float:
-        return float(self._loads_a.sum())
+        return float(self.samples[:, 0].sum())
 
     @cached_property
     def _loads_b_total(self) -> float:
-        return float(self._loads_b.sum())
+        return float(self.samples[:, 2].sum())
 
     @cached_property
-    def _order_free_a(self) -> np.ndarray:
-        return np.argsort(self._free_a)
+    def _lowest_free(self) -> tuple[float, float]:
+        return float(self.samples[:, 1].min()), float(self.samples[:, 3].min())
+
+    def _sorted_by(self, free: int, other: int) -> _Slab:
+        # Whole rows are gathered a chunk at a time, one random read per row,
+        # and split into the slab's columns while the chunk is in cache.
+        order = np.argsort(self.samples[:, free])
+        slab = _Slab(*(np.empty(self.sample_count) for _ in _Slab._fields))
+        for lo in range(0, self.sample_count, _SLAB_CHUNK):
+            rows = self.samples.take(order[lo:lo + _SLAB_CHUNK], axis=0)
+            for column, target in zip((free, other, 0, 2), slab):
+                target[lo:lo + _SLAB_CHUNK] = rows[:, column]
+        return slab
 
     @cached_property
-    def _sorted_free_a(self) -> np.ndarray:
-        return self._free_a[self._order_free_a]
+    def _slab_a(self) -> _Slab:
+        return self._sorted_by(1, 3)
 
     @cached_property
-    def _order_free_b(self) -> np.ndarray:
-        return np.argsort(self._free_b)
-
-    @cached_property
-    def _sorted_free_b(self) -> np.ndarray:
-        return self._free_b[self._order_free_b]
+    def _slab_b(self) -> _Slab:
+        return self._sorted_by(3, 1)
 
     @property
     def mean_load_a(self) -> float:
@@ -489,19 +514,20 @@ class EmpiricalJoint(JointLoadSpace):
 
     @property
     def mean_free_a(self) -> float:
-        return float(self._free_a.mean())
+        return float(self.samples[:, 1].mean())
 
     @property
     def mean_free_b(self) -> float:
-        return float(self._free_b.mean())
+        return float(self.samples[:, 3].mean())
 
     def survival_stats(self, x: float, y: float) -> SurvivalStats:
-        mask = (self._free_a > x) & (self._free_b > y)
+        load_a, free_a, load_b, free_b = self.samples.T
+        mask = (free_a > x) & (free_b > y)
         m = self.sample_count
         return SurvivalStats(
             float(np.count_nonzero(mask)) / m,
-            float(self._loads_a[mask].sum()) / m,
-            float(self._loads_b[mask].sum()) / m,
+            float(load_a[mask].sum()) / m,
+            float(load_b[mask].sum()) / m,
         )
 
     def cascade_cursor(self) -> CascadeCursor:
@@ -513,12 +539,20 @@ class EmpiricalJoint(JointLoadSpace):
                 np.ascontiguousarray(rows[:, 2]), np.ascontiguousarray(rows[:, 3]))
 
     def free_space_cap(self) -> float:
-        return float(max(self._free_a.max(), self._free_b.max()))
+        return float(max(self.samples[:, 1].max(), self.samples[:, 3].max()))
 
     def to_dict(self) -> dict:
         if self.source is not None:
             return dict(self.source)
         return {"empirical": {"count": self.sample_count}}
+
+    def __getstate__(self):
+        # Derived arrays are rebuilt on demand; a pickle carries the sample only.
+        return {"samples": self.samples, "source": self.source}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.samples.setflags(write=False)
 
 
 # Size and seed of the tolerance-factor joint's stored sample.

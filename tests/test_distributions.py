@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +298,76 @@ def _matched_samples(m: int, seed: int) -> np.ndarray:
         rng.uniform(20, 40, m), rng.uniform(25, 75, m)])
 
 
+class _MaskCursor:
+    """Reference for ``EmpiricalJoint.cascade_cursor``: the mask-based sweep.
+
+    Contiguous column copies, one ``argsort`` per layer and a per-cursor
+    failure mask; the rows a threshold step crosses are gathered through the
+    sort order and the not-yet-failed ones drop.
+    """
+
+    def __init__(self, samples: np.ndarray):
+        self.loads_a = np.ascontiguousarray(samples[:, 0])
+        self.loads_b = np.ascontiguousarray(samples[:, 2])
+        free_a = np.ascontiguousarray(samples[:, 1])
+        free_b = np.ascontiguousarray(samples[:, 3])
+        self.order_a, self.order_b = np.argsort(free_a), np.argsort(free_b)
+        self.sorted_a, self.sorted_b = free_a[self.order_a], free_b[self.order_b]
+        self.m = samples.shape[0]
+        self.failed = np.zeros(self.m, dtype=bool)
+        self.alive = self.m
+        self.sum_a = float(self.loads_a.sum())
+        self.sum_b = float(self.loads_b.sum())
+        self.pos_a = self.pos_b = 0
+        self.x = self.y = -math.inf
+
+    def _drop(self, order, lo, hi):
+        idx = order[lo:hi]
+        idx = idx[~self.failed[idx]]
+        if idx.size:
+            self.failed[idx] = True
+            self.alive -= idx.size
+            self.sum_a -= float(self.loads_a[idx].sum())
+            self.sum_b -= float(self.loads_b[idx].sum())
+
+    def advance(self, x, y):
+        x, y = max(x, self.x), max(y, self.y)
+        if x > self.x:
+            hi = int(np.searchsorted(self.sorted_a, x, side="right"))
+            self._drop(self.order_a, self.pos_a, hi)
+            self.pos_a, self.x = hi, x
+        if y > self.y:
+            hi = int(np.searchsorted(self.sorted_b, y, side="right"))
+            self._drop(self.order_b, self.pos_b, hi)
+            self.pos_b, self.y = hi, y
+        return (self.alive / self.m, self.sum_a / self.m, self.sum_b / self.m)
+
+
+def _threshold_walk(seed: int, steps: int, integer: bool):
+    """Mostly nondecreasing (x, y) pairs over the free-space range 25..75.
+
+    Each step raises both thresholds, raises one, repeats the last pair or
+    steps back (which a cursor clamps); integer walks land on tied values.
+    """
+    rng = np.random.default_rng(seed)
+    x = y = 20.0
+    walk = []
+    for _ in range(steps):
+        move = rng.integers(5)
+        dx, dy = rng.uniform(0.0, 4.0, 2)
+        if move == 0:
+            x, y = x + dx, y + dy
+        elif move == 1:
+            x += dx
+        elif move == 2:
+            y += dy
+        elif move == 4:
+            walk.append((x - dx, y - rng.uniform(0.0, 4.0) * rng.integers(2)))
+            continue
+        walk.append((float(np.round(x)), float(np.round(y))) if integer else (x, y))
+    return walk
+
+
 class TestEmpiricalJoint:
     def test_requires_enough_samples(self):
         with pytest.raises(DistributionError, match="at least"):
@@ -318,6 +390,71 @@ class TestEmpiricalJoint:
                 uniform_joint.joint_survival(x, y), abs=0.005)
             assert emp.partial_load_expectation("A", x, y) == pytest.approx(
                 uniform_joint.partial_load_expectation("A", x, y), abs=0.2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("integer", [False, True], ids=["continuous", "tied"])
+    def test_cursor_is_bit_identical_to_the_mask_sweep(self, seed, integer):
+        samples = _matched_samples(20_000, 20 + seed)
+        if integer:
+            # many rows share each free value; loads keep every bit, so the
+            # order of a tie group shows in the sums
+            samples[:, [1, 3]] = np.round(samples[:, [1, 3]])
+        emp = EmpiricalJoint(samples)
+        cursor, reference = emp.cascade_cursor(), _MaskCursor(samples)
+        walk = _threshold_walk(seed, 60, integer) + [(80.0, 80.0), (80.0, 80.0)]
+        for x, y in walk:
+            got = cursor.advance(x, y)
+            assert tuple(got) == reference.advance(x, y), (x, y)
+        assert got.probability == 0.0
+
+    def test_cursor_clamps_steps_back_and_repeats(self):
+        samples = _matched_samples(20_000, 30)
+        emp = EmpiricalJoint(samples)
+        cursor, reference = emp.cascade_cursor(), _MaskCursor(samples)
+        walk = [(40.0, 30.0), (40.0, 30.0), (35.0, 50.0), (60.0, 45.0), (60.0, 60.0),
+                (10.0, 10.0), (60.0, 60.0), (61.0, 60.0), (61.0, 62.0)]
+        seen = []
+        for x, y in walk:
+            got = cursor.advance(x, y)
+            assert tuple(got) == reference.advance(x, y), (x, y)
+            seen.append(got)
+        fresh = emp.cascade_cursor()
+        fresh.advance(40.0, 30.0)
+        assert seen[1] == seen[0]  # repeated pair
+        assert seen[2] == fresh.advance(40.0, 50.0)  # x clamped to 40
+        assert seen[5] == seen[4] == seen[6]  # both clamped, then repeated
+
+    @pytest.mark.parametrize("x, y, name", [(math.nan, 40.0, "x"), (40.0, math.nan, "y"),
+                                            (np.float64("nan"), 40.0, "x")])
+    def test_cursor_rejects_nan_thresholds(self, x, y, name):
+        cursor = EmpiricalJoint(_matched_samples(20_000, 31)).cascade_cursor()
+        cursor.advance(30.0, 30.0)
+        with pytest.raises(ValueError, match=rf"threshold {name}\b"):
+            cursor.advance(x, y)
+
+    def test_cursor_allocates_nothing_of_sample_size(self):
+        emp = EmpiricalJoint(_matched_samples(200_000, 32))
+        emp.cascade_cursor().advance(50.0, 50.0)  # builds both sorted slabs
+        tracemalloc.start()
+        try:
+            emp.cascade_cursor()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_384
+
+    def test_pickle_carries_only_the_sample(self):
+        emp = EmpiricalJoint(_matched_samples(20_000, 33), source={"samples": "s.csv"})
+        before = len(pickle.dumps(emp))
+        solved = emp.cascade_cursor().advance(45.0, 40.0)
+        assert emp.survival_stats(45.0, 40.0).probability == solved.probability
+        assert emp.mean_free_a > 0.0
+        blob = pickle.dumps(emp)
+        assert len(blob) == before
+        clone = pickle.loads(blob)
+        assert clone.source == emp.source
+        assert not clone.samples.flags.writeable
+        assert clone.cascade_cursor().advance(45.0, 40.0) == solved
 
     def test_cursor_equals_stateless_queries(self):
         emp = EmpiricalJoint(_matched_samples(50_000, 3))
