@@ -284,6 +284,16 @@ def cmd_simulate(args, spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multiflow",
@@ -295,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experiment spec (path or bundled config name)")
         p.add_argument("--out", default=None,
                        help="output directory (default: the spec's, or ./out)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=_worker_count, default=os.cpu_count() or 1,
                        help="worker processes for Monte Carlo runs")
         p.add_argument("--seed", type=int, default=None,
                        help="override the spec's sim.seed_base")

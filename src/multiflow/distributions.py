@@ -13,9 +13,9 @@ Three joint flavours exist: independent marginals (closed form), an
 empirical sample matrix for correlated inputs (e.g. multivariate-normal
 draws supplied by the user), and a per-node proportional coupling
 S = alpha * L used by the tolerance-factor allocation strategy.  The
-proportional coupling has no factorized closed form, so its analytic
-queries are served from a fixed stored sample matrix (10^6 rows, seed
-424242).
+proportional coupling factorizes too, P[S_A > x, S_B > y] =
+P[L_A > x/alpha] * P[L_B > y/alpha], but its analytic queries are still
+served from a fixed stored sample matrix (10^6 rows, seed 424242).
 
 A sample-backed joint answers cursor queries from one sorted slab per layer:
 the sample rows in ascending order of that layer's free space, held as four
@@ -390,8 +390,14 @@ class _EmpiricalCursor(CascadeCursor):
     slab at 10^6 rows, shared by every cursor of the joint.  The rows a
     threshold step crosses are one contiguous slice of that slab; of these,
     the ones whose other-layer free space is still above the other threshold
-    had not yet failed and drop now, in slab order.  The cursor keeps two
-    slab positions, two thresholds, the alive count and two load sums and no
+    had not yet failed and drop now, in slab order.  When every crossed row
+    drops (always so while the other threshold is below that layer's lowest
+    free space, and then not compared), the two load slices are summed in
+    place; otherwise the dropping rows are gathered by index (``nonzero``,
+    then ``take``), several times cheaper per row than a boolean-mask
+    gather.  Both give the same values in the same order, so the pairwise
+    sums are bit-identical to the mask gather's.  The cursor keeps two slab
+    positions, two thresholds, the alive count and two load sums and no
     per-row state; a step allocates only in proportion to the rows it
     crosses, so a whole solve costs O(m) plus per-call overhead.  Counts
     equal the stateless queries exactly; load sums agree up to
@@ -410,15 +416,28 @@ class _EmpiricalCursor(CascadeCursor):
         self._x = -math.inf
         self._y = -math.inf
 
-    def _drop(self, slab: _Slab, lo: int, threshold: float, other: float) -> int:
-        """Drop the rows crossed between ``lo`` and ``threshold``; returns the new position."""
-        hi = int(np.searchsorted(slab.free, threshold, side="right"))
-        alive = slab.other[lo:hi] > other
-        count = int(np.count_nonzero(alive))
+    def _drop(self, slab: _Slab, lo: int, threshold: float,
+              other: float, other_lowest: float) -> int:
+        """Drop the rows crossed between ``lo`` and ``threshold``; returns the new position.
+
+        ``other`` is the other layer's threshold; below that layer's lowest
+        free space, ``other_lowest``, it has failed no row yet.
+        """
+        hi = int(slab.free.searchsorted(threshold, side="right"))
+        if other < other_lowest:
+            count = hi - lo
+        else:
+            alive = slab.other[lo:hi] > other
+            count = int(np.count_nonzero(alive))
         if count:
             self._alive -= count
-            self._sum_a -= float(slab.load_a[lo:hi][alive].sum())
-            self._sum_b -= float(slab.load_b[lo:hi][alive].sum())
+            if count == hi - lo:
+                self._sum_a -= float(slab.load_a[lo:hi].sum())
+                self._sum_b -= float(slab.load_b[lo:hi].sum())
+            else:
+                rows = alive.nonzero()[0]
+                self._sum_a -= float(slab.load_a[lo:hi].take(rows).sum())
+                self._sum_b -= float(slab.load_b[lo:hi].take(rows).sum())
         return hi
 
     def advance(self, x: float, y: float) -> SurvivalStats:
@@ -431,11 +450,13 @@ class _EmpiricalCursor(CascadeCursor):
         y = max(y, self._y)
         if x > self._x:
             if x >= self._lowest_a:
-                self._pos_a = self._drop(self._joint._slab_a, self._pos_a, x, self._y)
+                self._pos_a = self._drop(self._joint._slab_a, self._pos_a, x,
+                                         self._y, self._lowest_b)
             self._x = x
         if y > self._y:
             if y >= self._lowest_b:
-                self._pos_b = self._drop(self._joint._slab_b, self._pos_b, y, self._x)
+                self._pos_b = self._drop(self._joint._slab_b, self._pos_b, y,
+                                         self._x, self._lowest_a)
             self._y = y
         m = self._m
         return SurvivalStats(self._alive / m, self._sum_a / m, self._sum_b / m)
@@ -454,7 +475,19 @@ class EmpiricalJoint(JointLoadSpace):
     source: dict | None = None  # provenance for serialization, optional
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
+        # private copy: cached sums must not drift under caller mutation
+        self._hold(np.array(self.samples, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray) -> "EmpiricalJoint":
+        """Wrap a C-order float matrix that no caller holds, without copying it."""
+        joint = cls.__new__(cls)
+        object.__setattr__(joint, "source", None)
+        joint._hold(samples)
+        return joint
+
+    def _hold(self, samples: np.ndarray) -> None:
+        """Validate the joint's own matrix and store it read-only."""
         if samples.ndim != 2 or samples.shape[1] != 4:
             raise DistributionError(
                 f"empirical samples must have shape (m, 4), got {samples.shape}")
@@ -464,8 +497,6 @@ class EmpiricalJoint(JointLoadSpace):
                 f"got {samples.shape[0]}")
         if not np.all(np.isfinite(samples)) or np.any(samples <= 0.0):
             raise DistributionError("empirical samples must be finite and strictly positive")
-        # private copy: cached sums must not drift under caller mutation
-        samples = np.array(samples, dtype=float, order="C")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -579,11 +610,16 @@ class ProportionalJoint(JointLoadSpace):
 
     @cached_property
     def _empirical(self) -> EmpiricalJoint:
+        # Each draw and its alpha-multiple go straight into the matrix, which
+        # the joint then keeps without a copy.
         rng = np.random.default_rng(np.random.SeedSequence(_STORED_SEED))
-        load_a = np.asarray(self.load_a.sample(rng, _STORED_ROWS), dtype=float)
-        load_b = np.asarray(self.load_b.sample(rng, _STORED_ROWS), dtype=float)
-        samples = np.column_stack([load_a, self.alpha * load_a, load_b, self.alpha * load_b])
-        return EmpiricalJoint(samples)
+        samples = np.empty((_STORED_ROWS, 4))
+        for column, dist in ((0, self.load_a), (2, self.load_b)):
+            load = dist.sample(rng, _STORED_ROWS)
+            samples[:, column] = load
+            np.multiply(load, self.alpha, out=samples[:, column + 1])
+            del load  # free the draw before the next one
+        return EmpiricalJoint._adopt(samples)
 
     @property
     def mean_load_a(self) -> float:

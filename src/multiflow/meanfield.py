@@ -280,8 +280,9 @@ def stable_set_grid(p: float, cfg: SystemConfig,
     cap = 1.2 * cfg.joint.free_space_cap()
     x_max = cap if x_max is None else float(x_max)
     y_max = cap if y_max is None else float(y_max)
-    if x_max <= 0 or y_max <= 0:
-        raise ValueError("grid extents must be positive")
+    for name, extent in (("x_max", x_max), ("y_max", y_max)):
+        if not (math.isfinite(extent) and extent > 0):
+            raise ValueError(f"grid extent {name} must be finite and positive, got {extent}")
 
     xs = (np.arange(resolution) + 0.5) * (x_max / resolution)
     ys = (np.arange(resolution) + 0.5) * (y_max / resolution)

@@ -324,6 +324,8 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
         raise ValueError(f"population size must be >= 1, got {n}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if resample_population:
         tasks = [(ir, [ip]) for ip in range(len(p_grid)) for ir in range(runs)]
     else:

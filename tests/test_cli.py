@@ -256,6 +256,16 @@ class TestStableSetCommand:
                          "--p", "1.5"]) == 2
         assert "--p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [("--x-max", "x_max"), ("--y-max", "y_max")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_extent_is_rejected(self, tmp_path, capsys, flag, field, value):
+        spec = write_spec(tmp_path, SMALL_SPEC)
+        out = tmp_path / "out"
+        assert cli.main(["stable-set", "--config", spec, "--out", str(out),
+                         "--p", "0.25", "--resolution", "4", f"{flag}={value}"]) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "stable_set_demo.csv").exists()
+
 
 class TestOptimizeCommand:
     SPEC = {
@@ -348,6 +358,17 @@ class TestSimulateCommand:
         for name in ("simulate_demo.csv", "simulate_demo_runs.csv"):
             _, _, rows = read_table(out / name)
             assert rows and all(float(cell) >= 0.0 for row in rows for cell in row)
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        document = dict(SMALL_SPEC, mode="simulate", p_grid=[0.25],
+                        sim={"n": 100, "runs": 1, "seed_base": 7})
+        spec = write_spec(tmp_path, document)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", spec, "--out", str(out),
+                         "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_keeps_the_other_sim_fields(self, tmp_path):
         document = dict(SMALL_SPEC, mode="simulate",

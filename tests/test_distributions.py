@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import inspect
 import math
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from multiflow import distributions
 from multiflow import (
     Dirac,
     DistributionError,
@@ -368,7 +371,76 @@ def _threshold_walk(seed: int, steps: int, integer: bool):
     return walk
 
 
+def _advance_tracing_drop(cursor, x: float, y: float):
+    """Advance ``cursor``; also return the stripped source lines of ``_drop`` that ran."""
+    code = distributions._EmpiricalCursor._drop.__code__
+    source, first = inspect.getsourcelines(code)
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(source[frame.f_lineno - first].strip())
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        stats = cursor.advance(x, y)
+    finally:
+        sys.settrace(previous)
+    return stats, ran
+
+
+# One x step of the cursor per case: the thresholds before it, the x it moves
+# to, and which parts of ``_drop`` run for it: the comparison with the other
+# threshold, the sums, the index gather.
+_KERNEL_STEPS = {
+    # y below every free value: no row has failed, nothing to compare
+    "unfailed": ((30.0, 20.0), 45.0, (False, True, False)),
+    # rows with S_B <= 30 have failed, but none with 40 < S_A <= 50
+    "all_alive": ((40.0, 30.0), 50.0, (True, True, False)),
+    # crossed rows with S_B <= 50 have failed
+    "mixed": ((40.0, 50.0), 60.0, (True, True, True)),
+    # y above every free value: all have failed
+    "none_alive": ((40.0, 80.0), 60.0, (True, False, False)),
+}
+
+
 class TestEmpiricalJoint:
+    @pytest.mark.parametrize("kind", sorted(_KERNEL_STEPS))
+    @pytest.mark.parametrize("integer", [False, True], ids=["continuous", "tied"])
+    def test_each_sweep_branch_is_bit_identical(self, kind, integer):
+        samples = _matched_samples(20_000, 40)
+        if integer:
+            samples[:, [1, 3]] = np.round(samples[:, [1, 3]])
+        band = (samples[:, 1] > 40.0) & (samples[:, 1] <= 50.0)
+        samples[band, 3] = np.maximum(samples[band, 3], 60.0)
+        (x0, y0), x1, (compares, sums, gathers) = _KERNEL_STEPS[kind]
+        free_a, free_b = samples[:, 1], samples[:, 3]
+        crossed = np.count_nonzero((free_a > x0) & (free_a <= x1))
+        alive = np.count_nonzero((free_a > x0) & (free_a <= x1) & (free_b > y0))
+        failed_b = np.count_nonzero(free_b <= y0)
+        assert crossed > 0
+        assert {"unfailed": failed_b == 0 and alive == crossed,
+                "all_alive": failed_b > 0 and alive == crossed,
+                "mixed": 0 < alive < crossed,
+                "none_alive": alive == 0}[kind]
+
+        cursor, reference = EmpiricalJoint(samples).cascade_cursor(), _MaskCursor(samples)
+        before = cursor.advance(x0, y0)
+        assert tuple(before) == reference.advance(x0, y0)
+        got, ran = _advance_tracing_drop(cursor, x1, y0)
+        assert tuple(got) == reference.advance(x1, y0)
+        assert any("> other" in line for line in ran) == compares
+        assert any(".sum()" in line for line in ran) == sums
+        assert any(".take(" in line for line in ran) == gathers
+        m = samples.shape[0]
+        assert round((before.probability - got.probability) * m) == alive
+        if kind == "none_alive":
+            assert got == before
+
     def test_requires_enough_samples(self):
         with pytest.raises(DistributionError, match="at least"):
             EmpiricalJoint(_matched_samples(100, 0))
@@ -482,9 +554,21 @@ class TestEmpiricalJoint:
     def test_caller_mutation_does_not_corrupt_queries(self):
         samples = _matched_samples(20_000, 7)
         emp = EmpiricalJoint(samples)
-        before = emp.joint_survival(40.0, 40.0)
-        samples[:] = 1.0  # the joint must hold a private copy
-        assert emp.joint_survival(40.0, 40.0) == before
+        # the joint holds a private copy and leaves the caller's matrix writable
+        assert not np.shares_memory(emp.samples, samples)
+        assert samples.flags.writeable and not emp.samples.flags.writeable
+        walk = [(30.0, 35.0), (45.0, 40.0), (60.0, 62.0)]
+
+        def results():
+            cursor = emp.cascade_cursor()
+            return ([cursor.advance(x, y) for x, y in walk],
+                    [emp.survival_stats(x, y) for x, y in walk],
+                    emp.mean_load_a, emp.mean_free_b, emp.free_space_cap())
+
+        before = results()
+        samples[::2] = 1.0
+        samples[:, 1] = 500.0
+        assert results() == before
 
     def test_bootstrap_population(self):
         emp = EmpiricalJoint(_matched_samples(50_000, 5))
@@ -525,6 +609,33 @@ class TestProportionalJoint:
         assert stats.probability == 1.0
         assert joint.mean_load_a == stats.load_a
         assert joint.mean_load_b == stats.load_b
+
+    @pytest.mark.parametrize("load_a, load_b, alpha", [
+        (Uniform(20, 40), Pareto(5, 2), 2.4),
+        (Weibull(10, 5, 2), Dirac(30.0), 1.7),
+    ])
+    def test_stored_sample_matches_the_column_stack(self, load_a, load_b, alpha):
+        joint = ProportionalJoint(load_a, load_b, alpha)
+        rng = np.random.default_rng(np.random.SeedSequence(distributions._STORED_SEED))
+        draw_a = load_a.sample(rng, distributions._STORED_ROWS)
+        draw_b = load_b.sample(rng, distributions._STORED_ROWS)
+        expected = np.column_stack([draw_a, alpha * draw_a, draw_b, alpha * draw_b])
+        samples = joint._empirical.samples
+        assert samples.dtype == np.float64 and samples.flags.c_contiguous
+        assert not samples.flags.writeable
+        assert samples.tobytes() == expected.tobytes()
+
+    def test_stored_sample_build_peak_memory(self):
+        # the 32 MB matrix plus one draw and its temporaries; building the
+        # columns, stacking them and copying the stack peaked at about 80 MB
+        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
+        tracemalloc.start()
+        try:
+            joint._empirical
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60_000_000
 
     def test_pickles_without_the_cached_matrix(self):
         import pickle

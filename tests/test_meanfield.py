@@ -286,6 +286,12 @@ class TestStableSetGrid:
         with pytest.raises(ValueError):
             stable_set_grid(0.25, symmetric_uniform_config, x_max=-5.0)
 
+    @pytest.mark.parametrize("field", ["x_max", "y_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf")])
+    def test_non_finite_extent_names_the_field(self, symmetric_uniform_config, field, value):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            stable_set_grid(0.25, symmetric_uniform_config, resolution=4, **{field: value})
+
 
 class TestLayerIndependent:
     def test_final_size_factorizes(self):
@@ -355,6 +361,41 @@ class TestCriticalAttackSize:
                 hi = mid
         simulated = 0.5 * (lo + hi)
         assert predicted == pytest.approx(simulated, abs=0.01)
+
+
+class TestStoredSampleGolden:
+    """Exact outputs of the tolerance-factor system, answered from its stored sample.
+
+    Any change to the sample, the cursor's sweep or its summation order moves
+    these last bits; a change that means to move them updates them here.
+    """
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        from multiflow import cli
+        from multiflow.config import load_experiment
+
+        spec = load_experiment(cli._resolve_config_path("alloc_pareto_uniform"))
+        return spec.systems["equal_tolerance_factor"]
+
+    def test_critical_attack_size(self, cfg):
+        assert repr(critical_attack_size(cfg)) == (
+            "CriticalAttackResult(p_hat=0.6000471252441406, lower=0.6000166137695312, "
+            "upper=0.6000776367187499, degenerate=False, non_monotone=False)")
+
+    @pytest.mark.parametrize("p, expected", [
+        (0.3, "SteadyState(n_inf=0.7, x_star=53.56337007835949, "
+              "y_star=75.0002864581338, iterations=1, converged=True)"),
+        (0.6000166137695312, "SteadyState(n_inf=0.3999833862304688, "
+                             "x_star=187.48477336829703, y_star=262.5191747380664, "
+                             "iterations=1, converged=True)"),
+        (0.60004, "SteadyState(n_inf=0.0, x_star=inf, y_star=inf, "
+                  "iterations=6, converged=True)"),
+    ])
+    def test_final_size(self, cfg, p, expected):
+        steady = iterate_to_steady_state(p, cfg)
+        assert repr(steady) == expected
+        assert repr(final_size(p, cfg)) == repr(steady.n_inf)
 
 
 class TestValidation:

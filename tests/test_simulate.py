@@ -400,6 +400,15 @@ class TestMonteCarloCurve:
                                   seed_base=3, workers=8, resample_population=False)
         assert curve.samples.shape == (2, 1)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_workers_below_one(self, monkeypatch, symmetric_uniform_config, workers):
+        def no_cascade(*args, **kwargs):
+            raise AssertionError("no cascade may run before the arguments are checked")
+        monkeypatch.setattr(simulate, "run_cascade", no_cascade)
+        with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}"):
+            monte_carlo_curve(symmetric_uniform_config, 100, [0.3], runs=1, seed_base=3,
+                              workers=workers)
+
     def test_failed_task_names_its_indices(self, monkeypatch, symmetric_uniform_config):
         original = simulate.run_cascade
 
