@@ -67,40 +67,48 @@ def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
-def _table(args, spec: ExperimentSpec, kind: str, system: str | None,
-           header: list[str], rows, extra_comments: list[str] = (),
-           extra_payload: dict | None = None) -> None:
+def _provenance(spec: ExperimentSpec, kind: str, system: str | None) -> list[str]:
+    """Leading comment lines of a CSV artifact: schema, config and system."""
     comments = [f"multiflow {kind} schema={SCHEMA_VERSION}",
                 f"config_sha256={spec.checksum}",
                 f"config={spec.canonical}"]
     if system is not None:
         comments.append(f"system={system}")
-    comments.extend(extra_comments)
+    return comments
+
+
+def _json_provenance(spec: ExperimentSpec, kind: str, system: str | None) -> dict:
+    """The same provenance as the leading fields of a JSON artifact."""
+    payload = {"schema": f"multiflow.{kind}/{SCHEMA_VERSION}",
+               "config_sha256": spec.checksum,
+               "config": spec.resolved}
+    if system is not None:
+        payload["system"] = system
+    return payload
+
+
+def _table(args, spec: ExperimentSpec, kind: str, system: str | None,
+           header: list[str], rows, extra_comments: list[str] = ()) -> None:
     suffix = f"_{system}" if system is not None else ""
     out = _out_dir(args, spec)
     for fmt in _formats(args, spec):
         if fmt == "json":
-            payload = {
-                "schema": f"multiflow.{kind}/{SCHEMA_VERSION}",
-                "config_sha256": spec.checksum,
-                "config": spec.resolved,
-                "rows": [dict(zip(header, row)) for row in rows],
-            }
-            if system is not None:
-                payload["system"] = system
-            if extra_payload:
-                payload.update(extra_payload)
+            payload = _json_provenance(spec, kind, system)
+            payload["rows"] = [dict(zip(header, row)) for row in rows]
             _write_json(out / f"{kind}{suffix}.json", payload)
         else:
-            _write_csv(out / f"{kind}{suffix}.csv", comments, header, rows)
+            _write_csv(out / f"{kind}{suffix}.csv",
+                       _provenance(spec, kind, system) + list(extra_comments), header, rows)
 
 
 def cmd_curve(args, spec: ExperimentSpec) -> int:
@@ -184,15 +192,10 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
                 f"empty={int(grid.empty)}"]
     out_dir = _out_dir(args, spec)
     _write_csv(out_dir / f"stable_set_{name}.csv",
-               [f"multiflow stable_set schema={SCHEMA_VERSION}",
-                f"config_sha256={spec.checksum}", f"config={spec.canonical}",
-                f"system={name}", *comments],
+               _provenance(spec, "stable_set", name) + comments,
                ["x", "y", "lhs_a", "lhs_b", "stable"], rows)
     sidecar = {
-        "schema": f"multiflow.stable_set/{SCHEMA_VERSION}",
-        "config_sha256": spec.checksum,
-        "config": spec.resolved,
-        "system": name,
+        **_json_provenance(spec, "stable_set", name),
         "p": args.p,
         "threshold": grid.threshold,
         "empty": grid.empty,
@@ -277,9 +280,7 @@ def cmd_simulate(args, spec: ExperimentSpec) -> int:
                         for ip, p in enumerate(spec.p_grid)
                         for run in range(spec.sim.runs)]
             _write_csv(_out_dir(args, spec) / f"simulate_{name}_runs.csv",
-                       [f"multiflow simulate_runs schema={SCHEMA_VERSION}",
-                        f"config_sha256={spec.checksum}",
-                        f"config={spec.canonical}", f"system={name}"],
+                       _provenance(spec, "simulate_runs", name),
                        ["p", "run", "n_inf"], raw_rows)
     return EXIT_OK
 
@@ -361,7 +362,6 @@ def main(argv=None) -> int:
     try:
         spec = load_experiment(_resolve_config_path(args.config))
         spec = _apply_seed_override(spec, args.seed)
-        _out_dir(args, spec).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, spec)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

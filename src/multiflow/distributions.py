@@ -34,7 +34,7 @@ allocations must be evaluated strictly below their critical attack size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Union
 
@@ -230,13 +230,12 @@ def marginal_from_dict(record: dict, where: str = "distribution") -> MarginalDis
 
 
 def marginal_to_dict(dist: MarginalDistribution) -> dict:
-    if isinstance(dist, Uniform):
-        return {"kind": "uniform", "min": dist.low, "max": dist.high}
-    if isinstance(dist, Pareto):
-        return {"kind": "pareto", "min": dist.minimum, "b": dist.shape}
-    if isinstance(dist, Weibull):
-        return {"kind": "weibull", "min": dist.minimum, "lambda": dist.scale, "k": dist.shape}
-    return {"kind": "dirac", "value": dist.value}
+    """Tagged record of a marginal; the inverse of ``marginal_from_dict``."""
+    for kind, (cls, names) in _KINDS.items():
+        if isinstance(dist, cls):
+            values = (getattr(dist, f.name) for f in fields(cls))
+            return {"kind": kind, **dict(zip(names, values))}
+    raise TypeError(f"expected a marginal distribution, got {type(dist).__name__}")
 
 
 def support_cap(dist: MarginalDistribution, tail_quantile: float = 0.9999) -> float:
@@ -260,6 +259,8 @@ class JointLoadSpace:
 
     Implementations are immutable after construction and safe to share
     across threads; sampling always takes an explicit generator.
+    ``stability_sides`` sweeps cursors, which serves every sample-backed
+    joint; a joint with a closed form overrides it.
     """
 
     mean_load_a: float
@@ -287,6 +288,26 @@ class JointLoadSpace:
     def cascade_cursor(self) -> "CascadeCursor":
         """Stateful view for solves whose thresholds only ever increase."""
         raise NotImplementedError
+
+    def stability_sides(self, xs, ys, beta_a: float, beta_b: float):
+        """Stability sides (lhs_a, lhs_b) on the grid xs x ys, indexed [ix, iy].
+
+        lhs_a = (P * x + E[L_A 1]) / E[L_A] at thresholds (x + beta_b * y,
+        y + beta_a * x), and lhs_b likewise; (x, y) is stable at attack p iff
+        both reach 1/(1-p).  Where P = 0 this gives 0, not 0/0.  Each row of
+        fixed y is one cursor sweep, so ``xs`` must be nondecreasing.
+        """
+        if np.any(np.diff(xs) < 0):
+            raise ValueError("stability grid xs must be nondecreasing")
+        lhs_a, lhs_b = np.empty((2, len(xs), len(ys)))
+        mean_a, mean_b = self.mean_load_a, self.mean_load_b
+        for iy, y in enumerate(ys):
+            cursor = self.cascade_cursor()
+            for ix, x in enumerate(xs):
+                stats = cursor.advance(x + beta_b * y, y + beta_a * x)
+                lhs_a[ix, iy] = (stats.probability * x + stats.load_a) / mean_a
+                lhs_b[ix, iy] = (stats.probability * y + stats.load_b) / mean_b
+        return lhs_a, lhs_b
 
     def sample_population(self, n: int, rng: np.random.Generator):
         """Draw n i.i.d. rows; returns (load_a, free_a, load_b, free_b) arrays."""
@@ -347,6 +368,14 @@ class IndependentJoint(JointLoadSpace):
 
     def cascade_cursor(self) -> CascadeCursor:
         return _ClosedFormCursor(self)
+
+    def stability_sides(self, xs, ys, beta_a: float, beta_b: float):
+        # Partial loads are E[L] * P, so each side is P * (x + E[L]) / E[L].
+        x = np.asarray(xs, dtype=float)[:, None]
+        y = np.asarray(ys, dtype=float)[None, :]
+        prob = self.free_a.survival(x + beta_b * y) * self.free_b.survival(y + beta_a * x)
+        return (prob * (x + self.mean_load_a) / self.mean_load_a,
+                prob * (y + self.mean_load_b) / self.mean_load_b)
 
     def sample_population(self, n: int, rng: np.random.Generator):
         load_a = np.asarray(self.load_a.sample(rng, n), dtype=float)

@@ -17,7 +17,10 @@ element-wise minimum of the stable set
     {(x, y) : x >= g(x, y), y >= h(x, y)},
 
 which makes the surviving fraction at the limit the final system size.
-``stable_set_grid`` scans that region explicitly for visual checks, and
+The two sides of those inequalities do not depend on p: the joint's
+``stability_sides`` evaluates them on a grid, and a point is stable at p
+iff both reach 1/(1-p).  ``stable_set_grid`` scans that region explicitly
+for visual checks, ``is_stable_point`` tests one point, and
 ``critical_attack_size`` bisects for the largest attack the system absorbs
 with a positive final size.
 """
@@ -40,6 +43,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_P = 1e-4
 DEFAULT_GRID_RESOLUTION = 400
+# Attack sizes probed by the critical search's coarse scan before bisecting.
+_SCAN_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -163,8 +168,10 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
     minimum of the stable set.
     """
     p = _validate_p(p)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     cursor = cfg.joint.cascade_cursor()
     state = initial_state(p, cfg)
     eff_a, eff_b = cfg.effective(state.q_a, state.q_b)
@@ -199,27 +206,6 @@ def final_size(p: float, cfg: SystemConfig,
     return iterate_to_steady_state(p, cfg, tol=tol, max_iter=max_iter).n_inf
 
 
-def _lhs_surfaces(x, y, p: float, cfg: SystemConfig):
-    """Left-hand sides of the per-layer stability inequalities.
-
-    A point is stable iff both values reach 1/(1-p).  Written as
-    (P * x + E[L 1]) / E[L] so that a zero survival probability yields 0
-    instead of a division by zero.
-    """
-    eff_a = x + cfg.factors.beta_b * y
-    eff_b = y + cfg.factors.beta_a * x
-    joint = cfg.joint
-    if isinstance(joint, IndependentJoint):
-        prob = joint.free_a.survival(eff_a) * joint.free_b.survival(eff_b)
-        lhs_a = prob * (x + joint.mean_load_a) / joint.mean_load_a
-        lhs_b = prob * (y + joint.mean_load_b) / joint.mean_load_b
-        return lhs_a, lhs_b
-    stats = joint.survival_stats(float(eff_a), float(eff_b))
-    lhs_a = (stats.probability * x + stats.load_a) / joint.mean_load_a
-    lhs_b = (stats.probability * y + stats.load_b) / joint.mean_load_b
-    return lhs_a, lhs_b
-
-
 def is_stable_point(x: float, y: float, p: float, cfg: SystemConfig,
                     rel_tol: float = 1e-9) -> bool:
     """Whether excess loads (x, y) trigger no further failures at attack p.
@@ -229,11 +215,12 @@ def is_stable_point(x: float, y: float, p: float, cfg: SystemConfig,
     ``rel_tol`` loosens the threshold accordingly (0 gives the sharp test).
     """
     p = _validate_p(p)
-    if x < 0 or y < 0:
+    if not (x >= 0 and y >= 0):
         raise ValueError(f"excess loads must be >= 0, got ({x}, {y})")
-    lhs_a, lhs_b = _lhs_surfaces(float(x), float(y), p, cfg)
+    lhs_a, lhs_b = cfg.joint.stability_sides([float(x)], [float(y)],
+                                             cfg.factors.beta_a, cfg.factors.beta_b)
     threshold = (1.0 / (1.0 - p)) * (1.0 - rel_tol)
-    return bool(lhs_a >= threshold and lhs_b >= threshold)
+    return bool(lhs_a[0, 0] >= threshold and lhs_b[0, 0] >= threshold)
 
 
 @dataclass(frozen=True)
@@ -287,27 +274,8 @@ def stable_set_grid(p: float, cfg: SystemConfig,
     xs = (np.arange(resolution) + 0.5) * (x_max / resolution)
     ys = (np.arange(resolution) + 0.5) * (y_max / resolution)
 
-    joint = cfg.joint
-    if isinstance(joint, IndependentJoint):
-        grid_x = xs[:, None]
-        grid_y = ys[None, :]
-        lhs_a, lhs_b = _lhs_surfaces(grid_x, grid_y, p, cfg)
-    else:
-        # Along a row of fixed y both effective thresholds increase with x,
-        # so each row is one monotone cursor sweep over the sample matrix.
-        lhs_a = np.empty((resolution, resolution))
-        lhs_b = np.empty((resolution, resolution))
-        mean_a = joint.mean_load_a
-        mean_b = joint.mean_load_b
-        beta_a = cfg.factors.beta_a
-        beta_b = cfg.factors.beta_b
-        for iy, y in enumerate(ys):
-            cursor = joint.cascade_cursor()
-            for ix, x in enumerate(xs):
-                stats = cursor.advance(x + beta_b * y, y + beta_a * x)
-                lhs_a[ix, iy] = (stats.probability * x + stats.load_a) / mean_a
-                lhs_b[ix, iy] = (stats.probability * y + stats.load_b) / mean_b
-
+    lhs_a, lhs_b = cfg.joint.stability_sides(xs, ys, cfg.factors.beta_a,
+                                             cfg.factors.beta_b)
     threshold = 1.0 / (1.0 - p)
     stable = (lhs_a >= threshold) & (lhs_b >= threshold)
     return StableSetGrid(p=p, x=xs, y=ys, lhs_a=lhs_a, lhs_b=lhs_b,
@@ -335,15 +303,15 @@ class CriticalAttackResult:
 
 
 def critical_attack_size(cfg: SystemConfig, tol_p: float = DEFAULT_TOL_P,
-                         tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                         scan_points: int = 33) -> CriticalAttackResult:
+                         tol: float = DEFAULT_TOL,
+                         max_iter: int = DEFAULT_MAX_ITER) -> CriticalAttackResult:
     """Largest attack fraction with a positive final size, within tol_p.
 
-    A coarse scan first brackets the survive/collapse boundary and doubles
-    as a monotonicity check of the collapse predicate before bisecting.
+    A coarse scan of [tol_p, 1 - tol_p], so tol_p < 0.5, brackets the
+    survive/collapse boundary and checks monotonicity before bisecting.
     """
-    if tol_p <= 0.0:
-        raise ValueError(f"tol_p must be > 0, got {tol_p}")
+    if not 0.0 < tol_p < 0.5:
+        raise ValueError(f"tol_p must lie strictly in (0, 0.5), got {tol_p}")
 
     def alive(p: float) -> bool:
         return final_size(p, cfg, tol=tol, max_iter=max_iter) > 0.0
@@ -351,7 +319,7 @@ def critical_attack_size(cfg: SystemConfig, tol_p: float = DEFAULT_TOL_P,
     if not alive(tol_p):
         return CriticalAttackResult(0.0, 0.0, tol_p, degenerate=True)
 
-    grid = np.linspace(tol_p, 1.0 - tol_p, scan_points)
+    grid = np.linspace(tol_p, 1.0 - tol_p, _SCAN_POINTS)
     flags = [alive(float(p)) for p in grid]
 
     non_monotone = False

@@ -9,6 +9,7 @@ import numpy as np
 from multiflow import (
     CrossLayerFactors,
     Dirac,
+    EmpiricalJoint,
     IndependentJoint,
     Pareto,
     SystemConfig,
@@ -70,6 +71,16 @@ def random_system(rng: np.random.Generator, load_families=("uniform", "pareto", 
     factors = CrossLayerFactors(float(rng.uniform(0.0, beta_max)),
                                 float(rng.uniform(0.0, beta_max)))
     return SystemConfig(joint, factors)
+
+
+def sampled_copy(cfg: SystemConfig, m: int = 300_000, seed: int = 4) -> SystemConfig:
+    """The same independent system answered from an m-row EmpiricalJoint sample."""
+    rng = np.random.default_rng(seed)
+    joint = cfg.joint
+    samples = np.column_stack([
+        joint.load_a.sample(rng, m), joint.free_a.sample(rng, m),
+        joint.load_b.sample(rng, m), joint.free_b.sample(rng, m)])
+    return SystemConfig(EmpiricalJoint(samples), cfg.factors)
 
 
 def detect_discontinuities(cfg, p_grid, values, jump: float = 0.03,

@@ -217,6 +217,14 @@ class TestCriticalCommand:
         assert float(record["p_hat"]) == 0.0
         assert record["degenerate"] == "1"
 
+    def test_non_finite_tol_p_names_the_field(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, SMALL_SPEC)
+        out = tmp_path / "out"
+        assert cli.main(["critical", "--config", spec, "--out", str(out),
+                         "--tol-p", "nan"]) == 2
+        assert "tol_p" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStableSetCommand:
     def test_region_files(self, tmp_path):
@@ -252,9 +260,11 @@ class TestStableSetCommand:
 
     def test_invalid_p(self, tmp_path, capsys):
         spec = write_spec(tmp_path, SMALL_SPEC)
-        assert cli.main(["stable-set", "--config", spec, "--out", str(tmp_path),
+        out = tmp_path / "o2"
+        assert cli.main(["stable-set", "--config", spec, "--out", str(out),
                          "--p", "1.5"]) == 2
         assert "--p" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, field", [("--x-max", "x_max"), ("--y-max", "y_max")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -264,7 +274,7 @@ class TestStableSetCommand:
         assert cli.main(["stable-set", "--config", spec, "--out", str(out),
                          "--p", "0.25", "--resolution", "4", f"{flag}={value}"]) == 2
         assert field in capsys.readouterr().err
-        assert not (out / "stable_set_demo.csv").exists()
+        assert not out.exists()
 
 
 class TestOptimizeCommand:

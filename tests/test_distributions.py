@@ -192,6 +192,10 @@ class TestValidation:
             assert marginal_to_dict(dist) == {k: float(v) if k != "kind" else v
                                               for k, v in record.items()}
 
+    def test_to_dict_rejects_a_non_marginal(self):
+        with pytest.raises(TypeError, match="str"):
+            marginal_to_dict("uniform")
+
     def test_from_dict_errors_name_the_field(self):
         with pytest.raises(DistributionError, match="load_a.kind"):
             marginal_from_dict({"kind": "gaussian"}, where="load_a")

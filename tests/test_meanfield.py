@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from multiflow import (
     stable_set_grid,
     step,
 )
-from helpers import random_system, single_layer_recursion
+from helpers import random_system, sampled_copy, single_layer_recursion
 
 
 class TestInitialState:
@@ -136,6 +137,15 @@ class TestIterate:
         steady = iterate_to_steady_state(0.3, cfg, max_iter=2)
         assert not steady.converged
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1e-10),
+        ("max_iter", 0), ("max_iter", -5),
+    ])
+    def test_invalid_solver_arguments_name_the_field(self, symmetric_uniform_config,
+                                                     field, value):
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            iterate_to_steady_state(0.3, symmetric_uniform_config, **{field: value})
+
     def test_monotone_trajectory(self):
         rng = np.random.default_rng(21)
         checked = 0
@@ -234,6 +244,8 @@ class TestStablePoints:
     def test_rejects_negative_loads(self, symmetric_uniform_config):
         with pytest.raises(ValueError):
             is_stable_point(-1.0, 0.0, 0.25, symmetric_uniform_config)
+        with pytest.raises(ValueError, match="excess loads"):
+            is_stable_point(0.0, math.nan, 0.25, symmetric_uniform_config)
 
 
 class TestStableSetGrid:
@@ -258,27 +270,28 @@ class TestStableSetGrid:
         assert np.allclose(low.lhs_b, high.lhs_b)
         assert int(low.stable.sum()) >= int(high.stable.sum())
 
-    def test_grid_stability_matches_pointwise(self, symmetric_uniform_config):
-        grid = stable_set_grid(0.25, symmetric_uniform_config, resolution=24)
+    @pytest.mark.parametrize("sampled", [False, True], ids=["independent", "empirical"])
+    def test_grid_stability_matches_pointwise(self, symmetric_uniform_config, sampled):
+        cfg = sampled_copy(symmetric_uniform_config) if sampled else symmetric_uniform_config
+        grid = stable_set_grid(0.25, cfg, resolution=24)
+        assert 0 < int(grid.stable.sum()) < grid.stable.size
         for ix in range(0, 24, 5):
             for iy in range(0, 24, 5):
                 assert grid.stable[ix, iy] == is_stable_point(
-                    float(grid.x[ix]), float(grid.y[iy]), 0.25,
-                    symmetric_uniform_config, rel_tol=0.0)
+                    float(grid.x[ix]), float(grid.y[iy]), 0.25, cfg, rel_tol=0.0)
 
     def test_empirical_grid_matches_independent(self, symmetric_uniform_config):
-        rng = np.random.default_rng(4)
-        m = 300_000
-        joint = symmetric_uniform_config.joint
-        samples = np.column_stack([
-            joint.load_a.sample(rng, m), joint.free_a.sample(rng, m),
-            joint.load_b.sample(rng, m), joint.free_b.sample(rng, m)])
-        emp_cfg = SystemConfig(EmpiricalJoint(samples), symmetric_uniform_config.factors)
+        emp_cfg = sampled_copy(symmetric_uniform_config)
         grid_emp = stable_set_grid(0.25, emp_cfg, resolution=30, x_max=90, y_max=90)
         grid_ref = stable_set_grid(0.25, symmetric_uniform_config, resolution=30,
                                    x_max=90, y_max=90)
         assert np.max(np.abs(grid_emp.lhs_a - grid_ref.lhs_a)) < 0.02
         assert np.max(np.abs(grid_emp.lhs_b - grid_ref.lhs_b)) < 0.02
+
+    def test_cursor_sides_need_nondecreasing_x(self, symmetric_uniform_config):
+        joint = sampled_copy(symmetric_uniform_config).joint
+        with pytest.raises(ValueError, match="nondecreasing"):
+            joint.stability_sides([30.0, 20.0], [10.0], 0.25, 0.25)
 
     def test_invalid_arguments(self, symmetric_uniform_config):
         with pytest.raises(ValueError):
@@ -291,6 +304,30 @@ class TestStableSetGrid:
     def test_non_finite_extent_names_the_field(self, symmetric_uniform_config, field, value):
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             stable_set_grid(0.25, symmetric_uniform_config, resolution=4, **{field: value})
+
+
+class TestStabilitySidesGolden:
+    """Exact bytes of the stability sides on two bundled systems.
+
+    The digest covers ``lhs_a.tobytes() + lhs_b.tobytes()``, so any change in
+    the order of their arithmetic shows; a change that means to move these
+    bytes updates the digests here.
+    """
+
+    @pytest.mark.parametrize("config, system, resolution, digest", [
+        ("uniform_symmetric", "uniform_symmetric", 40,
+         "021a8a7ae4f4a4ed9093b329669a2fe600d79a5897822bd3d61084f6f5ec5f50"),
+        ("alloc_pareto_uniform", "equal_tolerance_factor", 8,
+         "da77d4b9dcccbca9f26b20388c4fe82ca185516a4f4c890b818b49ec1dddddb6"),
+    ], ids=["uniform_symmetric", "equal_tolerance_factor"])
+    def test_digest(self, config, system, resolution, digest):
+        from multiflow import cli
+        from multiflow.config import load_experiment
+
+        cfg = load_experiment(cli._resolve_config_path(config)).systems[system]
+        grid = stable_set_grid(0.25, cfg, resolution=resolution)
+        data = grid.lhs_a.tobytes() + grid.lhs_b.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestLayerIndependent:
@@ -336,6 +373,11 @@ class TestCriticalAttackSize:
         result = critical_attack_size(cfg)
         assert result.degenerate
         assert result.p_hat == 0.0
+
+    @pytest.mark.parametrize("tol_p", [math.nan, math.inf, 0.0, -1e-4, 0.5, 0.7])
+    def test_invalid_tol_p_names_the_field(self, symmetric_uniform_config, tol_p):
+        with pytest.raises(ValueError, match=r"^tol_p\b"):
+            critical_attack_size(symmetric_uniform_config, tol_p=tol_p)
 
     def test_float_protocol(self, symmetric_uniform_config):
         result = critical_attack_size(symmetric_uniform_config, tol_p=1e-3)
