@@ -187,13 +187,14 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
         for iy, y in enumerate(grid.y):
             rows.append((float(x), float(y), float(grid.lhs_a[ix, iy]),
                          float(grid.lhs_b[ix, iy]), int(grid.stable[ix, iy])))
+    header = ["x", "y", "lhs_a", "lhs_b", "stable"]
     minimum = grid.minimum
-    comments = [f"p={args.p!r}", f"threshold={grid.threshold!r}",
-                f"empty={int(grid.empty)}"]
     out_dir = _out_dir(args, spec)
-    _write_csv(out_dir / f"stable_set_{name}.csv",
-               _provenance(spec, "stable_set", name) + comments,
-               ["x", "y", "lhs_a", "lhs_b", "stable"], rows)
+    if "csv" in _formats(args, spec):
+        comments = [f"p={args.p!r}", f"threshold={grid.threshold!r}",
+                    f"empty={int(grid.empty)}"]
+        _write_csv(out_dir / f"stable_set_{name}.csv",
+                   _provenance(spec, "stable_set", name) + comments, header, rows)
     sidecar = {
         **_json_provenance(spec, "stable_set", name),
         "p": args.p,
@@ -203,6 +204,8 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
         "y_star": None if minimum is None else minimum[1],
         "resolution": args.resolution,
     }
+    if "json" in _formats(args, spec):
+        sidecar["rows"] = [dict(zip(header, row)) for row in rows]
     _write_json(out_dir / f"stable_set_{name}.json", sidecar)
     if grid.empty:
         print(f"{name}: no stable points at p={args.p} (total collapse)")

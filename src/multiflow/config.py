@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +35,12 @@ from .meanfield import CrossLayerFactors, SystemConfig
 
 MODES = ("analytic", "simulate", "both")
 
-# Strategy class and its fields, named as in the spec and the constructor.
+# Strategy classes by spec name; their dataclass fields are the spec's keys.
 _STRATEGIES = {
-    "layer_weighted_equal": (LayerWeightedEqual, ("s_total",)),
-    "equal_free_space": (EqualFreeSpace, ("s_total",)),
-    "equal_tolerance_factor": (EqualToleranceFactor, ("alpha", "s_total")),
-    "per_layer_equal": (PerLayerEqual, ("mu_a", "mu_b")),
+    "layer_weighted_equal": LayerWeightedEqual,
+    "equal_free_space": EqualFreeSpace,
+    "equal_tolerance_factor": EqualToleranceFactor,
+    "per_layer_equal": PerLayerEqual,
 }
 
 # Keys of a system record besides beta_a/beta_b, by the record's kind.
@@ -124,13 +124,13 @@ def _parse_strategy(record: dict, where: str) -> AllocationStrategy:
     if not isinstance(name, str) or name not in _STRATEGIES:
         raise ConfigError(
             f"{where}.strategy: expected one of {sorted(_STRATEGIES)}, got {name!r}")
-    cls, fields = _STRATEGIES[name]
-    _check_keys(record, {"strategy", *fields}, where)
-    # The tolerance factor takes exactly one of its two fields.
-    required = cls is not EqualToleranceFactor
+    cls = _STRATEGIES[name]
+    _check_keys(record, {"strategy", *(f.name for f in fields(cls))}, where)
+    # A field is required iff it has no default.
     try:
-        return cls(**{f: _field(record, f, where, float, required=required)
-                      for f in fields})
+        return cls(**{f.name: _field(record, f.name, where, float,
+                                     required=f.default is MISSING)
+                      for f in fields(cls)})
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

@@ -4,10 +4,12 @@ Four marginal families cover the configurations used throughout the package:
 uniform, Pareto (classical, location-scale form), Weibull shifted by a
 minimum value, and a Dirac point mass.  All supports are strictly positive.
 
-Each joint object answers one query, ``survival_stats(x, y)``: the joint
-survival P[S_A > x, S_B > y] and the partial load means E[L_i * 1{S_A > x,
-S_B > y}].  The solver reads it through a monotone ``cascade_cursor``;
-``joint_survival`` and ``partial_load_expectation`` derive from it.
+Each joint implements one query, ``cascade_cursor()``: a monotone view whose
+``advance(x, y)`` gives the joint survival P[S_A > x, S_B > y] and the
+partial load means E[L_i * 1{S_A > x, S_B > y}].  The stateless
+``survival_stats(x, y)`` is one advance of a fresh cursor, unless a closed
+form overrides it; ``joint_survival`` and ``partial_load_expectation`` derive
+from it.
 
 Three joint flavours exist: independent marginals (closed form), an
 empirical sample matrix for correlated inputs (e.g. multivariate-normal
@@ -56,8 +58,15 @@ def _scalar_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+class _Marginal:
+    """Inverse-CDF sampling for every marginal; Dirac draws too, so streams stay aligned."""
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return self.quantile(rng.random(size))
+
+
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Marginal):
     """Uniform distribution on [low, high] with 0 < low < high."""
 
     low: float
@@ -81,15 +90,12 @@ class Uniform:
         u = np.asarray(u, dtype=float)
         return _scalar_or_array(self.low + u * (self.high - self.low))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.quantile(rng.random(size))
-
     def upper_bound(self) -> float:
         return self.high
 
 
 @dataclass(frozen=True)
-class Pareto:
+class Pareto(_Marginal):
     """Classical Pareto with minimum > 0 and shape > 1 (finite mean).
 
     Shapes <= 1 have no mean and the recursion is undefined for them, so
@@ -117,15 +123,12 @@ class Pareto:
         u = np.asarray(u, dtype=float)
         return _scalar_or_array(self.minimum * (1.0 - u) ** (-1.0 / self.shape))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.quantile(rng.random(size))
-
     def upper_bound(self) -> float:
         return math.inf
 
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(_Marginal):
     """Weibull with location shift: X = minimum + lambda * W(shape)."""
 
     minimum: float
@@ -152,15 +155,12 @@ class Weibull:
         u = np.asarray(u, dtype=float)
         return _scalar_or_array(self.minimum + self.scale * (-np.log1p(-u)) ** (1.0 / self.shape))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.quantile(rng.random(size))
-
     def upper_bound(self) -> float:
         return math.inf
 
 
 @dataclass(frozen=True)
-class Dirac:
+class Dirac(_Marginal):
     """Point mass at a positive value.
 
     ``survival(x)`` is 1 if value > x and 0 otherwise: the mass does not
@@ -182,10 +182,6 @@ class Dirac:
 
     def quantile(self, u):
         return _scalar_or_array(np.full(np.shape(u), self.value))
-
-    def sample(self, rng: np.random.Generator, size=None):
-        u = rng.random(size)  # keep the stream advancing like other variants
-        return self.quantile(u)
 
     def upper_bound(self) -> float:
         return self.value
@@ -258,9 +254,10 @@ class JointLoadSpace:
     """Joint description of per-node (L_A, S_A, L_B, S_B).
 
     Implementations are immutable after construction and safe to share
-    across threads; sampling always takes an explicit generator.
-    ``stability_sides`` sweeps cursors, which serves every sample-backed
-    joint; a joint with a closed form overrides it.
+    across threads; sampling always takes an explicit generator.  Each
+    implements ``cascade_cursor``; ``survival_stats`` and ``stability_sides``
+    read cursors, which serves every sample-backed joint, and a joint with a
+    closed form overrides them.
     """
 
     mean_load_a: float
@@ -269,8 +266,8 @@ class JointLoadSpace:
     mean_free_b: float
 
     def survival_stats(self, x: float, y: float) -> SurvivalStats:
-        """The one query each joint implements; the others derive from it."""
-        raise NotImplementedError
+        """Survival and partial load means at (x, y): one fresh cursor advance."""
+        return self.cascade_cursor().advance(x, y)
 
     def joint_survival(self, x: float, y: float) -> float:
         """P[S_A > x, S_B > y]."""
@@ -286,7 +283,7 @@ class JointLoadSpace:
         raise ValueError(f"layer must be 'A' or 'B', got {layer!r}")
 
     def cascade_cursor(self) -> "CascadeCursor":
-        """Stateful view for solves whose thresholds only ever increase."""
+        """The one query each joint implements: a view for nondecreasing thresholds."""
         raise NotImplementedError
 
     def stability_sides(self, xs, ys, beta_a: float, beta_b: float):
@@ -428,9 +425,8 @@ class _EmpiricalCursor(CascadeCursor):
     sums are bit-identical to the mask gather's.  The cursor keeps two slab
     positions, two thresholds, the alive count and two load sums and no
     per-row state; a step allocates only in proportion to the rows it
-    crosses, so a whole solve costs O(m) plus per-call overhead.  Counts
-    equal the stateless queries exactly; load sums agree up to
-    summation-order rounding.  Thresholds must not be NaN.
+    crosses, so a whole solve costs O(m) plus per-call overhead.  Thresholds
+    must not be NaN.
     """
 
     def __init__(self, joint: "EmpiricalJoint"):
@@ -580,16 +576,6 @@ class EmpiricalJoint(JointLoadSpace):
     def mean_free_b(self) -> float:
         return float(self.samples[:, 3].mean())
 
-    def survival_stats(self, x: float, y: float) -> SurvivalStats:
-        load_a, free_a, load_b, free_b = self.samples.T
-        mask = (free_a > x) & (free_b > y)
-        m = self.sample_count
-        return SurvivalStats(
-            float(np.count_nonzero(mask)) / m,
-            float(load_a[mask].sum()) / m,
-            float(load_b[mask].sum()) / m,
-        )
-
     def cascade_cursor(self) -> CascadeCursor:
         return _EmpiricalCursor(self)
 
@@ -668,9 +654,6 @@ class ProportionalJoint(JointLoadSpace):
     @property
     def mean_free_b(self) -> float:
         return self.alpha * self.load_b.mean()
-
-    def survival_stats(self, x: float, y: float) -> SurvivalStats:
-        return self._empirical.survival_stats(x, y)
 
     def cascade_cursor(self) -> CascadeCursor:
         return self._empirical.cascade_cursor()

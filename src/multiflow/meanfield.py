@@ -262,8 +262,9 @@ def stable_set_grid(p: float, cfg: SystemConfig,
     excess load still compatible with survival.
     """
     p = _validate_p(p)
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
+            or resolution < 2):
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     cap = 1.2 * cfg.joint.free_space_cap()
     x_max = cap if x_max is None else float(x_max)
     y_max = cap if y_max is None else float(y_max)

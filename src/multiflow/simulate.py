@@ -58,15 +58,23 @@ class Population:
     seed: object = None
 
     def __post_init__(self) -> None:
-        arrays = (self.load_a, self.free_a, self.load_b, self.free_b)
+        names = ("load_a", "free_a", "load_b", "free_b")
+        for name in names:
+            # a float64 array passes through without a copy
+            try:
+                a = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError(f"population {name} must be numeric") from None
+            if a.ndim != 1:
+                raise ValueError(f"population {name} must be 1-D, got shape {a.shape}")
+            if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
+                raise ValueError(f"population {name} must be finite and strictly positive")
+            object.__setattr__(self, name, a)
         n = len(self.load_a)
-        if any(len(a) != n for a in arrays):
+        if any(len(getattr(self, name)) != n for name in names):
             raise ValueError("population arrays must have equal length")
         if n < 1:
             raise ValueError("population must contain at least one node")
-        for name, a in zip(("load_a", "free_a", "load_b", "free_b"), arrays):
-            if not np.all(np.isfinite(a)) or np.any(np.asarray(a) <= 0.0):
-                raise ValueError(f"population {name} must be finite and strictly positive")
 
     @property
     def size(self) -> int:

@@ -241,6 +241,22 @@ class TestStableSetCommand:
         assert header == ["x", "y", "lhs_a", "lhs_b", "stable"]
         assert len(rows) == 60 * 60
 
+    def test_json_format_puts_the_grid_in_the_summary(self, tmp_path):
+        spec = write_spec(tmp_path, SMALL_SPEC)
+        csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+        for out, fmt in ((csv_out, "csv"), (json_out, "json")):
+            assert cli.main(["stable-set", "--config", spec, "--out", str(out),
+                             "--p", "0.25", "--resolution", "12", "--format", fmt]) == 0
+        assert not (json_out / "stable_set_demo.csv").exists()
+        summary = json.loads((json_out / "stable_set_demo.json").read_text())
+        assert len(summary["rows"]) == 12 * 12
+        # the rows are the CSV grid, keyed by its header
+        _, header, rows = read_table(csv_out / "stable_set_demo.csv")
+        assert [[str(row[key]) for key in header] for row in summary["rows"]] == rows
+        csv_summary = json.loads((csv_out / "stable_set_demo.json").read_text())
+        assert "rows" not in csv_summary
+        assert {k: v for k, v in summary.items() if k != "rows"} == csv_summary
+
     def test_collapse_gives_empty_flag(self, tmp_path):
         spec = write_spec(tmp_path, SMALL_SPEC)
         out = tmp_path / "out"

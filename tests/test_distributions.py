@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
 import math
 import pickle
@@ -158,6 +159,14 @@ class TestSampling:
         stat = kolmogorov_statistic(samples, lambda x: 1.0 - dist.survival(x))
         assert stat < 0.005
 
+    def test_population_draws_are_pinned(self):
+        # sha256 of the four columns, captured while each family still had
+        # its own ``sample``; the draws must not move
+        joint = IndependentJoint(Uniform(20, 40), Pareto(5, 2), Weibull(10, 30, 2), Dirac(136))
+        columns = joint.sample_population(1000, np.random.default_rng(5))
+        digest = hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest()
+        assert digest == "69067164e164075a2154bfbffd04fb88009c7421ff7ad255382d9ff15fbe6305"
+
     def test_samples_within_support(self):
         rng = np.random.default_rng(3)
         assert np.all(Uniform(20, 40).sample(rng, 10_000) >= 20)
@@ -296,6 +305,27 @@ class TestIndependentJoint:
             assert stats.load_b == joint.partial_load_expectation("B", 50.0, 40.0)
             with pytest.raises(ValueError, match="layer"):
                 joint.partial_load_expectation("C", 50.0, 40.0)
+
+
+class TestJointContract:
+    def test_the_cursor_is_the_one_query(self):
+        classes = [distributions.JointLoadSpace]
+        for cls in classes:
+            classes.extend(cls.__subclasses__())
+        joints = {cls for cls in classes[1:] if cls.__module__ == distributions.__name__}
+        assert joints == {IndependentJoint, EmpiricalJoint, ProportionalJoint}
+        for cls in joints:
+            assert "cascade_cursor" in vars(cls), cls.__name__
+        # sample-backed joints answer the stateless query through their cursor
+        assert "survival_stats" not in vars(EmpiricalJoint)
+        assert "survival_stats" not in vars(ProportionalJoint)
+
+    def test_a_joint_without_a_cursor_fails_plainly(self):
+        class Bare(distributions.JointLoadSpace):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            Bare().survival_stats(1.0, 1.0)
 
 
 def _matched_samples(m: int, seed: int) -> np.ndarray:
@@ -482,6 +512,16 @@ class TestEmpiricalJoint:
             got = cursor.advance(x, y)
             assert tuple(got) == reference.advance(x, y), (x, y)
         assert got.probability == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("integer", [False, True], ids=["continuous", "tied"])
+    def test_stateless_query_is_a_fresh_mask_sweep(self, seed, integer):
+        samples = _matched_samples(20_000, 20 + seed)
+        if integer:
+            samples[:, [1, 3]] = np.round(samples[:, [1, 3]])
+        emp = EmpiricalJoint(samples)
+        for x, y in _threshold_walk(seed, 60, integer) + [(80.0, 80.0)]:
+            assert tuple(emp.survival_stats(x, y)) == _MaskCursor(samples).advance(x, y), (x, y)
 
     def test_cursor_clamps_steps_back_and_repeats(self):
         samples = _matched_samples(20_000, 30)

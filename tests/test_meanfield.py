@@ -299,6 +299,17 @@ class TestStableSetGrid:
         with pytest.raises(ValueError):
             stable_set_grid(0.25, symmetric_uniform_config, x_max=-5.0)
 
+    @pytest.mark.parametrize("resolution", [2.5, True, np.float64(3.0)])
+    def test_non_integer_resolution_is_rejected(self, symmetric_uniform_config, resolution):
+        with pytest.raises(ValueError, match=r"\bresolution\b"):
+            stable_set_grid(0.25, symmetric_uniform_config, x_max=90.0, resolution=resolution)
+
+    def test_numpy_integer_resolution(self, symmetric_uniform_config):
+        grid = stable_set_grid(0.25, symmetric_uniform_config, x_max=90.0,
+                               resolution=np.int64(3))
+        assert grid.x.tolist() == [15.0, 45.0, 75.0]
+        assert grid.stable.shape[0] == 3
+
     @pytest.mark.parametrize("field", ["x_max", "y_max"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf")])
     def test_non_finite_extent_names_the_field(self, symmetric_uniform_config, field, value):

@@ -81,6 +81,37 @@ class TestRunCascade:
         assert outcome.trajectory[0] == (0, 0.75, pytest.approx(10.0, rel=5e-3),
                                          pytest.approx(10.0, rel=5e-3))
 
+    def test_list_columns_cascade_like_arrays(self, symmetric_uniform_config):
+        pop = build_population(symmetric_uniform_config, 2000, seed=3)
+        columns = (pop.load_a, pop.free_a, pop.load_b, pop.free_b)
+        listed = Population(*(c.tolist() for c in columns))
+        assert all(isinstance(c, np.ndarray) for c in
+                   (listed.load_a, listed.free_a, listed.load_b, listed.free_b))
+        factors = symmetric_uniform_config.factors
+        for p in (0.25, 0.45):
+            got = run_cascade(listed, p, factors, attack_seed=4)
+            want = run_cascade(pop, p, factors, attack_seed=4)
+            assert got.trajectory == want.trajectory
+            assert np.array_equal(got.failed, want.failed)
+        constant = Population([30.0] * 10, [50.0] * 10, [30.0] * 10, [50.0] * 10)
+        assert run_cascade(constant, 0.2, factors, attack_seed=1).surviving_fraction == 0.8
+
+    def test_float_array_columns_are_not_copied(self, symmetric_uniform_config):
+        pop = build_population(symmetric_uniform_config, 100, seed=3)
+        same = Population(pop.load_a, pop.free_a, pop.load_b, pop.free_b)
+        assert same.load_a is pop.load_a and same.free_b is pop.free_b
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("free_a", np.full((10, 1), 50.0), "1-D"),
+        ("load_b", 30.0, "1-D"),
+        ("free_b", ["fifty"] * 10, "numeric"),
+    ])
+    def test_bad_columns_name_the_field(self, column, value, message):
+        columns = {"load_a": [30.0] * 10, "free_a": [50.0] * 10,
+                   "load_b": [30.0] * 10, "free_b": [50.0] * 10, column: value}
+        with pytest.raises(ValueError, match=rf"population {column} must be {message}"):
+            Population(**columns)
+
     def test_accepts_numpy_scalar_attack_fraction(self, symmetric_uniform_config):
         pop = build_population(symmetric_uniform_config, 2000, seed=3)
         factors = symmetric_uniform_config.factors
