@@ -22,6 +22,7 @@ strict-survival convention drops the mass at equality).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -36,8 +37,18 @@ from .meanfield import CrossLayerFactors, SystemConfig
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
+def _store_positive(strategy, *names: str) -> None:
+    """Check the named fields of a frozen strategy and store them as floats,
+    so a numpy scalar budget computes in double precision as a float does."""
+    values = {name: getattr(strategy, name) for name in names}
+    _require_positive(**values)
+    for name, value in values.items():
+        object.__setattr__(strategy, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -47,7 +58,7 @@ class LayerWeightedEqual:
     s_total: float
 
     def __post_init__(self) -> None:
-        _require_positive(s_total=self.s_total)
+        _store_positive(self, "s_total")
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,7 @@ class EqualFreeSpace:
     s_total: float
 
     def __post_init__(self) -> None:
-        _require_positive(s_total=self.s_total)
+        _store_positive(self, "s_total")
 
 
 @dataclass(frozen=True)
@@ -74,10 +85,7 @@ class EqualToleranceFactor:
     def __post_init__(self) -> None:
         if (self.alpha is None) == (self.s_total is None):
             raise ValueError("specify exactly one of alpha or s_total")
-        if self.alpha is not None:
-            _require_positive(alpha=self.alpha)
-        else:
-            _require_positive(s_total=self.s_total)
+        _store_positive(self, "alpha" if self.alpha is not None else "s_total")
 
     def resolve_alpha(self, mean_load_a: float, mean_load_b: float) -> float:
         if self.alpha is not None:
@@ -93,7 +101,7 @@ class PerLayerEqual:
     mu_b: float
 
     def __post_init__(self) -> None:
-        _require_positive(mu_a=self.mu_a, mu_b=self.mu_b)
+        _store_positive(self, "mu_a", "mu_b")
 
 
 AllocationStrategy = Union[LayerWeightedEqual, EqualFreeSpace, EqualToleranceFactor, PerLayerEqual]

@@ -5,6 +5,11 @@ allocator, and writes CSV (or JSON) artifacts.  Every output embeds the
 sha256 of the resolved spec, and all randomness is seed-derived, so the same
 spec and seed produce byte-identical files.
 
+Every command hands its table to one writer as columns, one sequence per
+header field.  A numeric array column is formatted once per distinct value
+and its strings repeated, so the 160,000-row stable-set grid formats each
+axis point once; JSON rows are built from the same columns as Python values.
+
 Exit codes: 0 success, 2 configuration or usage error, 3 nonconvergence.
 """
 
@@ -17,6 +22,8 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from . import allocate, meanfield, simulate
 from .config import ConfigError, ExperimentSpec, load_experiment
@@ -62,13 +69,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
+def _values(column):
+    """An array column as a list of Python values (a bool array as 0/1);
+    any other sequence as it is."""
+    if isinstance(column, np.ndarray):
+        return (column.astype(int) if column.dtype == bool else column).tolist()
+    return column
+
+
+def _cells(column) -> list[str]:
+    """The CSV text of each cell of one column.
+
+    A numeric array is formatted once per distinct value, so a grid axis
+    repeated across 160,000 rows costs one ``repr`` per axis point.  Floats
+    are told apart by bit pattern: by value, -0.0 would merge into 0.0.
+    """
+    if not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"):
+        return [_fmt(v) for v in column]
+    keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    # repr of a Python int or float is the text _fmt gives it
+    text = np.array([repr(v) for v in _values(distinct.view(column.dtype))], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> None:
+    """Write a table given as one sequence per header field."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _json_rows(header: list[str], columns) -> list[dict]:
+    return [dict(zip(header, row)) for row in zip(*map(_values, columns))]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -98,17 +133,21 @@ def _json_provenance(spec: ExperimentSpec, kind: str, system: str | None) -> dic
 
 
 def _table(args, spec: ExperimentSpec, kind: str, system: str | None,
-           header: list[str], rows, extra_comments: list[str] = ()) -> None:
-    suffix = f"_{system}" if system is not None else ""
+           header: list[str], columns, extra_comments: list[str] = (),
+           stem: str | None = None) -> None:
+    """Write one sequence per header field to ``<stem>.<format>`` for each format."""
+    if stem is None:
+        stem = kind if system is None else f"{kind}_{system}"
     out = _out_dir(args, spec)
     for fmt in _formats(args, spec):
         if fmt == "json":
             payload = _json_provenance(spec, kind, system)
-            payload["rows"] = [dict(zip(header, row)) for row in rows]
-            _write_json(out / f"{kind}{suffix}.json", payload)
+            payload["rows"] = _json_rows(header, columns)
+            _write_json(out / f"{stem}.json", payload)
         else:
-            _write_csv(out / f"{kind}{suffix}.csv",
-                       _provenance(spec, kind, system) + list(extra_comments), header, rows)
+            _write_csv(out / f"{stem}.csv",
+                       _provenance(spec, kind, system) + list(extra_comments), header,
+                       columns)
 
 
 def cmd_curve(args, spec: ExperimentSpec) -> int:
@@ -133,13 +172,12 @@ def cmd_curve(args, spec: ExperimentSpec) -> int:
                 workers=args.threads,
                 resample_population=spec.sim.resample_population)
             header += ["sim_mean", "sim_std"]
-            columns += [curve.mean.tolist(), curve.std.tolist()]
-        rows = list(zip(*columns))
+            columns += [curve.mean, curve.std]
         extra = []
         if nonconverged:
             extra.append(f"nonconverged_p={nonconverged}")
             exit_code = EXIT_NONCONVERGED
-        _table(args, spec, "curve", name, header, rows,
+        _table(args, spec, "curve", name, header, columns,
                extra_comments=extra)
     return exit_code
 
@@ -160,7 +198,7 @@ def cmd_critical(args, spec: ExperimentSpec) -> int:
               f"budget bound {bound:.6f}"
               + (" [degenerate]" if result.degenerate else "")
               + (" [non-monotone scan]" if result.non_monotone else ""))
-    _table(args, spec, "critical", None, header, rows)
+    _table(args, spec, "critical", None, header, list(zip(*rows)))
     return EXIT_OK
 
 
@@ -182,19 +220,17 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
         return EXIT_CONFIG
     grid = meanfield.stable_set_grid(args.p, cfg, x_max=args.x_max, y_max=args.y_max,
                                      resolution=args.resolution)
-    rows = []
-    for ix, x in enumerate(grid.x):
-        for iy, y in enumerate(grid.y):
-            rows.append((float(x), float(y), float(grid.lhs_a[ix, iy]),
-                         float(grid.lhs_b[ix, iy]), int(grid.stable[ix, iy])))
     header = ["x", "y", "lhs_a", "lhs_b", "stable"]
+    # row (ix, iy) in C order: x varies slowest
+    columns = [np.repeat(grid.x, grid.y.size), np.tile(grid.y, grid.x.size),
+               grid.lhs_a.ravel(), grid.lhs_b.ravel(), grid.stable.ravel()]
     minimum = grid.minimum
     out_dir = _out_dir(args, spec)
     if "csv" in _formats(args, spec):
         comments = [f"p={args.p!r}", f"threshold={grid.threshold!r}",
                     f"empty={int(grid.empty)}"]
         _write_csv(out_dir / f"stable_set_{name}.csv",
-                   _provenance(spec, "stable_set", name) + comments, header, rows)
+                   _provenance(spec, "stable_set", name) + comments, header, columns)
     sidecar = {
         **_json_provenance(spec, "stable_set", name),
         "p": args.p,
@@ -205,7 +241,7 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
         "resolution": args.resolution,
     }
     if "json" in _formats(args, spec):
-        sidecar["rows"] = [dict(zip(header, row)) for row in rows]
+        sidecar["rows"] = _json_rows(header, columns)
     _write_json(out_dir / f"stable_set_{name}.json", sidecar)
     if grid.empty:
         print(f"{name}: no stable points at p={args.p} (total collapse)")
@@ -259,7 +295,7 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
         cells.append(f"alpha={row[3]:.6g}" if row[3] != "" else "alpha=-")
         cells.append(f"p_opt={row[4]:.6g}" if row[4] != "" else "p_opt=-")
         print("  ".join(cells))
-    _table(args, spec, "optimize", name, header, rows)
+    _table(args, spec, "optimize", name, header, list(zip(*rows)))
     return EXIT_OK
 
 
@@ -274,17 +310,17 @@ def cmd_simulate(args, spec: ExperimentSpec) -> int:
         curve = simulate.monte_carlo_curve(
             cfg, spec.sim.n, spec.p_grid, spec.sim.runs, spec.sim.seed_base,
             workers=args.threads, resample_population=spec.sim.resample_population)
-        rows = [(p, m, s, spec.sim.runs, spec.sim.n)
-                for p, m, s in zip(spec.p_grid, curve.mean, curve.std)]
+        count = len(spec.p_grid)
         _table(args, spec, "simulate", name,
-               ["p", "mean_n_inf", "std_n_inf", "runs", "n"], rows)
+               ["p", "mean_n_inf", "std_n_inf", "runs", "n"],
+               [spec.p_grid, curve.mean, curve.std, [spec.sim.runs] * count,
+                [spec.sim.n] * count])
         if args.raw:
-            raw_rows = [(p, run, curve.samples[ip, run])
-                        for ip, p in enumerate(spec.p_grid)
-                        for run in range(spec.sim.runs)]
-            _write_csv(_out_dir(args, spec) / f"simulate_{name}_runs.csv",
-                       _provenance(spec, "simulate_runs", name),
-                       ["p", "run", "n_inf"], raw_rows)
+            runs = spec.sim.runs
+            _table(args, spec, "simulate_runs", name, ["p", "run", "n_inf"],
+                   [np.repeat(spec.p_grid, runs), np.tile(np.arange(runs), count),
+                    curve.samples.ravel()],
+                   stem=f"simulate_{name}_runs")
     return EXIT_OK
 
 

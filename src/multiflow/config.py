@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -167,9 +167,12 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
     try:
         if kind == "samples":
             samples = _load_samples(_field(record, "samples", where), base_dir, where)
-            joint = EmpiricalJoint(samples, source={
-                "samples": record["samples"], "count": int(np.asarray(samples).shape[0])})
-            cfg = SystemConfig(joint, factors)
+            try:
+                joint = EmpiricalJoint(samples)
+            except DistributionError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            cfg = SystemConfig(replace(joint, source={"samples": record["samples"],
+                                                      "count": joint.sample_count}), factors)
         elif kind == "allocation":
             strategy = _parse_strategy(record["allocation"], f"{where}.allocation")
             load_a = marginal_from_dict(_field(record, "load_a", where), f"{where}.load_a")

@@ -22,6 +22,7 @@ from multiflow import (
     per_layer_critical,
     predicted_critical,
 )
+from multiflow.allocate import dirac_free_space
 
 FACTORS = CrossLayerFactors(0.2, 0.2)
 
@@ -201,6 +202,29 @@ class TestStrategyValidation:
             PerLayerEqual(0.0, 10.0)
         with pytest.raises(ValueError):
             EqualToleranceFactor(alpha=-1.0)
+
+    @pytest.mark.parametrize("budget", [np.int64(700), np.float32(700)],
+                             ids=["int64", "float32"])
+    def test_numpy_scalar_budgets_are_accepted(self, budget):
+        reference = dirac_free_space(LayerWeightedEqual(700.0), 125.0, 175.0, FACTORS)
+        split = dirac_free_space(LayerWeightedEqual(budget), 125.0, 175.0, FACTORS)
+        assert split == reference == layer_weighted_split(125.0, 175.0, FACTORS, 700.0)
+        assert all(type(v) is float for v in split)
+        assert EqualFreeSpace(budget) == EqualFreeSpace(700.0)
+        assert PerLayerEqual(budget, budget) == PerLayerEqual(700.0, 700.0)
+        assert EqualToleranceFactor(s_total=budget).s_total == 700.0
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: LayerWeightedEqual(True), "s_total"),
+        (lambda: EqualFreeSpace(True), "s_total"),
+        (lambda: EqualToleranceFactor(alpha=True), "alpha"),
+        (lambda: PerLayerEqual(10.0, True), "mu_b"),
+        (lambda: LayerWeightedEqual(np.bool_(True)), "s_total"),
+    ], ids=["layer_weighted", "equal_free_space", "tolerance_alpha", "per_layer",
+            "numpy_bool"])
+    def test_bool_is_not_a_number(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive finite number"):
+            make()
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(TypeError, match="unknown allocation strategy"):

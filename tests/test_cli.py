@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multiflow import cli
@@ -374,6 +376,24 @@ class TestSimulateCommand:
         assert raw_header == ["p", "run", "n_inf"]
         assert len(raw_rows) == 6
 
+    def test_raw_runs_follow_the_format(self, tmp_path):
+        document = dict(SMALL_SPEC, mode="simulate", p_grid=[0.25, 0.5],
+                        sim={"n": 1000, "runs": 3, "seed_base": 7})
+        spec = write_spec(tmp_path, document)
+        csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+        for out, fmt in ((csv_out, "csv"), (json_out, "json")):
+            assert cli.main(["simulate", "--config", spec, "--out", str(out), "--raw",
+                             "--threads", "1", "--format", fmt]) == 0
+        assert sorted(p.name for p in json_out.iterdir()) == [
+            "simulate_demo.json", "simulate_demo_runs.json"]
+        runs = json.loads((json_out / "simulate_demo_runs.json").read_text())
+        summary = json.loads((json_out / "simulate_demo.json").read_text())
+        assert runs["schema"] == "multiflow.simulate_runs/1"
+        assert runs["system"] == "demo"
+        assert runs["config_sha256"] == summary["config_sha256"]
+        _, header, rows = read_table(csv_out / "simulate_demo_runs.csv")
+        assert [[str(row[key]) for key in header] for row in runs["rows"]] == rows
+
     def test_table_cells_are_plain_numbers(self, tmp_path):
         document = dict(SMALL_SPEC, mode="simulate", p_grid=[0.25, 0.5],
                         sim={"n": 1000, "runs": 2, "seed_base": 7})
@@ -528,6 +548,27 @@ class TestEmpiricalSamples:
         _, _, rows = read_table(out / "curve_measured.csv")
         assert float(rows[0][1]) == pytest.approx(0.75, abs=0.01)
 
+    @pytest.mark.parametrize("name", ["scalar.csv", "scalar.npy"])
+    def test_scalar_sample_file_is_a_config_error(self, tmp_path, capsys, name):
+        if name.endswith(".npy"):
+            np.save(tmp_path / name, np.float64(5.0))
+        else:
+            (tmp_path / name).write_text("5.0\n")
+        document = {"systems": {"measured": {"samples": name}}, "p_grid": [0.25]}
+        spec = write_spec(tmp_path, document)
+        assert cli.main(["curve", "--config", spec, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec.systems.measured: ")
+        assert "shape (m, 4)" in err
+
+    def test_resolved_source_counts_the_rows(self, tmp_path):
+        samples = np.column_stack([np.full(20_000, 30.0), np.full(20_000, 50.0)] * 2)
+        np.savetxt(tmp_path / "samples.csv", samples, delimiter=",")
+        document = {"systems": {"measured": {"samples": "samples.csv"}}, "p_grid": [0.25]}
+        spec = load_experiment(write_spec(tmp_path, document))
+        assert spec.resolved["systems"]["measured"] == {
+            "beta_a": 0.0, "beta_b": 0.0, "samples": "samples.csv", "count": 20_000}
+
     def test_missing_sample_file(self, tmp_path, capsys):
         document = {
             "systems": {"measured": {"samples": "missing.npy"}},
@@ -536,3 +577,132 @@ class TestEmpiricalSamples:
         spec = write_spec(tmp_path, document)
         assert cli.main(["curve", "--config", spec, "--out", str(tmp_path)]) == 2
         assert "sample file not found" in capsys.readouterr().err
+
+
+def _row_fmt(value) -> str:
+    """Cell text of the row-based writer the column writer replaced."""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+class TestColumnWriter:
+    """The column writer gives, cell for cell, the bytes of the row writer."""
+
+    FLOATS = [-0.0, 0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+              5e-324, -5e-324, 1e16, 0.1, 0.1 + 0.2, -0.0, 1e16, 2.5, 0.0]
+
+    @staticmethod
+    def _written(tmp_path, columns) -> list[str]:
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, ["comment"], [f"c{i}" for i in range(len(columns))], columns)
+        return path.read_text(encoding="utf-8").splitlines()[2:]
+
+    @staticmethod
+    def _reference(rows) -> list[str]:
+        return [",".join(_row_fmt(v) for v in row) for row in rows]
+
+    def test_float_cells(self, tmp_path):
+        array = np.array(self.FLOATS)
+        scalars = [np.float64(v) for v in self.FLOATS]
+        columns = [array, self.FLOATS, scalars, array[::-1].copy()]
+        lines = self._written(tmp_path, columns)
+        assert lines == self._reference(zip(*columns))
+        assert lines[0].split(",")[:2] == ["-0.0", "-0.0"]
+        assert lines[1].split(",")[:2] == ["0.0", "0.0"]
+
+    def test_numeric_cells(self, tmp_path):
+        python = [0, -3, 7, 2**70, 7]
+        numpy = [np.int64(0), np.int32(-3), np.uint8(7), np.int64(-2**62), np.uint64(2**63)]
+        arrays = [np.array([0, -3, 7, -3, 0]), np.array([1, 2**63, 5, 0, 1], dtype=np.uint64),
+                  np.array([4, 4, 4, 4, 4], dtype=np.int32)]
+        columns = [python, numpy, *arrays]
+        assert self._written(tmp_path, columns) == self._reference(zip(*columns))
+
+    def test_bool_array_prints_zero_and_one(self, tmp_path):
+        stable = np.array([True, False, False, True])
+        lines = self._written(tmp_path, [stable, [1.5, -0.0, 0.0, 2.0]])
+        assert lines == self._reference(zip([int(v) for v in stable], [1.5, -0.0, 0.0, 2.0]))
+        assert [line.split(",")[0] for line in lines] == ["1", "0", "0", "1"]
+
+    def test_string_cells(self, tmp_path):
+        # the optimize table: labels, and blanks where a strategy has no value
+        columns = [["layer_weighted_equal", "equal_tolerance_factor"],
+                   [320.0, ""], [np.float64(400.0), ""], ["", 2.4], [0.6, ""]]
+        lines = self._written(tmp_path, columns)
+        assert lines == self._reference(zip(*columns))
+        assert lines[1] == "equal_tolerance_factor,,,2.4,"
+
+    def test_json_rows_hold_python_values(self):
+        stable = np.array([True, False])
+        grid = np.array([-0.0, 1e16])
+        rows = cli._json_rows(["x", "stable", "label"], [grid, stable, ["a", ""]])
+        assert json.dumps(rows) == json.dumps([
+            {"x": float(x), "stable": int(s), "label": label}
+            for x, s, label in zip(grid, stable, ["a", ""])])
+        assert all(type(row["stable"]) is int for row in rows)
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+class TestArtifactDigests:
+    """Exact bytes of CLI artifacts and stdout, captured from the row-based
+    writer before the column writer replaced it.
+
+    A change that means to move these bytes states it and updates them here.
+    """
+
+    @pytest.mark.parametrize("argv, stdout, files", [
+        (["stable-set", "--config", "uniform_symmetric", "--p", "0.2"],
+         "6b3c21b1902392d2300ea7aa7a502ae5366432403245c48f22d2e99b3d4a02fe",
+         {"stable_set_uniform_symmetric.csv":
+          "5d629e7d863af68141c51731b09175a0cc865d063a0fd060efe979c0c00d7664",
+          "stable_set_uniform_symmetric.json":
+          "4740bd5eb49e33473ad860609321811a181ee36e6887f655daedaeb4f35e3612"}),
+        (["stable-set", "--config", "mixed_families", "--system", "uniform_uniform",
+          "--p", "0.2", "--resolution", "60", "--format", "json"],
+         "b48b9ec994061893b49e92187d693c4dc7f0563b5e5046087f44c411fd486478",
+         {"stable_set_uniform_uniform.json":
+          "bc35970b853d7aae8b48763028951cac19e8ae3015753e84cf49e5fe09ab3d78"}),
+        (["stable-set", "--config", "alloc_pareto_uniform", "--system",
+          "equal_tolerance_factor", "--p", "0.2", "--resolution", "16"],
+         "dabe6aedf31ffcf4e7c4a10c4061fe47f35456094c7bb606a53644fa2110d120",
+         {"stable_set_equal_tolerance_factor.csv":
+          "953f6b3b8d05f346d4a55cee3346e8a08222d5069d2063636faa1d851e7631d4",
+          "stable_set_equal_tolerance_factor.json":
+          "1220f392ff4cebbf93085c313ebf0781981bf152bd937ca9d851bf566c6ff156"}),
+        (["curve", "--config", "uniform_symmetric"],
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         {"curve_uniform_symmetric.csv":
+          "5d70e64f6e268d5f2f7f321c37273b37830c28a2d97ad3ccb39ad6deef2d2949"}),
+        (["critical", "--config", "mixed_families"],
+         "275b56e80d6b8168fcc6d8edb1250079f51ff7a0ce6a2992969f93858c12b8bb",
+         {"critical.csv":
+          "5485d780386719ccb19c8aa0327027255669891d8356d1c14caf2a7c38c612da"}),
+        (["optimize", "--config", "alloc_pareto_uniform", "--system",
+          "layer_weighted_equal", "--budget", "720"],
+         "a1df6dd596ef0764d6acb494be1704b825b0c05cbaf420d0c5b44b559a5142da",
+         {"optimize_layer_weighted_equal.csv":
+          "b7e2086f989b8a2c053e71687fea1b6e46d4b5cc541eb0794c67aa5d1e8e3783"}),
+        (["simulate", "--config", "SMALL_SIMULATE", "--raw"],
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         {"simulate_demo.csv":
+          "2c1d80d1ba30101d274d3a61f03b0f5f5c74364d4880fff9b2df06e8a4995af1",
+          "simulate_demo_runs.csv":
+          "744591b6528eaa94d6f6897a3bd95499c2286162b44c6937969a8f30dc8061f5"}),
+    ], ids=["stable_set", "stable_set_json", "stable_set_sample_backed", "curve",
+            "critical", "optimize", "simulate_raw"])
+    def test_digest(self, tmp_path, capsys, argv, stdout, files):
+        if "SMALL_SIMULATE" in argv:
+            document = dict(SMALL_SPEC, mode="simulate",
+                            sim={"n": 1000, "runs": 2, "seed_base": 7})
+            argv = [write_spec(tmp_path, document) if a == "SMALL_SIMULATE" else a
+                    for a in argv]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(out), "--threads", "1"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout
+        assert _digests(out) == files
