@@ -49,9 +49,7 @@ def _resolve_config_path(value: str) -> Path:
 def _apply_seed_override(spec: ExperimentSpec, seed: int | None) -> ExperimentSpec:
     if seed is None or spec.sim is None:
         return spec
-    resolved = dict(spec.resolved, sim=dict(spec.resolved["sim"], seed_base=seed))
-    return dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, seed_base=seed),
-                               resolved=resolved)
+    return dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, seed_base=seed))
 
 
 def _out_dir(args, spec: ExperimentSpec) -> Path:
@@ -324,14 +322,17 @@ def cmd_simulate(args, spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
-def _worker_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
+def _integer_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experiment spec (path or bundled config name)")
         p.add_argument("--out", default=None,
                        help="output directory (default: the spec's, or ./out)")
-        p.add_argument("--threads", type=_worker_count, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=_integer_at_least(1), default=os.cpu_count() or 1,
                        help="worker processes for Monte Carlo runs")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_integer_at_least(0), default=None,
                        help="override the spec's sim.seed_base")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (default: the spec's, or csv)")

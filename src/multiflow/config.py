@@ -2,9 +2,12 @@
 
 A spec is a single JSON document: named systems (distribution records plus
 cross-layer factors, or load marginals plus an allocation strategy), a
-p-grid, the run mode, and Monte Carlo parameters.  Parse errors name the
-offending field.  The parsed spec keeps a fully resolved, JSON-able copy of
-itself so output files can embed exactly what produced them.
+p-grid, the run mode, and Monte Carlo parameters.  Each kind of record has
+one schema, a module constant mapping each field to its kind and default,
+and every record is read against its schema by ``_read``: an unknown key,
+a missing field or a wrong-typed value fails with an error that names the
+field.  The parsed spec derives a fully resolved, JSON-able copy of itself
+so output files can embed exactly what produced them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +46,6 @@ _STRATEGIES = {
     "per_layer_equal": PerLayerEqual,
 }
 
-# Keys of a system record besides beta_a/beta_b, by the record's kind.
-_SYSTEM_FIELDS = {
-    "samples": ("samples",),
-    "allocation": ("allocation", "load_a", "load_b"),
-    "marginals": ("load_a", "free_a", "load_b", "free_b"),
-}
-
 
 class ConfigError(ValueError):
     """Invalid experiment specification; message names the field."""
@@ -76,7 +72,17 @@ class ExperimentSpec:
     mode: str
     sim: SimParams | None
     output: OutputParams
-    resolved: dict
+    resolved_systems: dict[str, dict]
+
+    @property
+    def resolved(self) -> dict:
+        """The JSON-able spec that produced a run, as output files embed it."""
+        resolved = {"systems": self.resolved_systems, "mode": self.mode}
+        if self.p_grid is not None:
+            resolved["p_grid"] = self.p_grid
+        if self.sim is not None:
+            resolved["sim"] = asdict(self.sim)
+        return resolved
 
     @property
     def canonical(self) -> str:
@@ -87,109 +93,127 @@ class ExperimentSpec:
         return hashlib.sha256(self.canonical.encode()).hexdigest()
 
 
-def _field(record: dict, name: str, where: str, kind=None, required: bool = True,
-           default=None):
-    if name not in record:
-        if required:
-            raise ConfigError(f"{where}.{name}: missing")
-        return default
-    value = record[name]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{name}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{name}: expected an integer, got {value!r}")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}.{name}: expected a boolean, got {value!r}")
-        return value
-    return value
+# A field's kind is a type or a union of types, or a tuple of the strings it
+# may be.  A number is an int or a float, never a bool, and is read as a float.
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean", str: "a string",
+               list: "a list", dict: "an object",
+               list | dict: "a list or a min/max/count object"}
 
 
-def _check_keys(record: dict, allowed, where: str) -> None:
-    """Reject a key the record type does not define, naming it."""
+def _value(value, kind, where: str):
+    """One field's value, checked against its kind; a number comes back as a float."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{where}: expected one of {list(kind)}, got {value!r}")
+        return value
+    if not isinstance(value, (int, float) if kind is float else kind) or \
+            (isinstance(value, bool) and kind in (float, int)):
+        raise ConfigError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _read(record, where: str, schema: dict) -> dict:
+    """The fields of one spec record, checked against ``schema``.
+
+    The schema maps each field name to its kind and default; a field whose
+    default is ``MISSING`` is required.  Left-out fields get their defaults.
+    """
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where}: expected an object, got {record!r}")
     for key in record:
-        if key not in allowed:
+        if key not in schema:
             raise ConfigError(f"{where}.{key}: unknown field; expected one of "
-                              f"{sorted(allowed)}")
+                              f"{sorted(schema)}")
+    values = {}
+    for name, (kind, default) in schema.items():
+        if name in record:
+            values[name] = _value(record[name], kind, f"{where}.{name}")
+        elif default is MISSING:
+            raise ConfigError(f"{where}.{name}: missing")
+        else:
+            values[name] = default
+    return values
+
+
+def _schema(cls, kind=None, **kinds) -> dict:
+    """A dataclass's fields as a schema, each with its dataclass default and
+    the kind ``kinds`` gives it, else ``kind``."""
+    return {f.name: (kinds.get(f.name, kind), f.default) for f in fields(cls)}
+
+
+_FACTORS = _schema(CrossLayerFactors, float)
+_MARGINAL = (dict, MISSING)
+# A system record's kind is the first of these keys it holds, else "marginals".
+_SYSTEMS = {
+    "samples": {**_FACTORS, "samples": (str, MISSING)},
+    "allocation": {**_FACTORS, "allocation": (dict, MISSING),
+                   "load_a": _MARGINAL, "load_b": _MARGINAL},
+    "marginals": {**_FACTORS, "load_a": _MARGINAL, "free_a": _MARGINAL,
+                  "load_b": _MARGINAL, "free_b": _MARGINAL},
+}
+# A strategy's record is its name plus its dataclass fields as numbers.
+_STRATEGY_NAME = {"strategy": (tuple(sorted(_STRATEGIES)), MISSING)}
+_ALLOCATIONS = {name: {**_STRATEGY_NAME, **_schema(cls, float)}
+                for name, cls in _STRATEGIES.items()}
+_P_RANGE = {"min": (float, MISSING), "max": (float, MISSING), "count": (int, MISSING)}
+_SIM = _schema(SimParams, int, resample_population=bool)
+_OUTPUT = _schema(OutputParams, directory=str, formats=list)
+_SPEC = {"systems": (dict, MISSING), "mode": (MODES, "analytic"),
+         "p_grid": (list | dict, None), "sim": (dict, None), "output": (dict, {})}
 
 
 def _parse_strategy(record: dict, where: str) -> AllocationStrategy:
-    if not isinstance(record, dict):
-        raise ConfigError(f"{where}: expected an object, got {record!r}")
-    name = _field(record, "strategy", where)
-    if not isinstance(name, str) or name not in _STRATEGIES:
-        raise ConfigError(
-            f"{where}.strategy: expected one of {sorted(_STRATEGIES)}, got {name!r}")
-    cls = _STRATEGIES[name]
-    _check_keys(record, {"strategy", *(f.name for f in fields(cls))}, where)
-    # A field is required iff it has no default.
+    # The name picks the schema of the rest of the record, so it is read first.
+    named = {k: v for k, v in record.items() if k == "strategy"}
+    name = _read(named, where, _STRATEGY_NAME)["strategy"]
+    values = _read(record, where, _ALLOCATIONS[name])
+    del values["strategy"]
     try:
-        return cls(**{f.name: _field(record, f.name, where, float,
-                                     required=f.default is MISSING)
-                      for f in fields(cls)})
+        return _STRATEGIES[name](**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _load_samples(path_value, base_dir: Path, where: str) -> np.ndarray:
-    if not isinstance(path_value, str):
-        raise ConfigError(f"{where}.samples: expected a file path, got {path_value!r}")
+def _load_samples(path_value: str, base_dir: Path, where: str) -> EmpiricalJoint:
     path = Path(path_value)
     if not path.is_absolute():
         path = base_dir / path
     if not path.exists():
         raise ConfigError(f"{where}: sample file not found: {path}")
     try:
-        if path.suffix == ".npy":
-            return np.load(path)
-        return np.loadtxt(path, delimiter=",")
+        samples = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",")
     except Exception as exc:
         raise ConfigError(f"{where}: could not read samples: {exc}") from exc
+    try:
+        return EmpiricalJoint(samples, source={"samples": path_value})
+    except DistributionError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig, dict]:
     """Build one SystemConfig plus its resolved JSON description."""
-    if not isinstance(record, dict):
-        raise ConfigError(f"{where}: expected an object, got {record!r}")
-    beta_a = _field(record, "beta_a", where, float, required=False, default=0.0)
-    beta_b = _field(record, "beta_b", where, float, required=False, default=0.0)
+    kind = next((k for k in ("samples", "allocation")
+                 if isinstance(record, dict) and k in record), "marginals")
+    values = _read(record, where, _SYSTEMS[kind])
     try:
-        factors = CrossLayerFactors(beta_a, beta_b)
+        factors = CrossLayerFactors(values.pop("beta_a"), values.pop("beta_b"))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
-    kind = next((k for k in ("samples", "allocation") if k in record), "marginals")
-    _check_keys(record, {"beta_a", "beta_b", *_SYSTEM_FIELDS[kind]}, where)
     try:
         if kind == "samples":
-            samples = _load_samples(_field(record, "samples", where), base_dir, where)
-            try:
-                joint = EmpiricalJoint(samples)
-            except DistributionError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-            cfg = SystemConfig(replace(joint, source={"samples": record["samples"],
-                                                      "count": joint.sample_count}), factors)
-        elif kind == "allocation":
-            strategy = _parse_strategy(record["allocation"], f"{where}.allocation")
-            load_a = marginal_from_dict(_field(record, "load_a", where), f"{where}.load_a")
-            load_b = marginal_from_dict(_field(record, "load_b", where), f"{where}.load_b")
-            cfg = apply_strategy(strategy, load_a, load_b, factors)
+            cfg = SystemConfig(_load_samples(values["samples"], base_dir, where), factors)
         else:
-            joint = IndependentJoint(
-                marginal_from_dict(_field(record, "load_a", where), f"{where}.load_a"),
-                marginal_from_dict(_field(record, "free_a", where), f"{where}.free_a"),
-                marginal_from_dict(_field(record, "load_b", where), f"{where}.load_b"),
-                marginal_from_dict(_field(record, "free_b", where), f"{where}.free_b"),
-            )
-            cfg = SystemConfig(joint, factors)
+            strategy = (_parse_strategy(values.pop("allocation"), f"{where}.allocation")
+                        if kind == "allocation" else None)
+            marginals = [marginal_from_dict(value, f"{where}.{name}")
+                         for name, value in values.items()]
+            cfg = (SystemConfig(IndependentJoint(*marginals), factors) if strategy is None
+                   else apply_strategy(strategy, *marginals, factors))
     except DistributionError as exc:
         raise ConfigError(str(exc)) from exc
 
-    resolved = {"beta_a": beta_a, "beta_b": beta_b, **cfg.joint.to_dict()}
+    resolved = {"beta_a": factors.beta_a, "beta_b": factors.beta_b, **cfg.joint.to_dict()}
     if kind == "allocation":
         resolved["allocation"] = dict(record["allocation"])
     return cfg, resolved
@@ -197,21 +221,12 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
 
 def _parse_p_grid(value, where: str) -> list[float]:
     if isinstance(value, dict):
-        _check_keys(value, ("min", "max", "count"), where)
-        lo = _field(value, "min", where, float)
-        hi = _field(value, "max", where, float)
-        count = _field(value, "count", where, int)
-        if count < 1:
-            raise ConfigError(f"{where}.count: must be >= 1, got {count}")
-        grid = [float(p) for p in np.linspace(lo, hi, count)]
-    elif isinstance(value, list):
-        grid = []
-        for i, p in enumerate(value):
-            if not isinstance(p, (int, float)) or isinstance(p, bool):
-                raise ConfigError(f"{where}[{i}]: expected a number, got {p!r}")
-            grid.append(float(p))
+        bounds = _read(value, where, _P_RANGE)
+        if bounds["count"] < 1:
+            raise ConfigError(f"{where}.count: must be >= 1, got {bounds['count']}")
+        grid = [float(p) for p in np.linspace(bounds["min"], bounds["max"], bounds["count"])]
     else:
-        raise ConfigError(f"{where}: expected a list or a min/max/count object")
+        grid = [_value(p, float, f"{where}[{i}]") for i, p in enumerate(value)]
     if not grid:
         raise ConfigError(f"{where}: must not be empty")
     for p in grid:
@@ -221,77 +236,38 @@ def _parse_p_grid(value, where: str) -> list[float]:
 
 
 def parse_experiment(document: dict, base_dir: Path | None = None) -> ExperimentSpec:
-    if not isinstance(document, dict):
-        raise ConfigError("spec: expected a JSON object at the top level")
+    spec = _read(document, "spec", _SPEC)
     base_dir = base_dir or Path.cwd()
-    _check_keys(document, ("systems", "mode", "p_grid", "sim", "output"), "spec")
-
-    systems_record = _field(document, "systems", "spec")
-    if not isinstance(systems_record, dict) or not systems_record:
+    if not spec["systems"]:
         raise ConfigError("spec.systems: expected a non-empty object of named systems")
     systems: dict[str, SystemConfig] = {}
     resolved_systems: dict[str, dict] = {}
-    for name, record in systems_record.items():
-        cfg, resolved = parse_system(record, f"spec.systems.{name}", base_dir)
-        systems[name] = cfg
-        resolved_systems[name] = resolved
-
-    mode = _field(document, "mode", "spec", required=False, default="analytic")
-    if mode not in MODES:
-        raise ConfigError(f"spec.mode: expected one of {MODES}, got {mode!r}")
+    for name, record in spec["systems"].items():
+        systems[name], resolved_systems[name] = parse_system(
+            record, f"spec.systems.{name}", base_dir)
 
     p_grid = None
-    if "p_grid" in document:
-        p_grid = _parse_p_grid(document["p_grid"], "spec.p_grid")
+    if spec["p_grid"] is not None:
+        p_grid = _parse_p_grid(spec["p_grid"], "spec.p_grid")
 
     sim = None
-    if "sim" in document:
-        record = document["sim"]
-        if not isinstance(record, dict):
-            raise ConfigError("spec.sim: expected an object")
-        _check_keys(record, ("n", "runs", "seed_base", "resample_population"), "spec.sim")
-        sim = SimParams(
-            n=_field(record, "n", "spec.sim", int),
-            runs=_field(record, "runs", "spec.sim", int),
-            seed_base=_field(record, "seed_base", "spec.sim", int),
-            resample_population=_field(record, "resample_population", "spec.sim",
-                                       bool, required=False, default=True),
-        )
-        if sim.n < 1:
-            raise ConfigError(f"spec.sim.n: must be >= 1, got {sim.n}")
-        if sim.runs < 1:
-            raise ConfigError(f"spec.sim.runs: must be >= 1, got {sim.runs}")
-    if mode in ("simulate", "both") and sim is None:
-        raise ConfigError(f"spec.sim: required when mode is {mode!r}")
+    if spec["sim"] is not None:
+        values = _read(spec["sim"], "spec.sim", _SIM)
+        for name, low in (("n", 1), ("runs", 1), ("seed_base", 0)):
+            if values[name] < low:
+                raise ConfigError(f"spec.sim.{name}: must be >= {low}, got {values[name]}")
+        sim = SimParams(**values)
+    if spec["mode"] in ("simulate", "both") and sim is None:
+        raise ConfigError(f"spec.sim: required when mode is {spec['mode']!r}")
 
-    output = OutputParams()
-    if "output" in document:
-        record = document["output"]
-        if not isinstance(record, dict):
-            raise ConfigError("spec.output: expected an object")
-        _check_keys(record, ("directory", "formats"), "spec.output")
-        directory = _field(record, "directory", "spec.output", required=False,
-                           default="out")
-        formats = _field(record, "formats", "spec.output", required=False,
-                         default=["csv"])
-        if not isinstance(formats, list) or not formats or \
-                any(f not in ("csv", "json") for f in formats):
-            raise ConfigError("spec.output.formats: expected a list drawn from "
-                              "['csv', 'json']")
-        output = OutputParams(directory=str(directory), formats=tuple(formats))
+    values = _read(spec["output"], "spec.output", _OUTPUT)
+    if not values["formats"] or any(f not in ("csv", "json") for f in values["formats"]):
+        raise ConfigError("spec.output.formats: expected a list drawn from "
+                          "['csv', 'json']")
+    output = OutputParams(values["directory"], tuple(values["formats"]))
 
-    resolved = {
-        "systems": resolved_systems,
-        "mode": mode,
-    }
-    if p_grid is not None:
-        resolved["p_grid"] = p_grid
-    if sim is not None:
-        resolved["sim"] = {"n": sim.n, "runs": sim.runs, "seed_base": sim.seed_base,
-                           "resample_population": sim.resample_population}
-
-    return ExperimentSpec(systems=systems, p_grid=p_grid, mode=mode, sim=sim,
-                          output=output, resolved=resolved)
+    return ExperimentSpec(systems=systems, p_grid=p_grid, mode=spec["mode"], sim=sim,
+                          output=output, resolved_systems=resolved_systems)
 
 
 def _reject_duplicate_keys(pairs):

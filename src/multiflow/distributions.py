@@ -36,6 +36,7 @@ allocations must be evaluated strictly below their critical attack size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -214,13 +215,14 @@ def marginal_from_dict(record: dict, where: str = "distribution") -> MarginalDis
     def field(name: str) -> float:
         if name not in record:
             raise DistributionError(f"{where}.{name}: missing for kind={kind!r}")
-        try:
-            return float(record[name])
-        except (TypeError, ValueError):
-            raise DistributionError(f"{where}.{name}: expected a number, got {record[name]!r}")
+        value = record[name]
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise DistributionError(f"{where}.{name}: expected a number, got {value!r}")
+        return float(value)
 
+    values = [field(name) for name in names]
     try:
-        return cls(*(field(name) for name in names))
+        return cls(*values)
     except DistributionError as exc:
         raise DistributionError(f"{where}: {exc}") from exc
 
@@ -234,12 +236,12 @@ def marginal_to_dict(dist: MarginalDistribution) -> dict:
     raise TypeError(f"expected a marginal distribution, got {type(dist).__name__}")
 
 
-def support_cap(dist: MarginalDistribution, tail_quantile: float = 0.9999) -> float:
-    """Finite stand-in for the upper end of the support (tail quantile if unbounded)."""
+def support_cap(dist: MarginalDistribution) -> float:
+    """Finite stand-in for the upper end of the support (0.9999 quantile if unbounded)."""
     bound = dist.upper_bound()
     if math.isfinite(bound):
         return bound
-    return float(dist.quantile(tail_quantile))
+    return float(dist.quantile(0.9999))
 
 
 class SurvivalStats(NamedTuple):
@@ -589,7 +591,7 @@ class EmpiricalJoint(JointLoadSpace):
 
     def to_dict(self) -> dict:
         if self.source is not None:
-            return dict(self.source)
+            return {**self.source, "count": self.sample_count}
         return {"empirical": {"count": self.sample_count}}
 
     def __getstate__(self):

@@ -200,10 +200,9 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
                        iterations, converged)
 
 
-def final_size(p: float, cfg: SystemConfig,
-               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
+def final_size(p: float, cfg: SystemConfig) -> float:
     """Final surviving fraction n_inf(p); 0 on total collapse."""
-    return iterate_to_steady_state(p, cfg, tol=tol, max_iter=max_iter).n_inf
+    return iterate_to_steady_state(p, cfg).n_inf
 
 
 def is_stable_point(x: float, y: float, p: float, cfg: SystemConfig,
@@ -303,9 +302,8 @@ class CriticalAttackResult:
         return self.p_hat
 
 
-def critical_attack_size(cfg: SystemConfig, tol_p: float = DEFAULT_TOL_P,
-                         tol: float = DEFAULT_TOL,
-                         max_iter: int = DEFAULT_MAX_ITER) -> CriticalAttackResult:
+def critical_attack_size(cfg: SystemConfig,
+                         tol_p: float = DEFAULT_TOL_P) -> CriticalAttackResult:
     """Largest attack fraction with a positive final size, within tol_p.
 
     A coarse scan of [tol_p, 1 - tol_p], so tol_p < 0.5, brackets the
@@ -315,7 +313,7 @@ def critical_attack_size(cfg: SystemConfig, tol_p: float = DEFAULT_TOL_P,
         raise ValueError(f"tol_p must lie strictly in (0, 0.5), got {tol_p}")
 
     def alive(p: float) -> bool:
-        return final_size(p, cfg, tol=tol, max_iter=max_iter) > 0.0
+        return final_size(p, cfg) > 0.0
 
     if not alive(tol_p):
         return CriticalAttackResult(0.0, 0.0, tol_p, degenerate=True)

@@ -332,6 +332,8 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
         raise ValueError(f"population size must be >= 1, got {n}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if seed_base < 0:
+        raise ValueError(f"seed_base must be >= 0, got {seed_base}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if resample_population:

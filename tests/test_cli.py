@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,53 @@ class TestConfigErrors:
         record.update(value)
         with pytest.raises(ConfigError, match=f"^{field}: unknown field"):
             parse_experiment(document, base_dir=tmp_path)
+
+    WRONG_TYPES = [
+        ((), "mode", 1, "spec.mode"),
+        (("systems", "demo"), "beta_a", "0.25", "spec.systems.demo.beta_a"),
+        (("systems", "demo"), "load_a", [20, 40], "spec.systems.demo.load_a"),
+        (("systems", "emp"), "samples", 7, "spec.systems.emp.samples"),
+        (("systems", "alloc", "allocation"), "s_total", "720",
+         "spec.systems.alloc.allocation.s_total"),
+        (("systems", "alloc", "allocation"), "strategy", ["equal_free_space"],
+         "spec.systems.alloc.allocation.strategy"),
+        (("p_grid",), "count", 2.5, "spec.p_grid.count"),
+        ((), "p_grid", [0.1, True], "spec.p_grid[1]"),
+        ((), "p_grid", None, "spec.p_grid"),
+        (("sim",), "n", True, "spec.sim.n"),
+        (("sim",), "resample_population", 1, "spec.sim.resample_population"),
+        (("output",), "directory", None, "spec.output.directory"),
+        (("output",), "directory", 5, "spec.output.directory"),
+        (("output",), "directory", ["out"], "spec.output.directory"),
+        (("output",), "formats", "csv", "spec.output.formats"),
+        ((), "sim", None, "spec.sim"),
+        ((), "output", "out", "spec.output"),
+    ]
+
+    @pytest.mark.parametrize("path, key, value, field", WRONG_TYPES,
+                             ids=[f"{t[3]}={t[2]!r}" for t in WRONG_TYPES])
+    def test_wrong_type_is_named(self, tmp_path, path, key, value, field):
+        np.save(tmp_path / "samples.npy", np.full((20_000, 4), 30.0))
+        document = dict(json.loads(json.dumps(SMALL_SPEC)),
+                        p_grid={"min": 0.1, "max": 0.5, "count": 3},
+                        sim={"n": 100, "runs": 1, "seed_base": 1},
+                        output={"directory": "out"})
+        document["systems"]["alloc"] = {
+            "load_a": {"kind": "pareto", "min": 100, "b": 5},
+            "load_b": {"kind": "uniform", "min": 150, "max": 200},
+            "allocation": {"strategy": "equal_tolerance_factor", "s_total": 720}}
+        document["systems"]["emp"] = {"samples": "samples.npy"}
+        parse_experiment(document, base_dir=tmp_path)  # valid as it is
+        record = document
+        for name in path:
+            record = record[name]
+        record[key] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: expected"):
+            parse_experiment(document, base_dir=tmp_path)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="^spec: expected an object"):
+            parse_experiment([SMALL_SPEC])
 
 
 class TestCriticalCommand:
@@ -416,6 +464,25 @@ class TestSimulateCommand:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        document = dict(SMALL_SPEC, mode="simulate", p_grid=[0.25],
+                        sim={"n": 100, "runs": 1, "seed_base": 7})
+        spec = write_spec(tmp_path, document)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", spec, "--out", str(out),
+                         "--seed", "-3"]) == 2
+        assert "--seed: must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_base_in_spec_names_the_field(self, tmp_path, capsys):
+        document = dict(SMALL_SPEC, mode="simulate", p_grid=[0.25],
+                        sim={"n": 100, "runs": 1, "seed_base": -1})
+        spec = write_spec(tmp_path, document)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", spec, "--out", str(out)]) == 2
+        assert "error: spec.sim.seed_base: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_keeps_the_other_sim_fields(self, tmp_path):
         document = dict(SMALL_SPEC, mode="simulate",
                         sim={"n": 500, "runs": 2, "seed_base": 7,
@@ -568,6 +635,17 @@ class TestEmpiricalSamples:
         spec = load_experiment(write_spec(tmp_path, document))
         assert spec.resolved["systems"]["measured"] == {
             "beta_a": 0.0, "beta_b": 0.0, "samples": "samples.csv", "count": 20_000}
+
+    def test_sample_file_is_held_once(self, tmp_path, monkeypatch):
+        from multiflow.distributions import EmpiricalJoint
+        held = []
+        hold = EmpiricalJoint._hold
+        monkeypatch.setattr(EmpiricalJoint, "_hold",
+                            lambda joint, samples: held.append(1) or hold(joint, samples))
+        np.save(tmp_path / "samples.npy", np.full((20_000, 4), 30.0))
+        document = {"systems": {"measured": {"samples": "samples.npy"}}, "p_grid": [0.25]}
+        load_experiment(write_spec(tmp_path, document))
+        assert len(held) == 1
 
     def test_missing_sample_file(self, tmp_path, capsys):
         document = {

@@ -213,6 +213,17 @@ class TestValidation:
         with pytest.raises(DistributionError, match="load_a.b"):
             marginal_from_dict({"kind": "pareto", "min": 5, "b": "two"}, where="load_a")
 
+    @pytest.mark.parametrize("value", ["20", True, np.bool_(True), None])
+    def test_from_dict_takes_numbers_only(self, value):
+        with pytest.raises(DistributionError, match=r"^load_a\.min: expected a number"):
+            marginal_from_dict({"kind": "uniform", "min": value, "max": 40}, where="load_a")
+
+    def test_from_dict_takes_numpy_numbers(self):
+        dist = marginal_from_dict({"kind": "uniform", "min": np.float64(20),
+                                   "max": np.int64(40)})
+        assert dist == Uniform(20.0, 40.0)
+        assert type(dist.low) is float and type(dist.high) is float
+
     @pytest.mark.parametrize("record, typo", [
         ({"kind": "uniform", "min": 20, "max": 40, "maximum": 50}, "maximum"),
         ({"kind": "pareto", "min": 5, "b": 2, "shape": 2}, "shape"),

@@ -475,3 +475,7 @@ class TestMonteCarloCurve:
             monte_carlo_curve(symmetric_uniform_config, 100, ["0.5"], runs=1, seed_base=1)
         with pytest.raises(ValueError, match="population size"):
             monte_carlo_curve(symmetric_uniform_config, 0, [0.5], runs=1, seed_base=1)
+
+    def test_rejects_negative_seed_base(self, symmetric_uniform_config):
+        with pytest.raises(ValueError, match="^seed_base must be >= 0, got -1"):
+            monte_carlo_curve(symmetric_uniform_config, 100, [0.5], runs=1, seed_base=-1)
