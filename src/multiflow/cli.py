@@ -131,27 +131,31 @@ def _json_provenance(spec: ExperimentSpec, kind: str, system: str | None) -> dic
 
 
 def _table(args, spec: ExperimentSpec, kind: str, system: str | None,
-           header: list[str], columns, extra_comments: list[str] = (),
+           header: list[str], columns, notes: dict | None = None,
            stem: str | None = None) -> None:
-    """Write one sequence per header field to ``<stem>.<format>`` for each format."""
+    """Write one sequence per header field to ``<stem>.<format>`` for each format.
+
+    Each of ``notes`` is a ``key=value`` comment of the CSV and a field of the JSON.
+    """
     if stem is None:
         stem = kind if system is None else f"{kind}_{system}"
+    notes = notes or {}
     out = _out_dir(args, spec)
     for fmt in _formats(args, spec):
         if fmt == "json":
-            payload = _json_provenance(spec, kind, system)
-            payload["rows"] = _json_rows(header, columns)
+            payload = {**_json_provenance(spec, kind, system), **notes,
+                       "rows": _json_rows(header, columns)}
             _write_json(out / f"{stem}.json", payload)
         else:
             _write_csv(out / f"{stem}.csv",
-                       _provenance(spec, kind, system) + list(extra_comments), header,
-                       columns)
+                       _provenance(spec, kind, system)
+                       + [f"{key}={value}" for key, value in notes.items()],
+                       header, columns)
 
 
 def cmd_curve(args, spec: ExperimentSpec) -> int:
     if spec.p_grid is None:
-        print("error: spec.p_grid: required for the curve command", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("spec.p_grid: required for the curve command")
     with_sim = spec.mode in ("simulate", "both")
     exit_code = EXIT_OK
     for name, cfg in spec.systems.items():
@@ -171,12 +175,11 @@ def cmd_curve(args, spec: ExperimentSpec) -> int:
                 resample_population=spec.sim.resample_population)
             header += ["sim_mean", "sim_std"]
             columns += [curve.mean, curve.std]
-        extra = []
+        notes = {}
         if nonconverged:
-            extra.append(f"nonconverged_p={nonconverged}")
+            notes["nonconverged_p"] = nonconverged
             exit_code = EXIT_NONCONVERGED
-        _table(args, spec, "curve", name, header, columns,
-               extra_comments=extra)
+        _table(args, spec, "curve", name, header, columns, notes)
     return exit_code
 
 
@@ -214,8 +217,7 @@ def _single_system(args, spec: ExperimentSpec):
 def cmd_stable_set(args, spec: ExperimentSpec) -> int:
     name, cfg = _single_system(args, spec)
     if not (0.0 < args.p < 1.0):
-        print(f"error: --p must lie strictly in (0, 1), got {args.p}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--p must lie strictly in (0, 1), got {args.p}")
     grid = meanfield.stable_set_grid(args.p, cfg, x_max=args.x_max, y_max=args.y_max,
                                      resolution=args.resolution)
     header = ["x", "y", "lhs_a", "lhs_b", "stable"]
@@ -262,13 +264,11 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
         elif "free_a" in resolved:
             s_total = joint.mean_free_a + joint.mean_free_b
     if s_total is None or s_total <= 0:
-        print("error: free-space budget missing (give --budget or an allocation "
-              "with s_total)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("free-space budget missing (give --budget or an allocation "
+                          "with s_total)")
 
     if (args.mu_a is None) != (args.mu_b is None):
-        print("error: give both --mu-a and --mu-b or neither", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("give both --mu-a and --mu-b or neither")
     strategies = [("layer_weighted_equal", allocate.LayerWeightedEqual(s_total)),
                   ("equal_free_space", allocate.EqualFreeSpace(s_total)),
                   ("equal_tolerance_factor", allocate.EqualToleranceFactor(s_total=s_total))]
@@ -299,11 +299,9 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
 
 def cmd_simulate(args, spec: ExperimentSpec) -> int:
     if spec.p_grid is None:
-        print("error: spec.p_grid: required for the simulate command", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("spec.p_grid: required for the simulate command")
     if spec.sim is None:
-        print("error: spec.sim: required for the simulate command", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("spec.sim: required for the simulate command")
     for name, cfg in spec.systems.items():
         curve = simulate.monte_carlo_curve(
             cfg, spec.sim.n, spec.p_grid, spec.sim.runs, spec.sim.seed_base,

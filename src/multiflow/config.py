@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -94,22 +95,24 @@ class ExperimentSpec:
 
 
 # A field's kind is a type or a union of types, or a tuple of the strings it
-# may be.  A number is an int or a float, never a bool, and is read as a float.
+# may be.  A number is any real, an integer any integral value (numpy scalars
+# too, never a bool), and each is read as a Python float or int.
+_NUMBERS = {float: numbers.Real, int: numbers.Integral}
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean", str: "a string",
                list: "a list", dict: "an object",
                list | dict: "a list or a min/max/count object"}
 
 
 def _value(value, kind, where: str):
-    """One field's value, checked against its kind; a number comes back as a float."""
+    """One field's value, checked against its kind; a number comes back as a Python float or int."""
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"{where}: expected one of {list(kind)}, got {value!r}")
         return value
-    if not isinstance(value, (int, float) if kind is float else kind) or \
-            (isinstance(value, bool) and kind in (float, int)):
+    number = _NUMBERS.get(kind)
+    if not isinstance(value, number or kind) or (number and isinstance(value, bool)):
         raise ConfigError(f"{where}: expected {_KIND_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    return kind(value) if number else value
 
 
 def _read(record, where: str, schema: dict) -> dict:
@@ -185,7 +188,9 @@ def _load_samples(path_value: str, base_dir: Path, where: str) -> EmpiricalJoint
     except Exception as exc:
         raise ConfigError(f"{where}: could not read samples: {exc}") from exc
     try:
-        return EmpiricalJoint(samples, source={"samples": path_value})
+        # No caller holds the loaded matrix, so the joint keeps it uncopied.
+        samples = np.asarray(samples, dtype=float, order="C")
+        return EmpiricalJoint._adopt(samples, {"samples": path_value})
     except DistributionError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -215,7 +220,9 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
 
     resolved = {"beta_a": factors.beta_a, "beta_b": factors.beta_b, **cfg.joint.to_dict()}
     if kind == "allocation":
-        resolved["allocation"] = dict(record["allocation"])
+        # A Python-built spec may hold numpy scalars, which JSON cannot encode.
+        resolved["allocation"] = {key: value.item() if isinstance(value, np.generic) else value
+                                  for key, value in record["allocation"].items()}
     return cfg, resolved
 
 
@@ -285,6 +292,8 @@ def load_experiment(path: Path) -> ExperimentSpec:
             document = json.load(handle, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: could not read the spec: {exc}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return parse_experiment(document, base_dir=Path(path).parent)

@@ -3,13 +3,14 @@
 Four marginal families cover the configurations used throughout the package:
 uniform, Pareto (classical, location-scale form), Weibull shifted by a
 minimum value, and a Dirac point mass.  All supports are strictly positive.
+Each family holds only its formulas; the base class converts inputs, samples
+and caps the support.
 
 Each joint implements one query, ``cascade_cursor()``: a monotone view whose
 ``advance(x, y)`` gives the joint survival P[S_A > x, S_B > y] and the
-partial load means E[L_i * 1{S_A > x, S_B > y}].  The stateless
-``survival_stats(x, y)`` is one advance of a fresh cursor, unless a closed
-form overrides it; ``joint_survival`` and ``partial_load_expectation`` derive
-from it.
+partial load means E[L_i * 1{S_A > x, S_B > y}].  For every joint the
+stateless ``survival_stats(x, y)`` is one advance of a fresh cursor, and
+``joint_survival`` and ``partial_load_expectation`` derive from it.
 
 Three joint flavours exist: independent marginals (closed form), an
 empirical sample matrix for correlated inputs (e.g. multivariate-normal
@@ -60,10 +61,24 @@ def _scalar_or_array(values: np.ndarray):
 
 
 class _Marginal:
-    """Inverse-CDF sampling for every marginal; Dirac draws too, so streams stay aligned."""
+    """Shared rules; each family implements ``_survival``/``_quantile`` on float arrays.
+
+    Inputs are converted once, and a scalar gives a float.  Sampling is
+    inverse-CDF for every family, Dirac too, so streams stay aligned.
+    """
+
+    def survival(self, x):
+        return _scalar_or_array(self._survival(np.asarray(x, dtype=float)))
+
+    def quantile(self, u):
+        return _scalar_or_array(self._quantile(np.asarray(u, dtype=float)))
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.quantile(rng.random(size))
+
+    def support_cap(self) -> float:
+        """Finite stand-in for the upper end of the support: the 0.9999 quantile."""
+        return self.quantile(0.9999)
 
 
 @dataclass(frozen=True)
@@ -82,16 +97,13 @@ class Uniform(_Marginal):
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
 
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.clip((self.high - x) / (self.high - self.low), 0.0, 1.0)
-        return _scalar_or_array(s)
+    def _survival(self, x):
+        return np.clip((self.high - x) / (self.high - self.low), 0.0, 1.0)
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return _scalar_or_array(self.low + u * (self.high - self.low))
+    def _quantile(self, u):
+        return self.low + u * (self.high - self.low)
 
-    def upper_bound(self) -> float:
+    def support_cap(self) -> float:
         return self.high
 
 
@@ -115,17 +127,11 @@ class Pareto(_Marginal):
     def mean(self) -> float:
         return self.minimum * self.shape / (self.shape - 1.0)
 
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        s = (self.minimum / np.maximum(x, self.minimum)) ** self.shape
-        return _scalar_or_array(s)
+    def _survival(self, x):
+        return (self.minimum / np.maximum(x, self.minimum)) ** self.shape
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return _scalar_or_array(self.minimum * (1.0 - u) ** (-1.0 / self.shape))
-
-    def upper_bound(self) -> float:
-        return math.inf
+    def _quantile(self, u):
+        return self.minimum * (1.0 - u) ** (-1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -147,17 +153,12 @@ class Weibull(_Marginal):
     def mean(self) -> float:
         return self.minimum + self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
+    def _survival(self, x):
         z = np.maximum(x - self.minimum, 0.0) / self.scale
-        return _scalar_or_array(np.exp(-(z ** self.shape)))
+        return np.exp(-(z ** self.shape))
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return _scalar_or_array(self.minimum + self.scale * (-np.log1p(-u)) ** (1.0 / self.shape))
-
-    def upper_bound(self) -> float:
-        return math.inf
+    def _quantile(self, u):
+        return self.minimum + self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -177,14 +178,13 @@ class Dirac(_Marginal):
     def mean(self) -> float:
         return self.value
 
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return _scalar_or_array(np.where(x < self.value, 1.0, 0.0))
+    def _survival(self, x):
+        return np.where(x < self.value, 1.0, 0.0)
 
-    def quantile(self, u):
-        return _scalar_or_array(np.full(np.shape(u), self.value))
+    def _quantile(self, u):
+        return np.full(u.shape, self.value)
 
-    def upper_bound(self) -> float:
+    def support_cap(self) -> float:
         return self.value
 
 
@@ -236,14 +236,6 @@ def marginal_to_dict(dist: MarginalDistribution) -> dict:
     raise TypeError(f"expected a marginal distribution, got {type(dist).__name__}")
 
 
-def support_cap(dist: MarginalDistribution) -> float:
-    """Finite stand-in for the upper end of the support (0.9999 quantile if unbounded)."""
-    bound = dist.upper_bound()
-    if math.isfinite(bound):
-        return bound
-    return float(dist.quantile(0.9999))
-
-
 class SurvivalStats(NamedTuple):
     """Joint survival probability and the partial load means at one threshold pair."""
 
@@ -257,9 +249,10 @@ class JointLoadSpace:
 
     Implementations are immutable after construction and safe to share
     across threads; sampling always takes an explicit generator.  Each
-    implements ``cascade_cursor``; ``survival_stats`` and ``stability_sides``
-    read cursors, which serves every sample-backed joint, and a joint with a
-    closed form overrides them.
+    implements ``cascade_cursor``, and ``survival_stats`` is one advance of a
+    fresh cursor for every joint.  ``stability_sides`` sweeps cursors, which
+    a joint with a closed form overrides.  A pickle carries the dataclass
+    fields only; cached derived values are rebuilt on demand.
     """
 
     mean_load_a: float
@@ -319,6 +312,9 @@ class JointLoadSpace:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 class CascadeCursor:
     """Monotone-threshold view of a joint: ``advance`` with nondecreasing (x, y)."""
@@ -327,12 +323,17 @@ class CascadeCursor:
         raise NotImplementedError
 
 
-class _ClosedFormCursor(CascadeCursor):
-    def __init__(self, joint: JointLoadSpace):
+class _IndependentCursor(CascadeCursor):
+    """Closed form of an independent joint; it keeps no state between advances."""
+
+    def __init__(self, joint: "IndependentJoint"):
         self._joint = joint
 
     def advance(self, x: float, y: float) -> SurvivalStats:
-        return self._joint.survival_stats(x, y)
+        # L independent of (S_A, S_B): the indicator factors out.
+        joint = self._joint
+        prob = joint.free_a.survival(x) * joint.free_b.survival(y)
+        return SurvivalStats(prob, joint.mean_load_a * prob, joint.mean_load_b * prob)
 
 
 @dataclass(frozen=True)
@@ -360,13 +361,8 @@ class IndependentJoint(JointLoadSpace):
     def mean_free_b(self) -> float:
         return self.free_b.mean()
 
-    def survival_stats(self, x: float, y: float) -> SurvivalStats:
-        # L independent of (S_A, S_B): the indicator factors out.
-        prob = self.free_a.survival(x) * self.free_b.survival(y)
-        return SurvivalStats(prob, self.mean_load_a * prob, self.mean_load_b * prob)
-
     def cascade_cursor(self) -> CascadeCursor:
-        return _ClosedFormCursor(self)
+        return _IndependentCursor(self)
 
     def stability_sides(self, xs, ys, beta_a: float, beta_b: float):
         # Partial loads are E[L] * P, so each side is P * (x + E[L]) / E[L].
@@ -384,7 +380,7 @@ class IndependentJoint(JointLoadSpace):
         return load_a, free_a, load_b, free_b
 
     def free_space_cap(self) -> float:
-        return max(support_cap(self.free_a), support_cap(self.free_b))
+        return max(self.free_a.support_cap(), self.free_b.support_cap())
 
     def to_dict(self) -> dict:
         return {
@@ -506,10 +502,10 @@ class EmpiricalJoint(JointLoadSpace):
         self._hold(np.array(self.samples, dtype=float, order="C"))
 
     @classmethod
-    def _adopt(cls, samples: np.ndarray) -> "EmpiricalJoint":
+    def _adopt(cls, samples: np.ndarray, source: dict | None = None) -> "EmpiricalJoint":
         """Wrap a C-order float matrix that no caller holds, without copying it."""
         joint = cls.__new__(cls)
-        object.__setattr__(joint, "source", None)
+        object.__setattr__(joint, "source", source)
         joint._hold(samples)
         return joint
 
@@ -594,10 +590,6 @@ class EmpiricalJoint(JointLoadSpace):
             return {**self.source, "count": self.sample_count}
         return {"empirical": {"count": self.sample_count}}
 
-    def __getstate__(self):
-        # Derived arrays are rebuilt on demand; a pickle carries the sample only.
-        return {"samples": self.samples, "source": self.source}
-
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.samples.setflags(write=False)
@@ -666,7 +658,7 @@ class ProportionalJoint(JointLoadSpace):
         return load_a, self.alpha * load_a, load_b, self.alpha * load_b
 
     def free_space_cap(self) -> float:
-        return self.alpha * max(support_cap(self.load_a), support_cap(self.load_b))
+        return self.alpha * max(self.load_a.support_cap(), self.load_b.support_cap())
 
     def to_dict(self) -> dict:
         return {
@@ -676,9 +668,3 @@ class ProportionalJoint(JointLoadSpace):
             "sample_count": _STORED_ROWS,
             "sample_seed": _STORED_SEED,
         }
-
-    def __getstate__(self):
-        # Drop the cached sample matrix; workers rebuild it from the seed.
-        state = dict(self.__dict__)
-        state.pop("_empirical", None)
-        return state

@@ -318,8 +318,9 @@ def critical_attack_size(cfg: SystemConfig,
     if not alive(tol_p):
         return CriticalAttackResult(0.0, 0.0, tol_p, degenerate=True)
 
+    # The grid starts at exactly tol_p, which has just been found alive.
     grid = np.linspace(tol_p, 1.0 - tol_p, _SCAN_POINTS)
-    flags = [alive(float(p)) for p in grid]
+    flags = [True] + [alive(float(p)) for p in grid[1:]]
 
     non_monotone = False
     seen_dead = False

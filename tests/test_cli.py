@@ -112,6 +112,21 @@ class TestCurveCommand:
         comments, _, _ = read_table(out / "curve_demo.csv")
         assert any("nonconverged" in c for c in comments)
 
+    def test_nonconvergence_is_recorded_in_json(self, tmp_path, monkeypatch):
+        from multiflow.meanfield import SteadyState
+
+        monkeypatch.setattr(cli.meanfield, "iterate_to_steady_state",
+                            lambda p, cfg: SteadyState(0.5, 1.0, 1.0, 10, p != 0.25))
+        spec = write_spec(tmp_path, SMALL_SPEC)
+        out = tmp_path / "out"
+        assert cli.main(["curve", "--config", spec, "--out", str(out),
+                         "--format", "json"]) == 3
+        payload = json.loads((out / "curve_demo.json").read_text())
+        assert payload["nonconverged_p"] == [0.25]
+        assert cli.main(["curve", "--config", spec, "--out", str(out)]) == 3
+        comments, _, _ = read_table(out / "curve_demo.csv")
+        assert comments[-1] == "# nonconverged_p=[0.25]"
+
 
 class TestConfigErrors:
     def test_invalid_distribution_names_field(self, tmp_path, capsys):
@@ -125,6 +140,18 @@ class TestConfigErrors:
     def test_missing_config_file(self, capsys):
         assert cli.main(["curve", "--config", "/nonexistent/spec.json"]) == 2
         assert "config not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b'{"systems": "\xff"}'),
+    ], ids=["directory", "not-utf-8"])
+    def test_unreadable_config_names_the_path(self, tmp_path, capsys, make):
+        path = tmp_path / "spec.json"
+        make(path)
+        out = tmp_path / "out"
+        assert cli.main(["curve", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -206,6 +233,9 @@ class TestConfigErrors:
         ((), "p_grid", [0.1, True], "spec.p_grid[1]"),
         ((), "p_grid", None, "spec.p_grid"),
         (("sim",), "n", True, "spec.sim.n"),
+        (("sim",), "n", np.bool_(True), "spec.sim.n"),
+        (("systems", "demo"), "beta_a", np.bool_(True), "spec.systems.demo.beta_a"),
+        (("p_grid",), "count", np.float64(3.0), "spec.p_grid.count"),
         (("sim",), "resample_population", 1, "spec.sim.resample_population"),
         (("output",), "directory", None, "spec.output.directory"),
         (("output",), "directory", 5, "spec.output.directory"),
@@ -235,6 +265,43 @@ class TestConfigErrors:
         record[key] = value
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: expected"):
             parse_experiment(document, base_dir=tmp_path)
+
+    # Numpy scalars equal to the Python values of the base document below.
+    NUMPY_SCALARS = [
+        (("p_grid",), "count", np.int64(3)),
+        (("p_grid",), "min", np.float32(0.25)),
+        (("systems", "demo"), "beta_a", np.float32(0.25)),
+        (("sim",), "n", np.int64(100)),
+        (("sim",), "seed_base", np.uint8(1)),
+        (("systems", "alloc", "allocation"), "s_total", np.float32(720.0)),
+        (("systems", "alloc", "allocation"), "s_total", np.int64(720)),
+    ]
+
+    @pytest.mark.parametrize("path, key, value", NUMPY_SCALARS,
+                             ids=[f"{t[1]}={t[2]!r}" for t in NUMPY_SCALARS])
+    def test_numpy_scalars_are_accepted(self, path, key, value):
+        document = dict(json.loads(json.dumps(SMALL_SPEC)),
+                        p_grid={"min": 0.25, "max": 0.5, "count": 3},
+                        sim={"n": 100, "runs": 1, "seed_base": 1})
+        document["systems"]["alloc"] = {
+            "load_a": {"kind": "pareto", "min": 100, "b": 5},
+            "load_b": {"kind": "uniform", "min": 150, "max": 200},
+            "allocation": {"strategy": "equal_tolerance_factor", "s_total": 720.0}}
+        record = document
+        for name in path:
+            record = record[name]
+        if isinstance(value, np.integer):
+            record[key] = int(value)
+        expected = parse_experiment(document).canonical
+        record[key] = value
+        assert parse_experiment(document).canonical == expected
+
+    def test_numpy_scalars_in_a_p_grid_list(self):
+        document = dict(SMALL_SPEC, p_grid=[np.float32(0.25), np.float64(0.5)])
+        spec = parse_experiment(document)
+        assert spec.p_grid == [0.25, 0.5]
+        assert all(type(p) is float for p in spec.p_grid)
+        assert spec.canonical == parse_experiment(dict(SMALL_SPEC, p_grid=[0.25, 0.5])).canonical
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError, match="^spec: expected an object"):
@@ -646,6 +713,23 @@ class TestEmpiricalSamples:
         document = {"systems": {"measured": {"samples": "samples.npy"}}, "p_grid": [0.25]}
         load_experiment(write_spec(tmp_path, document))
         assert len(held) == 1
+
+    def test_sample_file_is_not_copied(self, tmp_path):
+        import tracemalloc
+
+        samples = np.full((200_000, 4), 30.0)  # 6.4 MB
+        np.save(tmp_path / "samples.npy", samples)
+        document = {"systems": {"measured": {"samples": "samples.npy"}}, "p_grid": [0.25]}
+        path = write_spec(tmp_path, document)
+        tracemalloc.start()
+        try:
+            spec = load_experiment(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * samples.nbytes
+        assert spec.systems["measured"].joint.samples.tobytes() == samples.tobytes()
+        assert spec.resolved["systems"]["measured"]["samples"] == "samples.npy"
 
     def test_missing_sample_file(self, tmp_path, capsys):
         document = {

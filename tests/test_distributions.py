@@ -125,6 +125,78 @@ class TestSurvival:
             assert 0.0 <= s_hi <= s_lo <= 1.0
 
 
+def _reference_formulas(dist):
+    """The marginal formulas as each family wrote them before the base class
+    took over conversion: (survival, quantile, support cap)."""
+    if isinstance(dist, Uniform):
+        return (lambda x: np.clip((dist.high - x) / (dist.high - dist.low), 0.0, 1.0),
+                lambda u: dist.low + u * (dist.high - dist.low), dist.high)
+    if isinstance(dist, Pareto):
+        quantile = lambda u: dist.minimum * (1.0 - u) ** (-1.0 / dist.shape)  # noqa: E731
+        return (lambda x: (dist.minimum / np.maximum(x, dist.minimum)) ** dist.shape,
+                quantile, float(quantile(np.asarray(0.9999))))
+    if isinstance(dist, Weibull):
+        quantile = lambda u: (dist.minimum  # noqa: E731
+                              + dist.scale * (-np.log1p(-u)) ** (1.0 / dist.shape))
+        return (lambda x: np.exp(-((np.maximum(x - dist.minimum, 0.0) / dist.scale)
+                                   ** dist.shape)),
+                quantile, float(quantile(np.asarray(0.9999))))
+    return (lambda x: np.where(x < dist.value, 1.0, 0.0),
+            lambda u: np.full(np.shape(u), dist.value), dist.value)
+
+
+class TestMarginalBaseRules:
+    """Conversion, scalar results and the support cap live in the base class;
+    the families' outputs are those of their own formulas, bit for bit."""
+
+    FAMILIES = [Uniform(25, 75), Uniform(0.5, 1.5), Pareto(5, 2), Pareto(100, 5),
+                Weibull(10, 30, 0.7), Weibull(0, 1, 3), Dirac(50), Dirac(0.25)]
+
+    @pytest.mark.parametrize("dist", FAMILIES, ids=repr)
+    def test_outputs_equal_the_family_formulas(self, dist):
+        survival, quantile, cap = _reference_formulas(dist)
+        rng = np.random.default_rng(17)
+        xs = np.concatenate([rng.uniform(0.0, 2.0 * cap, 200),
+                             [0.0, cap, np.nextafter(cap, 0.0), np.nextafter(cap, np.inf),
+                              np.inf]])
+        us = np.concatenate([rng.random(200), [0.0, 0.5, 0.9999]])
+        for got, want in ((dist.survival(xs), survival(xs)),
+                          (dist.survival(xs.reshape(5, 41)), survival(xs.reshape(5, 41))),
+                          (dist.survival(list(xs)), survival(xs)),
+                          (dist.quantile(us), quantile(us))):
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for x in list(xs[:20]) + [cap, int(cap), np.float32(cap), np.float64(cap)]:
+            got = dist.survival(x)
+            assert type(got) is float
+            assert got == float(survival(np.asarray(x, dtype=float)))
+        for u in list(us[:20]) + [0, np.float64(0.5)]:
+            got = dist.quantile(u)
+            assert type(got) is float
+            assert got == float(quantile(np.asarray(u, dtype=float)))
+
+    @pytest.mark.parametrize("dist", FAMILIES, ids=repr)
+    def test_support_cap(self, dist):
+        assert dist.support_cap() == _reference_formulas(dist)[2]
+        assert not hasattr(dist, "upper_bound")
+
+    def test_dirac_at_exactly_its_value(self):
+        dist = Dirac(50)
+        assert dist.survival(50) == 0.0 and type(dist.survival(50)) is float
+        assert dist.survival(np.array([49.0, 50.0, 51.0])).tolist() == [1.0, 0.0, 0.0]
+        assert dist.quantile(np.zeros((2, 3))).tolist() == [[50.0] * 3] * 2
+        assert dist.support_cap() == 50.0
+
+    def test_joint_caps_read_the_marginal_caps(self):
+        joint = IndependentJoint(Uniform(20, 40), Pareto(5, 2), Uniform(20, 40), Dirac(80))
+        assert joint.free_space_cap() == max(_reference_formulas(Pareto(5, 2))[2], 80.0)
+        coupled = ProportionalJoint(Uniform(20, 40), Weibull(10, 30, 0.7), 2.4)
+        assert coupled.free_space_cap() == \
+            2.4 * max(40.0, _reference_formulas(Weibull(10, 30, 0.7))[2])
+        assert not hasattr(distributions, "support_cap")
+
+
 class TestSampling:
     def test_dirac_constant(self):
         rng = np.random.default_rng(0)
@@ -327,9 +399,8 @@ class TestJointContract:
         assert joints == {IndependentJoint, EmpiricalJoint, ProportionalJoint}
         for cls in joints:
             assert "cascade_cursor" in vars(cls), cls.__name__
-        # sample-backed joints answer the stateless query through their cursor
-        assert "survival_stats" not in vars(EmpiricalJoint)
-        assert "survival_stats" not in vars(ProportionalJoint)
+            # every joint answers the stateless query through its cursor
+            assert "survival_stats" not in vars(cls), cls.__name__
 
     def test_a_joint_without_a_cursor_fails_plainly(self):
         class Bare(distributions.JointLoadSpace):

@@ -390,6 +390,18 @@ class TestCriticalAttackSize:
         with pytest.raises(ValueError, match=r"^tol_p\b"):
             critical_attack_size(symmetric_uniform_config, tol_p=tol_p)
 
+    @pytest.mark.parametrize("tol_p", [1e-4, 1e-3, 0.3])
+    def test_the_smallest_attack_is_solved_once(self, symmetric_uniform_config,
+                                                monkeypatch, tol_p):
+        import multiflow.meanfield as meanfield
+
+        solved = []
+        solve = meanfield.final_size
+        monkeypatch.setattr(meanfield, "final_size",
+                            lambda p, cfg: solved.append(p) or solve(p, cfg))
+        critical_attack_size(symmetric_uniform_config, tol_p=tol_p)
+        assert solved.count(tol_p) == 1
+
     def test_float_protocol(self, symmetric_uniform_config):
         result = critical_attack_size(symmetric_uniform_config, tol_p=1e-3)
         assert float(result) == result.p_hat
