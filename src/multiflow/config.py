@@ -98,9 +98,11 @@ class ExperimentSpec:
 # may be.  A number is any real, an integer any integral value (numpy scalars
 # too, never a bool), and each is read as a Python float or int.
 _NUMBERS = {float: numbers.Real, int: numbers.Integral}
+# A p grid is a sequence of numbers, or a range object.
+_P_GRID = list | tuple | np.ndarray | dict
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean", str: "a string",
                list: "a list", dict: "an object",
-               list | dict: "a list or a min/max/count object"}
+               _P_GRID: "a list, a tuple, a 1-D array or a min/max/count object"}
 
 
 def _value(value, kind, where: str):
@@ -162,7 +164,7 @@ _P_RANGE = {"min": (float, MISSING), "max": (float, MISSING), "count": (int, MIS
 _SIM = _schema(SimParams, int, resample_population=bool)
 _OUTPUT = _schema(OutputParams, directory=str, formats=list)
 _SPEC = {"systems": (dict, MISSING), "mode": (MODES, "analytic"),
-         "p_grid": (list | dict, None), "sim": (dict, None), "output": (dict, {})}
+         "p_grid": (_P_GRID, None), "sim": (dict, None), "output": (dict, {})}
 
 
 def _parse_strategy(record: dict, where: str) -> AllocationStrategy:
@@ -233,6 +235,8 @@ def _parse_p_grid(value, where: str) -> list[float]:
             raise ConfigError(f"{where}.count: must be >= 1, got {bounds['count']}")
         grid = [float(p) for p in np.linspace(bounds["min"], bounds["max"], bounds["count"])]
     else:
+        if isinstance(value, np.ndarray) and value.ndim != 1:
+            raise ConfigError(f"{where}: expected a 1-D array, got shape {value.shape}")
         grid = [_value(p, float, f"{where}[{i}]") for i, p in enumerate(value)]
     if not grid:
         raise ConfigError(f"{where}: must not be empty")

@@ -63,9 +63,20 @@ def _scalar_or_array(values: np.ndarray):
 class _Marginal:
     """Shared rules; each family implements ``_survival``/``_quantile`` on float arrays.
 
-    Inputs are converted once, and a scalar gives a float.  Sampling is
-    inverse-CDF for every family, Dirac too, so streams stay aligned.
+    Fields are stored as floats, so an int or numpy argument computes as the
+    equal float does; each family checks them in ``_check``.  Inputs are
+    converted once, and a scalar gives a float.  Sampling is inverse-CDF for
+    every family, Dirac too, so streams stay aligned.
     """
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            _require(isinstance(value, numbers.Real),
+                     f"{type(self).__name__.lower()} {field.name} must be a number, "
+                     f"got {value!r}")
+            object.__setattr__(self, field.name, float(value))
+        self._check()
 
     def survival(self, x):
         return _scalar_or_array(self._survival(np.asarray(x, dtype=float)))
@@ -88,7 +99,7 @@ class Uniform(_Marginal):
     low: float
     high: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require(math.isfinite(self.low) and math.isfinite(self.high),
                  "uniform bounds must be finite")
         _require(0 < self.low < self.high,
@@ -118,7 +129,7 @@ class Pareto(_Marginal):
     minimum: float
     shape: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require(math.isfinite(self.minimum) and self.minimum > 0,
                  f"pareto requires min > 0, got {self.minimum}")
         _require(math.isfinite(self.shape) and self.shape > 1,
@@ -142,7 +153,7 @@ class Weibull(_Marginal):
     scale: float
     shape: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require(math.isfinite(self.minimum) and self.minimum >= 0,
                  f"weibull requires min >= 0, got {self.minimum}")
         _require(math.isfinite(self.scale) and self.scale > 0,
@@ -171,7 +182,7 @@ class Dirac(_Marginal):
 
     value: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require(math.isfinite(self.value) and self.value > 0,
                  f"dirac requires value > 0, got {self.value}")
 

@@ -13,14 +13,23 @@ cascade that runs past ``MASKED_ROUNDS`` sorts the population's free spaces
 (once per population, cached on it) and sweeps them in order.
 
 Survival is the non-strict comparison free_space >= effective excess (ties
-survive), mirroring the "load <= capacity" overload conditions.  Attack
-sizes are realized as round(p*n) distinct uniformly chosen nodes, drawn
-with ``Generator.choice(n, k, replace=False)``, so the attacked fraction is
-fixed rather than Bernoulli-thinned.
+survive), mirroring the "load <= capacity" overload conditions.  An attack
+is round(p*n) distinct nodes, so the attacked fraction is fixed rather than
+Bernoulli-thinned: either drawn uniformly from a seed with
+``Generator.choice(n, k, replace=False)``, or the first round(p*n) entries
+of a given attack order.
+
+Failures only grow with the attacked set, so along one attack order the
+final state at one p is a valid start for any larger p.  ``run_cascade``
+resumes from it (``resume=``): it attacks only the order's next entries and
+continues the sorted sweep from the earlier final thresholds.  This is the
+Newman-Ziff method (M. E. J. Newman and R. M. Ziff, PRL 85, 4104 (2000)),
+and the reuse mode of ``monte_carlo_curve`` sweeps each run's p grid so.
 
 All randomness flows through explicit seeds.  ``monte_carlo_curve`` derives
-one stream per (p-index, run-index) pair, which makes results independent
-of worker scheduling.
+one stream per (p-index, run-index) pair, or in reuse mode one population
+stream and one attack-order stream per run index, which makes results
+independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -37,13 +46,13 @@ from .meanfield import CrossLayerFactors, SystemConfig, _validate_p
 
 MAX_NAIVE_NODES = 10_000
 MAX_TRAJECTORY_ROUNDS = 10_000
-# Rounds run_cascade tests under the survivor mask before it switches to the
-# sweep in free-space order.  A masked round costs a few O(n) vector passes,
-# about 1/40 of sorting both layers, so a cascade on a fresh population only
-# gains from the sort if it runs far longer; a reused population's sort
-# order is cached, which favours an early switch.  At N = 10^5 (2 cores),
-# 8 to 24 were equally fast over the criterion-2 sweep plus near-critical
-# reuse, against 10% slower at 4.
+# Rounds a cascade started from scratch tests under the survivor mask before
+# it switches to the sweep in free-space order.  A masked round costs a few
+# O(n) vector passes, about 1/40 of sorting both layers, so a cascade on a
+# fresh population only gains from the sort if it runs far longer.  At
+# N = 10^5 (2 cores), 8 to 24 were equally fast over the criterion-2 sweep,
+# against 10% slower at 4.  A resumed cascade runs no masked round: it
+# continues the sorted sweep from the earlier final thresholds.
 MASKED_ROUNDS = 12
 
 
@@ -102,12 +111,24 @@ class TrajectoryPoint(NamedTuple):
     q_b: float
 
 
+class SweepState(NamedTuple):
+    """Final state of a cascade along an attack order, which ``resume`` continues."""
+
+    attack_order: np.ndarray
+    attack_size: int
+    shed: tuple[float, float]  # total initial load of the failed nodes, per layer
+    thresholds: tuple[float, float]  # every node with less free space has failed
+
+
 @dataclass(frozen=True, eq=False)
 class CascadeOutcome:
     """Result of one cascade: final fraction, round count, and trajectory.
 
     ``failed`` is the steady-state failure mask (attack included), used by
-    the oracle-equivalence and conservation checks.
+    the oracle-equivalence and conservation checks.  A resumed cascade's
+    ``rounds`` and ``trajectory`` cover only the continuation: round 0 is
+    the state just after the newly attacked nodes fail.  ``state`` is set
+    when ``run_cascade`` attacked a prefix of an attack order.
     """
 
     surviving_fraction: float
@@ -115,6 +136,7 @@ class CascadeOutcome:
     trajectory: tuple[TrajectoryPoint, ...]
     failed: np.ndarray
     truncated: bool = False
+    state: SweepState | None = None
 
 
 def build_population(cfg: SystemConfig, n: int, seed) -> Population:
@@ -130,51 +152,100 @@ def _attack_count(p: float, n: int) -> int:
     return int(math.floor(p * n + 0.5))
 
 
-def _attacked_nodes(n: int, p: float, attack_seed) -> np.ndarray:
-    """round(p*n) distinct uniform nodes; shared by both cascade variants."""
-    k = _attack_count(p, n)
-    if k <= 0:
-        return np.empty(0, dtype=np.intp)
-    rng = np.random.default_rng(attack_seed)
-    return rng.choice(n, k, replace=False)
+def _check_order(attack_order, n: int) -> np.ndarray:
+    if (not isinstance(attack_order, np.ndarray) or attack_order.shape != (n,)
+            or attack_order.dtype.kind not in "iu"):
+        raise ValueError(f"attack_order must be a 1-D integer array of length {n}")
+    return attack_order
+
+
+def _attacked_nodes(n: int, k: int, attack_seed, attack_order) -> np.ndarray:
+    """The first k entries of the attack order, or k distinct uniform nodes
+    drawn from the seed; shared by both cascade variants."""
+    if attack_order is None:
+        if k <= 0:
+            return np.empty(0, dtype=np.intp)
+        return np.random.default_rng(attack_seed).choice(n, k, replace=False)
+    if attack_seed is not None:
+        raise ValueError("give attack_seed or attack_order, not both")
+    _check_order(attack_order, n)
+    seen = np.zeros(n, dtype=bool)
+    if attack_order.min() >= 0 and attack_order.max() < n:
+        seen[attack_order] = True
+    if not seen.all():
+        raise ValueError(f"attack_order must be a permutation of range({n})")
+    return attack_order[:k]
 
 
 def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
-                attack_seed, max_trajectory: int = MAX_TRAJECTORY_ROUNDS) -> CascadeOutcome:
+                attack_seed=None, max_trajectory: int = MAX_TRAJECTORY_ROUNDS, *,
+                attack_order: np.ndarray | None = None,
+                resume: CascadeOutcome | None = None) -> CascadeOutcome:
     """Cascade via per-layer aggregate excess loads.
 
-    The first ``MASKED_ROUNDS`` rounds compare every node's free spaces
-    with the thresholds under the survivor mask: O(n) vector work per round
-    and no sort, which is all most cascades need.  A cascade that runs
-    longer switches to a sweep in free-space order
-    (``Population.free_order``, sorted once per population), so from then on
-    each node is touched at most once per layer however many rounds remain.
+    The attack is round(p*n) distinct uniform nodes drawn from
+    ``attack_seed``, or the first round(p*n) entries of ``attack_order``, a
+    permutation of range(n).  ``resume`` continues an earlier outcome of
+    this function, on the same population and factors and along the same
+    ``attack_order`` array, whose attack was no larger: only the order's
+    next entries are attacked, and the cascade starts from the earlier
+    final state.  Failures only grow with the attacked set, so the failed
+    set is the one a call from scratch with the same prefix gives.
+
+    From scratch, the first ``MASKED_ROUNDS`` rounds compare every node's
+    free spaces with the thresholds under the survivor mask: O(n) vector
+    work per round and no sort, which is all most cascades need.  A cascade
+    that runs longer, or is resumed, sweeps in free-space order
+    (``Population.free_order``, sorted once per population), so each node
+    is touched at most once per layer however many rounds remain.
     """
     p = _validate_p(p)
     n = pop.size
-    attacked = _attacked_nodes(n, p, attack_seed)
-    failed = np.zeros(n, dtype=bool)
-    if attacked.size == 0:
-        return CascadeOutcome(1.0, 0, (TrajectoryPoint(0, 1.0, 0.0, 0.0),), failed)
+    k = _attack_count(p, n)
+    if resume is None:
+        attacked = _attacked_nodes(n, k, attack_seed, attack_order)
+        failed = np.zeros(n, dtype=bool)
+        alive, shed_a, shed_b = n, 0.0, 0.0
+        previous, masked_rounds = (0.0, 0.0), MASKED_ROUNDS
+    else:
+        state = resume.state
+        if state is None or attack_order is not state.attack_order or attack_seed is not None:
+            raise ValueError("resume continues the attack_order of the outcome it was given")
+        if k < state.attack_size:
+            raise ValueError(f"resume cannot shrink the attack from {state.attack_size} "
+                             f"to {k} nodes")
+        failed = resume.failed.copy()
+        attacked = _check_order(attack_order, n)[state.attack_size:k]
+        attacked = attacked[~failed[attacked]]
+        alive = n - int(np.count_nonzero(failed))
+        (shed_a, shed_b), previous, masked_rounds = state.shed, state.thresholds, 0
 
     failed[attacked] = True
-    alive = n - attacked.size
-    shed_a = float(pop.load_a[attacked].sum())
-    shed_b = float(pop.load_b[attacked].sum())
-    if alive == 0:
-        return CascadeOutcome(0.0, 0, (TrajectoryPoint(0, 0.0, math.inf, math.inf),), failed)
+    alive -= attacked.size
+    shed_a += float(pop.load_a[attacked].sum())
+    shed_b += float(pop.load_b[attacked].sum())
 
-    positions = None  # per layer, how far the sorted sweep has scanned
+    def outcome(rounds, trajectory, truncated=False):
+        sweep = (None if attack_order is None
+                 else SweepState(attack_order, k, (shed_a, shed_b), previous))
+        return CascadeOutcome(alive / n, rounds, tuple(trajectory), failed, truncated, sweep)
+
+    if alive == 0:
+        return outcome(0, [TrajectoryPoint(0, 0.0, math.inf, math.inf)])
     q_a = shed_a / alive
     q_b = shed_b / alive
     trajectory = [TrajectoryPoint(0, alive / n, q_a, q_b)]
+    if attacked.size == 0:
+        return outcome(0, trajectory)
+
+    positions = None  # per layer, how far the sorted sweep has scanned
     truncated = False
     rounds = 0
     while True:
         rounds += 1
         thresholds = (q_a + factors.beta_b * q_b, q_b + factors.beta_a * q_a)
         # free space strictly below the threshold fails (ties survive)
-        if rounds <= MASKED_ROUNDS:
+        if rounds <= masked_rounds:
             hit = pop.free_a < thresholds[0]
             hit |= pop.free_b < thresholds[1]
             hit &= ~failed
@@ -212,22 +283,25 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
             trajectory.append(TrajectoryPoint(rounds, alive / n, q_a, q_b))
         else:
             truncated = True
-    return CascadeOutcome(alive / n, rounds, tuple(trajectory), failed, truncated)
+    return outcome(rounds, trajectory, truncated)
 
 
 def run_cascade_naive(pop: Population, p: float, factors: CrossLayerFactors,
-                      attack_seed, max_trajectory: int = MAX_TRAJECTORY_ROUNDS) -> CascadeOutcome:
+                      attack_seed=None, max_trajectory: int = MAX_TRAJECTORY_ROUNDS, *,
+                      attack_order: np.ndarray | None = None) -> CascadeOutcome:
     """Literal per-node bookkeeping oracle (quadratic work, n <= 10^4).
 
-    Each failed node's current loads are split equally over the survivors,
-    per-node load vectors are updated, and the overload conditions are
-    re-tested against the fixed capacities.
+    The attack is drawn as in ``run_cascade``, from ``attack_seed`` or as a
+    prefix of ``attack_order``; it always starts from scratch.  Each failed
+    node's current loads are split equally over the survivors, per-node
+    load vectors are updated, and the overload conditions are re-tested
+    against the fixed capacities.
     """
     p = _validate_p(p)
     n = pop.size
     if n > MAX_NAIVE_NODES:
         raise ValueError(f"naive cascade is limited to n <= {MAX_NAIVE_NODES}, got {n}")
-    attacked = _attacked_nodes(n, p, attack_seed)
+    attacked = _attacked_nodes(n, _attack_count(p, n), attack_seed, attack_order)
     failed = np.zeros(n, dtype=bool)
     if attacked.size == 0:
         return CascadeOutcome(1.0, 0, (TrajectoryPoint(0, 1.0, 0.0, 0.0),), failed)
@@ -293,21 +367,30 @@ class RobustnessCurve:
 
 def _curve_task(cfg: SystemConfig, n: int, p_grid: Sequence[float], seed_base: int,
                 resample_population: bool, task: tuple[int, Sequence[int]]) -> list[float]:
-    """Surviving fractions of one run index at the given p indices."""
+    """Surviving fractions of one run index at the given p indices.
+
+    In reuse mode the run draws one population and one attack order, and
+    each p resumes the previous p's cascade, so the indices must come in
+    ascending p.
+    """
     run_index, p_indices = task
-    pop = None
+    pop = outcome = None
     fractions = []
     for ip in p_indices:
         try:
-            pop_seed, attack_seed = np.random.SeedSequence(
-                seed_base, spawn_key=(ip, run_index)).spawn(2)
             if resample_population:
+                pop_seed, attack_seed = np.random.SeedSequence(
+                    seed_base, spawn_key=(ip, run_index)).spawn(2)
                 pop = build_population(cfg, n, pop_seed)
-            elif pop is None:
-                # One population per run index, shared across the whole p grid.
-                pop = build_population(
-                    cfg, n, np.random.SeedSequence(seed_base, spawn_key=(run_index,)))
-            outcome = run_cascade(pop, p_grid[ip], cfg.factors, attack_seed)
+                outcome = run_cascade(pop, p_grid[ip], cfg.factors, attack_seed)
+            else:
+                if pop is None:
+                    pop = build_population(
+                        cfg, n, np.random.SeedSequence(seed_base, spawn_key=(run_index,)))
+                    order = np.random.default_rng(np.random.SeedSequence(
+                        seed_base, spawn_key=(run_index, 0))).permutation(n)
+                outcome = run_cascade(pop, p_grid[ip], cfg.factors,
+                                      attack_order=order, resume=outcome)
         except Exception as exc:
             raise RuntimeError(
                 f"Monte Carlo task (p_index={ip}, run_index={run_index}) failed: {exc!r}") from exc
@@ -320,12 +403,24 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
                       resample_population: bool = True) -> RobustnessCurve:
     """Simulated robustness curve, deterministic in seed_base.
 
-    Every (p, run) pair owns an RNG stream derived from its indices, so the
+    Every (p, run) pair owns an RNG stream derived from its indices,
+    ``SeedSequence(seed_base, spawn_key=(p_index, run_index))``, so the
     result does not depend on the execution order or worker count.  A task
-    is one p index of one run, or in reuse mode the whole grid of one run,
-    so that one population is built per run and, sequentially, only one is
-    held at a time.  ``workers`` is capped at the task count; with one
-    worker no process pool is started.
+    is one p index of one run.
+
+    In reuse mode (``resample_population=False``) a task is the whole grid
+    of one run, so that one population is built per run and, sequentially,
+    only one is held at a time.  Run r samples its population from
+    ``SeedSequence(seed_base, spawn_key=(r,))`` and one random attack order
+    (a permutation of the n nodes) from ``spawn_key=(r, 0)``, a stream no
+    other draw uses.  It visits the grid in ascending p, attacks the
+    order's first round(p*n) nodes at each p, and resumes each cascade from
+    the previous p's final state.  Each prefix is a uniform random subset,
+    so every (p, run) result keeps its distribution; the runs share their
+    attacks across p (common random numbers).
+
+    ``workers`` is capped at the task count; with one worker no process
+    pool is started.
     """
     p_grid = [_validate_p(p) for p in p_grid]
     if n < 1:
@@ -339,7 +434,8 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
     if resample_population:
         tasks = [(ir, [ip]) for ip in range(len(p_grid)) for ir in range(runs)]
     else:
-        tasks = [(ir, range(len(p_grid))) for ir in range(runs)]
+        ascending = sorted(range(len(p_grid)), key=p_grid.__getitem__)
+        tasks = [(ir, ascending) for ir in range(runs)]
     workers = min(workers, len(tasks))
     run_tasks = functools.partial(_curve_task, cfg, n, p_grid, seed_base, resample_population)
     if workers > 1:

@@ -303,6 +303,26 @@ class TestConfigErrors:
         assert all(type(p) is float for p in spec.p_grid)
         assert spec.canonical == parse_experiment(dict(SMALL_SPEC, p_grid=[0.25, 0.5])).canonical
 
+    @pytest.mark.parametrize("grid", [
+        (0.1, 0.3, 0.5), np.array([0.1, 0.3, 0.5]), np.linspace(0.1, 0.5, 3),
+        np.array([0.1, 0.3, 0.5], dtype=np.float32)], ids=repr)
+    def test_any_1d_sequence_is_a_p_grid(self, grid):
+        listed = parse_experiment(dict(SMALL_SPEC, p_grid=[float(p) for p in grid]))
+        spec = parse_experiment(dict(SMALL_SPEC, p_grid=grid))
+        assert spec.p_grid == listed.p_grid and all(type(p) is float for p in spec.p_grid)
+        assert spec.canonical == listed.canonical and spec.checksum == listed.checksum
+
+    @pytest.mark.parametrize("grid, message", [
+        (np.array([[0.1, 0.3]]), r"^spec.p_grid: expected a 1-D array, got shape \(1, 2\)$"),
+        (np.array(0.3), r"^spec.p_grid: expected a 1-D array, got shape \(\)$"),
+        (np.array([], dtype=float), "^spec.p_grid: must not be empty$"),
+        ((0.1, "0.3"), r"^spec.p_grid\[1\]: expected a number, got '0.3'$"),
+        ("0.3", "^spec.p_grid: expected a list, a tuple, a 1-D array or a min/max/count "),
+    ])
+    def test_bad_p_grid_sequences_name_the_field(self, grid, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_experiment(dict(SMALL_SPEC, p_grid=grid))
+
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError, match="^spec: expected an object"):
             parse_experiment([SMALL_SPEC])

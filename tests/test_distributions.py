@@ -6,6 +6,7 @@ import math
 import pickle
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -145,6 +146,12 @@ def _reference_formulas(dist):
             lambda u: np.full(np.shape(u), dist.value), dist.value)
 
 
+def _call(dist) -> str:
+    """A marginal as a short constructor call, e.g. ``Dirac(value=50)``."""
+    args = ", ".join(f"{f.name}={getattr(dist, f.name):g}" for f in fields(dist))
+    return f"{type(dist).__name__}({args})"
+
+
 class TestMarginalBaseRules:
     """Conversion, scalar results and the support cap live in the base class;
     the families' outputs are those of their own formulas, bit for bit."""
@@ -152,7 +159,24 @@ class TestMarginalBaseRules:
     FAMILIES = [Uniform(25, 75), Uniform(0.5, 1.5), Pareto(5, 2), Pareto(100, 5),
                 Weibull(10, 30, 0.7), Weibull(0, 1, 3), Dirac(50), Dirac(0.25)]
 
-    @pytest.mark.parametrize("dist", FAMILIES, ids=repr)
+    @pytest.mark.parametrize("dist", FAMILIES, ids=_call)
+    def test_fields_are_stored_as_floats(self, dist):
+        for field in fields(dist):
+            assert type(getattr(dist, field.name)) is float
+        assert type(dist.support_cap()) is float
+        assert dist.quantile(np.array([0.25, 0.5])).dtype == np.float64
+        assert dist.survival(np.array([1, 2])).dtype == np.float64
+        args = [np.int64(getattr(dist, f.name)) if getattr(dist, f.name).is_integer()
+                else np.float32(getattr(dist, f.name)) for f in fields(dist)]
+        numpy_built = type(dist)(*args)
+        assert all(type(getattr(numpy_built, f.name)) is float for f in fields(dist))
+        assert numpy_built == type(dist)(*(float(a) for a in args))
+
+    def test_a_non_numeric_field_is_named(self):
+        with pytest.raises(DistributionError, match="uniform high must be a number, got '75'"):
+            Uniform(25, "75")
+
+    @pytest.mark.parametrize("dist", FAMILIES, ids=_call)
     def test_outputs_equal_the_family_formulas(self, dist):
         survival, quantile, cap = _reference_formulas(dist)
         rng = np.random.default_rng(17)
@@ -176,7 +200,7 @@ class TestMarginalBaseRules:
             assert type(got) is float
             assert got == float(quantile(np.asarray(u, dtype=float)))
 
-    @pytest.mark.parametrize("dist", FAMILIES, ids=repr)
+    @pytest.mark.parametrize("dist", FAMILIES, ids=_call)
     def test_support_cap(self, dist):
         assert dist.support_cap() == _reference_formulas(dist)[2]
         assert not hasattr(dist, "upper_bound")

@@ -335,6 +335,133 @@ class TestOracleEquivalence:
         assert out.surviving_fraction == 0.0
 
 
+def sweep(pop, grid, factors, order):
+    """Outcomes of one nested-attack sweep over the grid, in input order."""
+    outcomes, previous = {}, None
+    for index in sorted(range(len(grid)), key=grid.__getitem__):
+        previous = run_cascade(pop, grid[index], factors, attack_order=order, resume=previous)
+        outcomes[index] = previous
+    return [outcomes[index] for index in range(len(grid))]
+
+
+class TestNestedSweep:
+    @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac"])
+    def test_resumed_outcomes_match_scratch_and_naive(self, family):
+        rng = np.random.default_rng(["uniform", "pareto", "weibull", "dirac"].index(family))
+        families = ("uniform", "pareto", "weibull", "dirac")
+        checked = 0
+        for draw in range(6):
+            cfg = random_system(rng, load_families=families, free_families=(family,))
+            n = 5000 if draw < 3 else 1500
+            pop = build_population(cfg, n, seed=int(rng.integers(2 ** 31)))
+            order = rng.permutation(n)
+            grid = [float(p) for p in rng.uniform(0.02, 0.95, 12)]
+            grid[5] = grid[2]  # a repeated p
+            for p, resumed in zip(grid, sweep(pop, grid, cfg.factors, order)):
+                scratch = run_cascade(pop, p, cfg.factors, attack_order=order)
+                assert np.array_equal(resumed.failed, scratch.failed)
+                assert resumed.surviving_fraction == scratch.surviving_fraction
+                if n <= 2000:
+                    naive = run_cascade_naive(pop, p, cfg.factors, attack_order=order)
+                    assert np.array_equal(resumed.failed, naive.failed)
+                checked += 1
+        assert checked == 72
+
+    def test_resumed_outcomes_match_naive_at_exact_ties(self):
+        # Unit loads keep every aggregate exact, so free spaces on the
+        # round-one thresholds of p = 0.8 and 0.9 stay exact ties however
+        # the sweep adds up the shed loads.
+        n = 2000
+        factors = CrossLayerFactors(0.5, 0.5)
+        values = [1e3]
+        for p in (0.8, 0.9):
+            threshold = round_one_threshold(p, n)
+            values += [np.nextafter(threshold, -math.inf), threshold,
+                       np.nextafter(threshold, math.inf)]
+        rng = np.random.default_rng(9)
+        ones = np.ones(n)
+        grid = [0.9, 0.5, 0.8, 0.85, 0.8, 0.95]
+        for _ in range(5):
+            pop = Population(ones, rng.choice(values, n), ones, rng.choice(values, n))
+            order = rng.permutation(n)
+            for p, resumed in zip(grid, sweep(pop, grid, factors, order)):
+                naive = run_cascade_naive(pop, p, factors, attack_order=order)
+                assert np.array_equal(resumed.failed, naive.failed)
+
+    def test_tie_with_previous_final_threshold_survives_resume(self):
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200),
+                                          beta_a=0.3, beta_b=0.3)
+        pop = build_population(cfg, 3000, seed=11)
+        order = np.random.default_rng(12).permutation(3000)
+        first = run_cascade(pop, 0.25, cfg.factors, attack_order=order)
+        second = run_cascade(pop, 0.3, cfg.factors, attack_order=order, resume=first)
+        assert second.rounds > MASKED_ROUNDS and second.surviving_fraction > 0
+        # A survivor sits exactly on the final thresholds of the first
+        # cascade, resumed at a p of the same attack size, or on those of
+        # the resumed cascade.
+        for later, p in ((first, 0.2501), (second, 0.3)):
+            survivors = np.flatnonzero(~later.failed)
+            tied = copy_of(pop)
+            tied.free_a[survivors[0]] = later.state.thresholds[0]
+            tied.free_b[survivors[1]] = later.state.thresholds[1]
+            start = run_cascade(tied, 0.25, cfg.factors, attack_order=order)
+            assert np.array_equal(start.failed, first.failed)
+            again = run_cascade(tied, p, cfg.factors, attack_order=order, resume=start)
+            assert np.array_equal(again.failed, later.failed)
+            assert again.state.thresholds == later.state.thresholds
+
+    def test_resumed_outcome_covers_the_continuation(self):
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200),
+                                          beta_a=0.3, beta_b=0.3)
+        pop = build_population(cfg, 3000, seed=11)
+        order = np.random.default_rng(12).permutation(3000)
+        first = run_cascade(pop, 0.25, cfg.factors, attack_order=order)
+        kept = first.failed.copy()
+        second = run_cascade(pop, 0.3, cfg.factors, attack_order=order, resume=first)
+        assert np.array_equal(first.failed, kept)
+        assert second.trajectory[0].round == 0
+        assert second.trajectory[0].surviving_fraction < first.surviving_fraction
+        assert second.rounds == len(second.trajectory)  # the last round fails no one
+        assert second.state.attack_size == 900 and first.state.attack_size == 750
+        assert not first.failed[order[750:900]].all()
+        repeat = run_cascade(pop, 0.3, cfg.factors, attack_order=order, resume=second)
+        assert repeat.rounds == 0 and repeat.surviving_fraction == second.surviving_fraction
+        assert run_cascade(pop, 0.3, cfg.factors, attack_seed=4).state is None
+
+    def test_rejects_a_resume_it_cannot_continue(self):
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200))
+        pop = build_population(cfg, 100, seed=1)
+        order = np.random.default_rng(2).permutation(100)
+        first = run_cascade(pop, 0.3, cfg.factors, attack_order=order)
+        seeded = run_cascade(pop, 0.3, cfg.factors, attack_seed=3)
+        with pytest.raises(ValueError, match="cannot shrink the attack from 30 to 20"):
+            run_cascade(pop, 0.2, cfg.factors, attack_order=order, resume=first)
+        for resume, attack in ((seeded, order), (first, order.copy()), (first, None)):
+            with pytest.raises(ValueError, match="resume continues the attack_order"):
+                run_cascade(pop, 0.4, cfg.factors, attack_order=attack, resume=resume)
+        with pytest.raises(ValueError, match="not both"):
+            run_cascade(pop, 0.4, cfg.factors, 3, attack_order=order)
+
+    @pytest.mark.parametrize("order, message", [
+        (np.arange(99), "1-D integer array of length 100"),
+        (np.arange(100.0), "1-D integer array of length 100"),
+        (list(range(100)), "1-D integer array of length 100"),
+        (np.r_[np.arange(99), 0], "permutation"),
+        (np.r_[np.arange(99), 100], "permutation"),
+        (np.r_[-1, np.arange(1, 100)], "permutation"),
+    ])
+    def test_rejects_a_bad_attack_order(self, order, message):
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200))
+        pop = build_population(cfg, 100, seed=1)
+        for cascade in (run_cascade, run_cascade_naive):
+            with pytest.raises(ValueError, match=f"attack_order must be a {message}"):
+                cascade(pop, 0.3, cfg.factors, attack_order=order)
+
+
 class TestAgainstMeanField:
     def test_matches_analytic_prediction(self, symmetric_uniform_config):
         curve = monte_carlo_curve(symmetric_uniform_config, 100_000, [0.25], runs=20,
@@ -405,19 +532,22 @@ class TestMonteCarloCurve:
         cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
                                           Uniform(20, 40), Uniform(10, 200),
                                           beta_a=0.3, beta_b=0.3)
-        grid = [0.24, 0.27, 0.3]
+        grid = [0.27, 0.24, 0.3, 0.24]
         seq = monte_carlo_curve(cfg, 1500, grid, runs=3, seed_base=31, workers=1,
                                 resample_population=False)
         par = monte_carlo_curve(cfg, 1500, grid, runs=3, seed_base=31, workers=2,
                                 resample_population=False)
         assert np.array_equal(seq.samples, par.samples)
-        # one population per run index, one attack stream per (p, run) pair
+        # one population and one attack order per run index, each from its
+        # own stream; each p attacks a prefix of that order
         for ir in range(3):
             pop = build_population(cfg, 1500, np.random.SeedSequence(31, spawn_key=(ir,)))
+            order = np.random.default_rng(
+                np.random.SeedSequence(31, spawn_key=(ir, 0))).permutation(1500)
             for ip, p in enumerate(grid):
-                _, attack_seed = np.random.SeedSequence(31, spawn_key=(ip, ir)).spawn(2)
-                expected = run_cascade(pop, p, cfg.factors, attack_seed).surviving_fraction
-                assert seq.samples[ip, ir] == expected
+                expected = run_cascade(pop, p, cfg.factors, attack_order=order)
+                assert seq.samples[ip, ir] == expected.surviving_fraction
+        assert np.array_equal(seq.samples[1], seq.samples[3])
 
     def test_workers_capped_at_task_count(self, monkeypatch, symmetric_uniform_config):
         def no_pool(*args, **kwargs):
@@ -443,15 +573,17 @@ class TestMonteCarloCurve:
     def test_failed_task_names_its_indices(self, monkeypatch, symmetric_uniform_config):
         original = simulate.run_cascade
 
-        def failing(pop, p, factors, attack_seed):
+        def failing(pop, p, factors, *args, **kwargs):
             if p == 0.4:
                 raise FloatingPointError("boom")
-            return original(pop, p, factors, attack_seed)
+            return original(pop, p, factors, *args, **kwargs)
         monkeypatch.setattr(simulate, "run_cascade", failing)
-        with pytest.raises(RuntimeError, match=r"p_index=1, run_index=0\).*boom") as info:
-            monte_carlo_curve(symmetric_uniform_config, 200, [0.2, 0.4], runs=2,
-                              seed_base=3)
-        assert isinstance(info.value.__cause__, FloatingPointError)
+        # reuse mode visits the grid in ascending p but names the input index
+        for resample in (True, False):
+            with pytest.raises(RuntimeError, match=r"p_index=1, run_index=0\).*boom") as info:
+                monte_carlo_curve(symmetric_uniform_config, 200, [0.2, 0.4, 0.3], runs=2,
+                                  seed_base=3, resample_population=resample)
+            assert isinstance(info.value.__cause__, FloatingPointError)
 
     def test_population_reuse_mode(self):
         # interior fixed point: the outcome depends on the sampled population
