@@ -189,10 +189,8 @@ def cmd_critical(args, spec: ExperimentSpec) -> int:
     rows = []
     for name, cfg in spec.systems.items():
         result = meanfield.critical_attack_size(cfg, tol_p=args.tol_p)
-        joint = cfg.joint
         bound = allocate.optimal_critical_attack(
-            joint.mean_load_a, joint.mean_load_b, cfg.factors,
-            joint.mean_free_a + joint.mean_free_b)
+            *cfg.joint.mean_loads, cfg.factors, sum(cfg.joint.mean_frees))
         rows.append((name, result.p_hat, result.lower, result.upper, args.tol_p,
                      bound, int(result.degenerate), int(result.non_monotone)))
         print(f"{name}: p_hat={result.p_hat:.6f} (+/- {args.tol_p:g}), "
@@ -253,8 +251,7 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
 
 def cmd_optimize(args, spec: ExperimentSpec) -> int:
     name, cfg = _single_system(args, spec)
-    joint = cfg.joint
-    mean_a, mean_b = joint.mean_load_a, joint.mean_load_b
+    mean_a, mean_b = cfg.joint.mean_loads
     s_total = args.budget
     if s_total is None:
         resolved = spec.resolved["systems"][name]
@@ -262,7 +259,7 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
             # per-layer or alpha-only allocations carry no total budget
             s_total = resolved["allocation"].get("s_total")
         elif "free_a" in resolved:
-            s_total = joint.mean_free_a + joint.mean_free_b
+            s_total = sum(cfg.joint.mean_frees)
     if s_total is None or s_total <= 0:
         raise ConfigError("free-space budget missing (give --budget or an allocation "
                           "with s_total)")

@@ -262,14 +262,14 @@ class JointLoadSpace:
     across threads; sampling always takes an explicit generator.  Each
     implements ``cascade_cursor``, and ``survival_stats`` is one advance of a
     fresh cursor for every joint.  ``stability_sides`` sweeps cursors, which
-    a joint with a closed form overrides.  A pickle carries the dataclass
+    a joint with a closed form overrides.  Per-layer moments are pairs of
+    floats, layer A first: ``mean_loads`` is (E[L_A], E[L_B]) and
+    ``mean_frees`` is (E[S_A], E[S_B]).  A pickle carries the dataclass
     fields only; cached derived values are rebuilt on demand.
     """
 
-    mean_load_a: float
-    mean_load_b: float
-    mean_free_a: float
-    mean_free_b: float
+    mean_loads: tuple[float, float]
+    mean_frees: tuple[float, float]
 
     def survival_stats(self, x: float, y: float) -> SurvivalStats:
         """Survival and partial load means at (x, y): one fresh cursor advance."""
@@ -303,7 +303,7 @@ class JointLoadSpace:
         if np.any(np.diff(xs) < 0):
             raise ValueError("stability grid xs must be nondecreasing")
         lhs_a, lhs_b = np.empty((2, len(xs), len(ys)))
-        mean_a, mean_b = self.mean_load_a, self.mean_load_b
+        mean_a, mean_b = self.mean_loads
         for iy, y in enumerate(ys):
             cursor = self.cascade_cursor()
             for ix, x in enumerate(xs):
@@ -344,7 +344,8 @@ class _IndependentCursor(CascadeCursor):
         # L independent of (S_A, S_B): the indicator factors out.
         joint = self._joint
         prob = joint.free_a.survival(x) * joint.free_b.survival(y)
-        return SurvivalStats(prob, joint.mean_load_a * prob, joint.mean_load_b * prob)
+        mean_a, mean_b = joint.mean_loads
+        return SurvivalStats(prob, mean_a * prob, mean_b * prob)
 
 
 @dataclass(frozen=True)
@@ -357,20 +358,12 @@ class IndependentJoint(JointLoadSpace):
     free_b: MarginalDistribution
 
     @property
-    def mean_load_a(self) -> float:
-        return self.load_a.mean()
+    def mean_loads(self) -> tuple[float, float]:
+        return self.load_a.mean(), self.load_b.mean()
 
     @property
-    def mean_load_b(self) -> float:
-        return self.load_b.mean()
-
-    @property
-    def mean_free_a(self) -> float:
-        return self.free_a.mean()
-
-    @property
-    def mean_free_b(self) -> float:
-        return self.free_b.mean()
+    def mean_frees(self) -> tuple[float, float]:
+        return self.free_a.mean(), self.free_b.mean()
 
     def cascade_cursor(self) -> CascadeCursor:
         return _IndependentCursor(self)
@@ -380,8 +373,8 @@ class IndependentJoint(JointLoadSpace):
         x = np.asarray(xs, dtype=float)[:, None]
         y = np.asarray(ys, dtype=float)[None, :]
         prob = self.free_a.survival(x + beta_b * y) * self.free_b.survival(y + beta_a * x)
-        return (prob * (x + self.mean_load_a) / self.mean_load_a,
-                prob * (y + self.mean_load_b) / self.mean_load_b)
+        mean_a, mean_b = self.mean_loads
+        return prob * (x + mean_a) / mean_a, prob * (y + mean_b) / mean_b
 
     def sample_population(self, n: int, rng: np.random.Generator):
         load_a = np.asarray(self.load_a.sample(rng, n), dtype=float)
@@ -431,8 +424,8 @@ class _EmpiricalCursor(CascadeCursor):
     place; otherwise the dropping rows are gathered by index (``nonzero``,
     then ``take``), several times cheaper per row than a boolean-mask
     gather.  Both give the same values in the same order, so the pairwise
-    sums are bit-identical to the mask gather's.  The cursor keeps two slab
-    positions, two thresholds, the alive count and two load sums and no
+    sums are bit-identical to the mask gather's.  The cursor keeps the alive
+    count and, per layer, a slab position, a threshold and a load sum, and no
     per-row state; a step allocates only in proportion to the rows it
     crosses, so a whole solve costs O(m) plus per-call overhead.  Thresholds
     must not be NaN.
@@ -440,15 +433,12 @@ class _EmpiricalCursor(CascadeCursor):
 
     def __init__(self, joint: "EmpiricalJoint"):
         self._joint = joint
-        self._lowest_a, self._lowest_b = joint._lowest_free
+        self._lowest = joint._lowest_free
         self._m = joint.sample_count
         self._alive = self._m
-        self._sum_a = joint._loads_a_total
-        self._sum_b = joint._loads_b_total
-        self._pos_a = 0
-        self._pos_b = 0
-        self._x = -math.inf
-        self._y = -math.inf
+        self._sums = list(joint._load_totals)
+        self._positions = [0, 0]
+        self._thresholds = [-math.inf, -math.inf]
 
     def _drop(self, slab: _Slab, lo: int, threshold: float,
               other: float, other_lowest: float) -> int:
@@ -465,35 +455,34 @@ class _EmpiricalCursor(CascadeCursor):
             count = int(np.count_nonzero(alive))
         if count:
             self._alive -= count
-            if count == hi - lo:
-                self._sum_a -= float(slab.load_a[lo:hi].sum())
-                self._sum_b -= float(slab.load_b[lo:hi].sum())
-            else:
-                rows = alive.nonzero()[0]
-                self._sum_a -= float(slab.load_a[lo:hi].take(rows).sum())
-                self._sum_b -= float(slab.load_b[lo:hi].take(rows).sum())
+            rows = None if count == hi - lo else alive.nonzero()[0]
+            # one layer at a time, so at most one gathered copy is alive
+            for layer, loads in enumerate((slab.load_a, slab.load_b)):
+                crossed = loads[lo:hi]
+                if rows is not None:
+                    crossed = crossed.take(rows)
+                self._sums[layer] -= float(crossed.sum())
         return hi
 
     def advance(self, x: float, y: float) -> SurvivalStats:
         for name, value in (("x", x), ("y", y)):
             if math.isnan(value):
                 raise ValueError(f"cursor threshold {name} must not be NaN")
-        # Thresholds never move backwards within one solve.  Below a layer's
-        # lowest free space no row crosses, and its slab is not needed yet.
-        x = max(x, self._x)
-        y = max(y, self._y)
-        if x > self._x:
-            if x >= self._lowest_a:
-                self._pos_a = self._drop(self._joint._slab_a, self._pos_a, x,
-                                         self._y, self._lowest_b)
-            self._x = x
-        if y > self._y:
-            if y >= self._lowest_b:
-                self._pos_b = self._drop(self._joint._slab_b, self._pos_b, y,
-                                         self._x, self._lowest_a)
-            self._y = y
+        # Thresholds never move backwards within one solve.  Layer A steps
+        # first, and each step sees the other layer's current threshold.
+        # Below a layer's lowest free space no row crosses, and its slab is
+        # not needed yet.
+        thresholds, lowest, positions = self._thresholds, self._lowest, self._positions
+        for layer, value in enumerate((x, y)):
+            if value > thresholds[layer]:
+                if value >= lowest[layer]:
+                    slab = self._joint._slab_b if layer else self._joint._slab_a
+                    positions[layer] = self._drop(slab, positions[layer], value,
+                                                  thresholds[1 - layer], lowest[1 - layer])
+                thresholds[layer] = value
         m = self._m
-        return SurvivalStats(self._alive / m, self._sum_a / m, self._sum_b / m)
+        sum_a, sum_b = self._sums
+        return SurvivalStats(self._alive / m, sum_a / m, sum_b / m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,12 +528,8 @@ class EmpiricalJoint(JointLoadSpace):
         return self.samples.shape[0]
 
     @cached_property
-    def _loads_a_total(self) -> float:
-        return float(self.samples[:, 0].sum())
-
-    @cached_property
-    def _loads_b_total(self) -> float:
-        return float(self.samples[:, 2].sum())
+    def _load_totals(self) -> tuple[float, float]:
+        return float(self.samples[:, 0].sum()), float(self.samples[:, 2].sum())
 
     @cached_property
     def _lowest_free(self) -> tuple[float, float]:
@@ -570,20 +555,13 @@ class EmpiricalJoint(JointLoadSpace):
         return self._sorted_by(3, 1)
 
     @property
-    def mean_load_a(self) -> float:
-        return self._loads_a_total / self.sample_count
+    def mean_loads(self) -> tuple[float, float]:
+        total_a, total_b = self._load_totals
+        return total_a / self.sample_count, total_b / self.sample_count
 
     @property
-    def mean_load_b(self) -> float:
-        return self._loads_b_total / self.sample_count
-
-    @property
-    def mean_free_a(self) -> float:
-        return float(self.samples[:, 1].mean())
-
-    @property
-    def mean_free_b(self) -> float:
-        return float(self.samples[:, 3].mean())
+    def mean_frees(self) -> tuple[float, float]:
+        return float(self.samples[:, 1].mean()), float(self.samples[:, 3].mean())
 
     def cascade_cursor(self) -> CascadeCursor:
         return _EmpiricalCursor(self)
@@ -642,23 +620,15 @@ class ProportionalJoint(JointLoadSpace):
         return EmpiricalJoint._adopt(samples)
 
     @property
-    def mean_load_a(self) -> float:
+    def mean_loads(self) -> tuple[float, float]:
         # Solver-facing moments must all come from the same (stored-sample)
         # measure, or the recursion loses its monotone-trajectory guarantee.
-        return self._empirical.mean_load_a
+        return self._empirical.mean_loads
 
     @property
-    def mean_load_b(self) -> float:
-        return self._empirical.mean_load_b
-
-    @property
-    def mean_free_a(self) -> float:
+    def mean_frees(self) -> tuple[float, float]:
         # reporting only (budget tables); the solver never reads these
-        return self.alpha * self.load_a.mean()
-
-    @property
-    def mean_free_b(self) -> float:
-        return self.alpha * self.load_b.mean()
+        return self.alpha * self.load_a.mean(), self.alpha * self.load_b.mean()
 
     def cascade_cursor(self) -> CascadeCursor:
         return self._empirical.cascade_cursor()

@@ -125,13 +125,24 @@ def _validate_p(p: float) -> float:
     return float(p)
 
 
+def _validate_int(value, name: str, minimum: int) -> int:
+    """Check an integer argument against its lower bound and return it as an int.
+
+    numpy integers are accepted; ``bool`` and non-integral values are rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def initial_state(p: float, cfg: SystemConfig) -> CascadeState:
     """State right after the attack: n = 1-p, q = p*E[L]/(1-p) per layer."""
     p = _validate_p(p)
     scale = p / (1.0 - p)
-    return CascadeState(t=0, n=1.0 - p,
-                        q_a=scale * cfg.joint.mean_load_a,
-                        q_b=scale * cfg.joint.mean_load_b)
+    mean_a, mean_b = cfg.joint.mean_loads
+    return CascadeState(t=0, n=1.0 - p, q_a=scale * mean_a, q_b=scale * mean_b)
 
 
 def _collapse_state(t: int) -> CascadeState:
@@ -142,8 +153,9 @@ def _next_state(t: int, p: float, cfg: SystemConfig, stats: SurvivalStats) -> Ca
     if stats.probability < COLLAPSE_EPS:
         return _collapse_state(t)
     n = (1.0 - p) * stats.probability
-    q_a = (cfg.joint.mean_load_a - (1.0 - p) * stats.load_a) / n
-    q_b = (cfg.joint.mean_load_b - (1.0 - p) * stats.load_b) / n
+    mean_a, mean_b = cfg.joint.mean_loads
+    q_a = (mean_a - (1.0 - p) * stats.load_a) / n
+    q_b = (mean_b - (1.0 - p) * stats.load_b) / n
     return CascadeState(t=t, n=n, q_a=q_a, q_b=q_b)
 
 
@@ -168,10 +180,9 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
     minimum of the stable set.
     """
     p = _validate_p(p)
-    if not (math.isfinite(tol) and tol > 0.0):
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _validate_int(max_iter, "max_iter", 1)
     cursor = cfg.joint.cascade_cursor()
     state = initial_state(p, cfg)
     eff_a, eff_b = cfg.effective(state.q_a, state.q_b)
@@ -261,9 +272,7 @@ def stable_set_grid(p: float, cfg: SystemConfig,
     excess load still compatible with survival.
     """
     p = _validate_p(p)
-    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
-            or resolution < 2):
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    resolution = _validate_int(resolution, "resolution", 2)
     cap = 1.2 * cfg.joint.free_space_cap()
     x_max = cap if x_max is None else float(x_max)
     y_max = cap if y_max is None else float(y_max)

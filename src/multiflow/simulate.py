@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .meanfield import CrossLayerFactors, SystemConfig, _validate_p
+from .meanfield import CrossLayerFactors, SystemConfig, _validate_int, _validate_p
 
 MAX_NAIVE_NODES = 10_000
 MAX_TRAJECTORY_ROUNDS = 10_000
@@ -64,7 +64,6 @@ class Population:
     free_a: np.ndarray
     load_b: np.ndarray
     free_b: np.ndarray
-    seed: object = None
 
     def __post_init__(self) -> None:
         names = ("load_a", "free_a", "load_b", "free_b")
@@ -141,11 +140,9 @@ class CascadeOutcome:
 
 def build_population(cfg: SystemConfig, n: int, seed) -> Population:
     """Sample n i.i.d. nodes from the config's joint; bit-identical per seed."""
-    if n < 1:
-        raise ValueError(f"population size must be >= 1, got {n}")
+    n = _validate_int(n, "population size n", 1)
     rng = np.random.default_rng(seed)
-    load_a, free_a, load_b, free_b = cfg.joint.sample_population(n, rng)
-    return Population(load_a, free_a, load_b, free_b, seed=seed)
+    return Population(*cfg.joint.sample_population(n, rng))
 
 
 def _attack_count(p: float, n: int) -> int:
@@ -200,6 +197,7 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     is touched at most once per layer however many rounds remain.
     """
     p = _validate_p(p)
+    _validate_int(max_trajectory, "max_trajectory", 0)
     n = pop.size
     k = _attack_count(p, n)
     if resume is None:
@@ -298,6 +296,7 @@ def run_cascade_naive(pop: Population, p: float, factors: CrossLayerFactors,
     against the fixed capacities.
     """
     p = _validate_p(p)
+    _validate_int(max_trajectory, "max_trajectory", 0)
     n = pop.size
     if n > MAX_NAIVE_NODES:
         raise ValueError(f"naive cascade is limited to n <= {MAX_NAIVE_NODES}, got {n}")
@@ -423,14 +422,10 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
     pool is started.
     """
     p_grid = [_validate_p(p) for p in p_grid]
-    if n < 1:
-        raise ValueError(f"population size must be >= 1, got {n}")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if seed_base < 0:
-        raise ValueError(f"seed_base must be >= 0, got {seed_base}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    n = _validate_int(n, "population size n", 1)
+    runs = _validate_int(runs, "runs", 1)
+    seed_base = _validate_int(seed_base, "seed_base", 0)
+    workers = _validate_int(workers, "workers", 1)
     if resample_population:
         tasks = [(ir, [ip]) for ip in range(len(p_grid)) for ir in range(runs)]
     else:

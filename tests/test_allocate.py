@@ -147,7 +147,7 @@ class TestApplyStrategy:
     ], ids=lambda s: type(s).__name__)
     def test_budget_conservation(self, strategy):
         cfg = apply_strategy(strategy, Pareto(100, 5), Uniform(150, 200), FACTORS)
-        total = cfg.joint.mean_free_a + cfg.joint.mean_free_b
+        total = sum(cfg.joint.mean_frees)
         assert total == pytest.approx(720.0, rel=1e-12)
 
 
@@ -180,8 +180,7 @@ class TestDistributionIndependence:
 
         cfg = apply_strategy(EqualToleranceFactor(s_total=720.0),
                              Weibull(10, 84.25, 0.4), Pareto(5, 2), FACTORS)
-        bound = optimal_critical_attack(cfg.joint.mean_load_a, cfg.joint.mean_load_b,
-                                        FACTORS, 720.0)
+        bound = optimal_critical_attack(*cfg.joint.mean_loads, FACTORS, 720.0)
         estimate = critical_attack_size(cfg, tol_p=1e-3)
         assert estimate.p_hat < bound - 1e-2
 

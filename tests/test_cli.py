@@ -832,7 +832,9 @@ def _digests(out: Path) -> dict[str, str]:
 
 class TestArtifactDigests:
     """Exact bytes of CLI artifacts and stdout, captured from the row-based
-    writer before the column writer replaced it.
+    writer before the column writer replaced it.  The sample-backed
+    ``critical`` and ``curve`` digests were captured before the joints' layer
+    moments became pairs.
 
     A change that means to move these bytes states it and updates them here.
     """
@@ -864,6 +866,18 @@ class TestArtifactDigests:
          "275b56e80d6b8168fcc6d8edb1250079f51ff7a0ce6a2992969f93858c12b8bb",
          {"critical.csv":
           "5485d780386719ccb19c8aa0327027255669891d8356d1c14caf2a7c38c612da"}),
+        (["critical", "--config", "alloc_pareto_uniform"],
+         "8ce1af1a784f401eecb8576f143abf9916ecaf7fcee1e5c1f58b2da185b79e17",
+         {"critical.csv":
+          "fac026486c2eeb2835d7fe6c13c4c250c63c3cfbcf9a346d81418140f39765d1"}),
+        (["curve", "--config", "alloc_pareto_uniform"],
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         {"curve_equal_free_space.csv":
+          "65b6da68dd18d7f1b9eec3afe254fe446142dfc2ec7b16b32608d9dbce9f2e9c",
+          "curve_equal_tolerance_factor.csv":
+          "f96c5f516c43c8cd76a7834ab139b27b28f8815e79f89aa879e08e67a7de4ec0",
+          "curve_layer_weighted_equal.csv":
+          "504d698e0080ba60cf66cfa73c6af346539c7ab6bd1c697651ba95e95db2c818"}),
         (["optimize", "--config", "alloc_pareto_uniform", "--system",
           "layer_weighted_equal", "--budget", "720"],
          "a1df6dd596ef0764d6acb494be1704b825b0c05cbaf420d0c5b44b559a5142da",
@@ -876,7 +890,8 @@ class TestArtifactDigests:
           "simulate_demo_runs.csv":
           "744591b6528eaa94d6f6897a3bd95499c2286162b44c6937969a8f30dc8061f5"}),
     ], ids=["stable_set", "stable_set_json", "stable_set_sample_backed", "curve",
-            "critical", "optimize", "simulate_raw"])
+            "critical", "critical_sample_backed", "curve_sample_backed", "optimize",
+            "simulate_raw"])
     def test_digest(self, tmp_path, capsys, argv, stdout, files):
         if "SMALL_SIMULATE" in argv:
             document = dict(SMALL_SPEC, mode="simulate",

@@ -396,7 +396,7 @@ class TestIndependentJoint:
     def test_partial_equals_mean_times_survival(self, x, y):
         joint = IndependentJoint(Pareto(24, 5), Uniform(25, 75),
                                  Uniform(20, 40), Uniform(30, 90))
-        for layer, mean in (("A", joint.mean_load_a), ("B", joint.mean_load_b)):
+        for layer, mean in zip("AB", joint.mean_loads):
             assert joint.partial_load_expectation(layer, x, y) == pytest.approx(
                 mean * joint.joint_survival(x, y), rel=1e-12)
 
@@ -432,6 +432,32 @@ class TestJointContract:
 
         with pytest.raises(NotImplementedError):
             Bare().survival_stats(1.0, 1.0)
+
+    JOINTS = {
+        "independent": lambda: IndependentJoint(Uniform(20, 40), Uniform(25, 75),
+                                                Pareto(24, 5), Weibull(10, 30, 2)),
+        "empirical": lambda: EmpiricalJoint(_matched_samples(20_000, 9)),
+        "proportional": lambda: ProportionalJoint(Uniform(20, 40), Dirac(30), 2.4),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(JOINTS))
+    def test_layer_moments_are_float_pairs(self, kind):
+        joint = self.JOINTS[kind]()
+        clone = pickle.loads(pickle.dumps(joint))
+        for name in ("mean_loads", "mean_frees"):
+            pair = getattr(joint, name)
+            assert type(pair) is tuple and len(pair) == 2, name
+            assert all(type(value) is float for value in pair), name
+            assert getattr(clone, name) == pair, name
+
+    def test_layer_moments_are_defined_once_as_pairs(self):
+        scalars = {"mean_load_a", "mean_load_b", "mean_free_a", "mean_free_b"}
+        for cls in vars(distributions).values():
+            if isinstance(cls, type) and cls.__module__ == distributions.__name__:
+                names = set(vars(cls)) | set(vars(cls).get("__annotations__", {}))
+                assert not names & scalars, cls.__name__
+        for cls in (IndependentJoint, EmpiricalJoint, ProportionalJoint):
+            assert {"mean_loads", "mean_frees"} <= set(vars(cls)), cls.__name__
 
 
 def _matched_samples(m: int, seed: int) -> np.ndarray:
@@ -670,7 +696,7 @@ class TestEmpiricalJoint:
         before = len(pickle.dumps(emp))
         solved = emp.cascade_cursor().advance(45.0, 40.0)
         assert emp.survival_stats(45.0, 40.0).probability == solved.probability
-        assert emp.mean_free_a > 0.0
+        assert emp.mean_frees[0] > 0.0
         blob = pickle.dumps(emp)
         assert len(blob) == before
         clone = pickle.loads(blob)
@@ -713,7 +739,7 @@ class TestEmpiricalJoint:
             cursor = emp.cascade_cursor()
             return ([cursor.advance(x, y) for x, y in walk],
                     [emp.survival_stats(x, y) for x, y in walk],
-                    emp.mean_load_a, emp.mean_free_b, emp.free_space_cap())
+                    emp.mean_loads, emp.mean_frees, emp.free_space_cap())
 
         before = results()
         samples[::2] = 1.0
@@ -743,8 +769,8 @@ class TestProportionalJoint:
 
     def test_free_space_means_track_alpha(self):
         joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), alpha=2.4)
-        assert joint.mean_free_a == pytest.approx(2.4 * 30.0)
-        assert joint.mean_free_b == pytest.approx(2.4 * 10.0)
+        assert joint.mean_frees[0] == pytest.approx(2.4 * 30.0)
+        assert joint.mean_frees[1] == pytest.approx(2.4 * 10.0)
 
     def test_sample_matrix_is_seed_deterministic(self):
         a = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
@@ -757,8 +783,8 @@ class TestProportionalJoint:
         joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
         stats = joint.survival_stats(0.0, 0.0)
         assert stats.probability == 1.0
-        assert joint.mean_load_a == stats.load_a
-        assert joint.mean_load_b == stats.load_b
+        assert joint.mean_loads[0] == stats.load_a
+        assert joint.mean_loads[1] == stats.load_b
 
     @pytest.mark.parametrize("load_a, load_b, alpha", [
         (Uniform(20, 40), Pareto(5, 2), 2.4),

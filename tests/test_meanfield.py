@@ -138,7 +138,7 @@ class TestIterate:
         assert not steady.converged
 
     @pytest.mark.parametrize("field, value", [
-        ("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1e-10),
+        ("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1e-10), ("tol", True),
         ("max_iter", 0), ("max_iter", -5),
     ])
     def test_invalid_solver_arguments_name_the_field(self, symmetric_uniform_config,
@@ -206,8 +206,8 @@ class TestIterate:
             steady = iterate_to_steady_state(p, cfg)
             assert steady.n_inf <= 1 - p + 1e-15
             prob0 = cfg.joint.joint_survival(
-                *cfg.effective(p * cfg.joint.mean_load_a / (1 - p),
-                               p * cfg.joint.mean_load_b / (1 - p)))
+                *cfg.effective(p * cfg.joint.mean_loads[0] / (1 - p),
+                               p * cfg.joint.mean_loads[1] / (1 - p)))
             if prob0 == 1.0:
                 assert steady.n_inf == 1 - p
             else:
@@ -477,3 +477,30 @@ class TestValidation:
                              Uniform(20, 40), Uniform(25, 75)),
             CrossLayerFactors(0.5, 0.25))
         assert cfg.effective(10.0, 20.0) == (10.0 + 0.25 * 20.0, 20.0 + 0.5 * 10.0)
+
+
+class TestIntegerArguments:
+    """``max_iter`` and ``resolution`` follow the one integer rule: a bool or a
+    non-integral value fails with a ValueError that names the argument,
+    before anything is solved, and a numpy integer counts as the int."""
+
+    CALLS = {
+        "max_iter": lambda cfg, value: iterate_to_steady_state(0.3, cfg, max_iter=value),
+        "resolution": lambda cfg, value: stable_set_grid(
+            0.25, cfg, x_max=90.0, resolution=value).lhs_a.tolist(),
+    }
+
+    @pytest.mark.parametrize("value", [True, 2.5, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejects_before_solving(self, monkeypatch, symmetric_uniform_config, name, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("nothing may be solved before the arguments are checked")
+        monkeypatch.setattr(IndependentJoint, "cascade_cursor", no_solve)
+        monkeypatch.setattr(IndependentJoint, "stability_sides", no_solve)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got"):
+            self.CALLS[name](symmetric_uniform_config, value)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_accepts_numpy_integers(self, symmetric_uniform_config, name):
+        call = self.CALLS[name]
+        assert call(symmetric_uniform_config, np.int64(3)) == call(symmetric_uniform_config, 3)

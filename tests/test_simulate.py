@@ -611,3 +611,72 @@ class TestMonteCarloCurve:
     def test_rejects_negative_seed_base(self, symmetric_uniform_config):
         with pytest.raises(ValueError, match="^seed_base must be >= 0, got -1"):
             monte_carlo_curve(symmetric_uniform_config, 100, [0.5], runs=1, seed_base=-1)
+
+
+def _forbid(monkeypatch, owner, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nothing may run before the arguments are checked")
+    for name in names:
+        monkeypatch.setattr(owner, name, forbidden)
+
+
+class TestIntegerArguments:
+    """Every integer argument follows one rule: a bool or a non-integral value
+    fails with a ValueError that names the argument, before any population
+    is drawn or any cascade runs, and a numpy integer counts as the int."""
+
+    NOT_INTEGERS = [True, 2.5, np.float64(3.0), "3"]
+    CURVE = {"n": 100, "runs": 2, "seed_base": 3, "workers": 1}
+    LABELS = {"n": "population size n", "runs": "runs", "seed_base": "seed_base",
+              "workers": "workers"}
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("name", sorted(CURVE))
+    def test_monte_carlo_curve_rejects(self, monkeypatch, symmetric_uniform_config,
+                                       name, value):
+        _forbid(monkeypatch, simulate, "build_population", "run_cascade")
+        with pytest.raises(ValueError, match=rf"^{self.LABELS[name]} must be an integer, got"):
+            monte_carlo_curve(symmetric_uniform_config, p_grid=[0.3],
+                              **{**self.CURVE, name: value})
+
+    @pytest.mark.parametrize("name", sorted(CURVE))
+    def test_monte_carlo_curve_accepts_numpy_integers(self, symmetric_uniform_config, name):
+        plain = monte_carlo_curve(symmetric_uniform_config, p_grid=[0.3, 0.6], **self.CURVE)
+        numpy = monte_carlo_curve(symmetric_uniform_config, p_grid=[0.3, 0.6],
+                                  **{**self.CURVE, name: np.int64(self.CURVE[name])})
+        assert np.array_equal(numpy.samples, plain.samples)
+        assert (numpy.n, numpy.runs, numpy.seed_base) == (plain.n, plain.runs, plain.seed_base)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_build_population_rejects(self, monkeypatch, symmetric_uniform_config, value):
+        _forbid(monkeypatch, IndependentJoint, "sample_population")
+        with pytest.raises(ValueError, match=r"^population size n must be an integer, got"):
+            build_population(symmetric_uniform_config, value, seed=1)
+
+    def test_build_population_accepts_numpy_integers(self, symmetric_uniform_config):
+        plain = build_population(symmetric_uniform_config, 50, seed=1)
+        numpy = build_population(symmetric_uniform_config, np.int64(50), seed=1)
+        for name in ("load_a", "free_a", "load_b", "free_b"):
+            assert np.array_equal(getattr(numpy, name), getattr(plain, name))
+
+    @pytest.mark.parametrize("value, message", [
+        (-1, "must be >= 0, got -1"), (np.int64(-1), "must be >= 0, got -1"),
+        *((value, "must be an integer, got") for value in NOT_INTEGERS)])
+    @pytest.mark.parametrize("cascade", [run_cascade, run_cascade_naive])
+    def test_cascade_rejects_max_trajectory(self, monkeypatch, symmetric_uniform_config,
+                                            cascade, value, message):
+        pop = build_population(symmetric_uniform_config, 200, seed=1)
+        _forbid(monkeypatch, simulate, "_attacked_nodes")
+        with pytest.raises(ValueError, match=rf"^max_trajectory {message}"):
+            cascade(pop, 0.3, symmetric_uniform_config.factors, attack_seed=1,
+                    max_trajectory=value)
+
+    @pytest.mark.parametrize("cascade", [run_cascade, run_cascade_naive])
+    def test_cascade_accepts_numpy_max_trajectory(self, cascade):
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200))
+        pop = build_population(cfg, 2000, seed=5)
+        plain = cascade(pop, 0.3, cfg.factors, attack_seed=12, max_trajectory=2)
+        numpy = cascade(pop, 0.3, cfg.factors, attack_seed=12, max_trajectory=np.int64(2))
+        assert plain.truncated and numpy.truncated
+        assert numpy.trajectory == plain.trajectory
