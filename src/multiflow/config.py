@@ -6,8 +6,10 @@ p-grid, the run mode, and Monte Carlo parameters.  Each kind of record has
 one schema, a module constant mapping each field to its kind and default,
 and every record is read against its schema by ``_read``: an unknown key,
 a missing field or a wrong-typed value fails with an error that names the
-field.  The parsed spec derives a fully resolved, JSON-able copy of itself
-so output files can embed exactly what produced them.
+field.  A marginal or allocation record is tagged: its ``kind`` or
+``strategy`` is read first and picks the class whose schema the rest of the
+record is read against.  The parsed spec derives a fully resolved, JSON-able
+copy of itself so output files can embed exactly what produced them.
 """
 
 from __future__ import annotations
@@ -22,30 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .allocate import (
-    AllocationStrategy,
     EqualFreeSpace,
     EqualToleranceFactor,
     LayerWeightedEqual,
     PerLayerEqual,
     apply_strategy,
 )
-from .distributions import (
-    DistributionError,
-    EmpiricalJoint,
-    IndependentJoint,
-    marginal_from_dict,
-)
+from .distributions import _KINDS, DistributionError, EmpiricalJoint, IndependentJoint
 from .meanfield import CrossLayerFactors, SystemConfig
 
 MODES = ("analytic", "simulate", "both")
-
-# Strategy classes by spec name; their dataclass fields are the spec's keys.
-_STRATEGIES = {
-    "layer_weighted_equal": LayerWeightedEqual,
-    "equal_free_space": EqualFreeSpace,
-    "equal_tolerance_factor": EqualToleranceFactor,
-    "per_layer_equal": PerLayerEqual,
-}
 
 
 class ConfigError(ValueError):
@@ -156,10 +144,14 @@ _SYSTEMS = {
     "marginals": {**_FACTORS, "load_a": _MARGINAL, "free_a": _MARGINAL,
                   "load_b": _MARGINAL, "free_b": _MARGINAL},
 }
-# A strategy's record is its name plus its dataclass fields as numbers.
-_STRATEGY_NAME = {"strategy": (tuple(sorted(_STRATEGIES)), MISSING)}
-_ALLOCATIONS = {name: {**_STRATEGY_NAME, **_schema(cls, float)}
-                for name, cls in _STRATEGIES.items()}
+# Tagged records: the tag's value names the class, whose schema holds the
+# other fields in constructor order.  A marginal's fields are required
+# numbers; a strategy's are its dataclass fields as numbers.
+_MARGINALS = {kind: (cls, {name: (float, MISSING) for name in names})
+              for kind, (cls, names) in _KINDS.items()}
+_ALLOCATIONS = {name: (cls, _schema(cls, float)) for name, cls in (
+    ("layer_weighted_equal", LayerWeightedEqual), ("equal_free_space", EqualFreeSpace),
+    ("equal_tolerance_factor", EqualToleranceFactor), ("per_layer_equal", PerLayerEqual))}
 _P_RANGE = {"min": (float, MISSING), "max": (float, MISSING), "count": (int, MISSING)}
 _SIM = _schema(SimParams, int, resample_population=bool)
 _OUTPUT = _schema(OutputParams, directory=str, formats=list)
@@ -167,14 +159,17 @@ _SPEC = {"systems": (dict, MISSING), "mode": (MODES, "analytic"),
          "p_grid": (_P_GRID, None), "sim": (dict, None), "output": (dict, {})}
 
 
-def _parse_strategy(record: dict, where: str) -> AllocationStrategy:
-    # The name picks the schema of the rest of the record, so it is read first.
-    named = {k: v for k, v in record.items() if k == "strategy"}
-    name = _read(named, where, _STRATEGY_NAME)["strategy"]
-    values = _read(record, where, _ALLOCATIONS[name])
-    del values["strategy"]
+def _construct(record: dict, where: str, tag: str, classes: dict):
+    """The object a tagged record describes; ``classes`` maps each tag value
+    to its class and the schema of the record's other fields."""
+    # The tag picks the schema of the rest of the record, so it is read first.
+    tags = {tag: (tuple(sorted(classes)), MISSING)}
+    name = _read({k: v for k, v in record.items() if k == tag}, where, tags)[tag]
+    cls, schema = classes[name]
+    values = _read(record, where, {**tags, **schema})
+    del values[tag]
     try:
-        return _STRATEGIES[name](**values)
+        return cls(*values.values())
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -207,18 +202,15 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
-    try:
-        if kind == "samples":
-            cfg = SystemConfig(_load_samples(values["samples"], base_dir, where), factors)
-        else:
-            strategy = (_parse_strategy(values.pop("allocation"), f"{where}.allocation")
-                        if kind == "allocation" else None)
-            marginals = [marginal_from_dict(value, f"{where}.{name}")
-                         for name, value in values.items()]
-            cfg = (SystemConfig(IndependentJoint(*marginals), factors) if strategy is None
-                   else apply_strategy(strategy, *marginals, factors))
-    except DistributionError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "samples":
+        cfg = SystemConfig(_load_samples(values["samples"], base_dir, where), factors)
+    else:
+        strategy = (_construct(values.pop("allocation"), f"{where}.allocation", "strategy",
+                               _ALLOCATIONS) if kind == "allocation" else None)
+        marginals = [_construct(value, f"{where}.{name}", "kind", _MARGINALS)
+                     for name, value in values.items()]
+        cfg = (SystemConfig(IndependentJoint(*marginals), factors) if strategy is None
+               else apply_strategy(strategy, *marginals, factors))
 
     resolved = {"beta_a": factors.beta_a, "beta_b": factors.beta_b, **cfg.joint.to_dict()}
     if kind == "allocation":

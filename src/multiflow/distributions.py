@@ -56,6 +56,13 @@ def _require(condition: bool, message: str) -> None:
         raise DistributionError(message)
 
 
+def _number(value, what: str) -> float:
+    """A real parameter as a Python float; a bool or a non-number is refused."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
+             f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _scalar_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
@@ -64,18 +71,16 @@ class _Marginal:
     """Shared rules; each family implements ``_survival``/``_quantile`` on float arrays.
 
     Fields are stored as floats, so an int or numpy argument computes as the
-    equal float does; each family checks them in ``_check``.  Inputs are
-    converted once, and a scalar gives a float.  Sampling is inverse-CDF for
-    every family, Dirac too, so streams stay aligned.
+    equal float does, and a bool is refused; each family checks them in
+    ``_check``.  Inputs are converted once, and a scalar gives a float.
+    Sampling is inverse-CDF for every family, Dirac too, so streams stay
+    aligned.
     """
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = getattr(self, field.name)
-            _require(isinstance(value, numbers.Real),
-                     f"{type(self).__name__.lower()} {field.name} must be a number, "
-                     f"got {value!r}")
-            object.__setattr__(self, field.name, float(value))
+            object.__setattr__(self, field.name, _number(
+                getattr(self, field.name), f"{type(self).__name__.lower()} {field.name}"))
         self._check()
 
     def survival(self, x):
@@ -210,36 +215,8 @@ _KINDS = {
 }
 
 
-def marginal_from_dict(record: dict, where: str = "distribution") -> MarginalDistribution:
-    """Parse a tagged record like {"kind": "uniform", "min": 20, "max": 40}."""
-    if not isinstance(record, dict):
-        raise DistributionError(f"{where}: expected a tagged record, got {record!r}")
-    kind = record.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise DistributionError(f"{where}.kind: expected one of {sorted(_KINDS)}, got {kind!r}")
-    cls, names = _KINDS[kind]
-    for key in record:
-        if key != "kind" and key not in names:
-            raise DistributionError(f"{where}.{key}: unknown field for kind={kind!r}; "
-                                    f"expected {list(names)}")
-
-    def field(name: str) -> float:
-        if name not in record:
-            raise DistributionError(f"{where}.{name}: missing for kind={kind!r}")
-        value = record[name]
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise DistributionError(f"{where}.{name}: expected a number, got {value!r}")
-        return float(value)
-
-    values = [field(name) for name in names]
-    try:
-        return cls(*values)
-    except DistributionError as exc:
-        raise DistributionError(f"{where}: {exc}") from exc
-
-
 def marginal_to_dict(dist: MarginalDistribution) -> dict:
-    """Tagged record of a marginal; the inverse of ``marginal_from_dict``."""
+    """Tagged record of a marginal, as a spec names it."""
     for kind, (cls, names) in _KINDS.items():
         if isinstance(dist, cls):
             values = (getattr(dist, f.name) for f in fields(cls))
@@ -603,6 +580,7 @@ class ProportionalJoint(JointLoadSpace):
     alpha: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _number(self.alpha, "tolerance factor alpha"))
         _require(math.isfinite(self.alpha) and self.alpha > 0,
                  f"tolerance factor alpha must be > 0, got {self.alpha}")
 

@@ -55,9 +55,11 @@ class CrossLayerFactors:
     beta_b: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in (("beta_a", self.beta_a), ("beta_b", self.beta_b)):
+        for name in ("beta_a", "beta_b"):
+            value = _validate_real(getattr(self, name), name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -112,17 +114,23 @@ class SteadyState:
         return self.n_inf == 0.0
 
 
-def _validate_p(p: float) -> float:
-    """Check an attack fraction and return it as a Python float.
+def _validate_real(value, name: str) -> float:
+    """Check a real argument and return it as a Python float.
 
-    Any real scalar in (0, 1) is accepted, numpy scalars included; ``bool``
-    is rejected as not a number.
+    Any real scalar is accepted, numpy scalars included; ``bool`` is rejected
+    as not a number.
     """
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise ValueError(f"attack fraction p must be a real number, got {type(p).__name__}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
+def _validate_p(p: float) -> float:
+    """Check an attack fraction in (0, 1) and return it as a Python float."""
+    p = _validate_real(p, "attack fraction p")
     if not 0.0 < p < 1.0:
         raise ValueError(f"attack fraction p must lie strictly in (0, 1), got {p}")
-    return float(p)
+    return p
 
 
 def _validate_int(value, name: str, minimum: int) -> int:
@@ -180,7 +188,8 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
     minimum of the stable set.
     """
     p = _validate_p(p)
-    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0.0):
+    tol = _validate_real(tol, "tol")
+    if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     max_iter = _validate_int(max_iter, "max_iter", 1)
     cursor = cfg.joint.cascade_cursor()
@@ -225,9 +234,10 @@ def is_stable_point(x: float, y: float, p: float, cfg: SystemConfig,
     ``rel_tol`` loosens the threshold accordingly (0 gives the sharp test).
     """
     p = _validate_p(p)
+    x, y = _validate_real(x, "x"), _validate_real(y, "y")
     if not (x >= 0 and y >= 0):
         raise ValueError(f"excess loads must be >= 0, got ({x}, {y})")
-    lhs_a, lhs_b = cfg.joint.stability_sides([float(x)], [float(y)],
+    lhs_a, lhs_b = cfg.joint.stability_sides([x], [y],
                                              cfg.factors.beta_a, cfg.factors.beta_b)
     threshold = (1.0 / (1.0 - p)) * (1.0 - rel_tol)
     return bool(lhs_a[0, 0] >= threshold and lhs_b[0, 0] >= threshold)
@@ -274,8 +284,8 @@ def stable_set_grid(p: float, cfg: SystemConfig,
     p = _validate_p(p)
     resolution = _validate_int(resolution, "resolution", 2)
     cap = 1.2 * cfg.joint.free_space_cap()
-    x_max = cap if x_max is None else float(x_max)
-    y_max = cap if y_max is None else float(y_max)
+    x_max = cap if x_max is None else _validate_real(x_max, "x_max")
+    y_max = cap if y_max is None else _validate_real(y_max, "y_max")
     for name, extent in (("x_max", x_max), ("y_max", y_max)):
         if not (math.isfinite(extent) and extent > 0):
             raise ValueError(f"grid extent {name} must be finite and positive, got {extent}")
@@ -318,6 +328,7 @@ def critical_attack_size(cfg: SystemConfig,
     A coarse scan of [tol_p, 1 - tol_p], so tol_p < 0.5, brackets the
     survive/collapse boundary and checks monotonicity before bisecting.
     """
+    tol_p = _validate_real(tol_p, "tol_p")
     if not 0.0 < tol_p < 0.5:
         raise ValueError(f"tol_p must lie strictly in (0, 0.5), got {tol_p}")
 

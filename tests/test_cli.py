@@ -595,18 +595,26 @@ class TestSimulateCommand:
 
 
 class TestBundledConfigs:
-    @pytest.mark.parametrize("name", [
-        "uniform_symmetric",
-        "mixed_families",
-        "beta_sweep",
-        "alloc_weibull_pareto",
-        "alloc_pareto_uniform",
-        "alloc_uniform_weibull",
-    ])
-    def test_bundled_specs_parse(self, name):
+    # sha256 of each bundled config's resolved spec, the `config_sha256` its
+    # output files embed; a change here moves every table's header.
+    BUNDLED = [
+        ("uniform_symmetric", "89f1e1177bec52e0647f33c205ce098ff6e5dcb3a59bb6a6ee021d431941b07d"),
+        ("mixed_families", "37497e849cef85e5d6548ccd500dd00d0962894242626fe8aedd91c07309e66f"),
+        ("beta_sweep", "6b5bbc5a0f39902e17734a133fa01678240aac472d80431d3b8c9a57d4311ac2"),
+        ("alloc_weibull_pareto",
+         "5aeb5970c163fd02b365ae45b876a06d0e49683c6bd8d58646c5dd8a538a6532"),
+        ("alloc_pareto_uniform",
+         "3d690203c29037ad7e6a95cc91d2915ee7616ff0f9a553af621ebda90c5d9bc9"),
+        ("alloc_uniform_weibull",
+         "57ae6efb896b7a915fe8b4ddcbf45af5e39ce029a271fe7b8c1380ebfe88109d"),
+    ]
+
+    @pytest.mark.parametrize("name, checksum", BUNDLED, ids=[name for name, _ in BUNDLED])
+    def test_bundled_specs_parse(self, name, checksum):
         path = cli._resolve_config_path(name)
         spec = load_experiment(path)
         assert spec.systems
+        assert spec.checksum == checksum
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError):

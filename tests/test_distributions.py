@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import json
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 from dataclasses import fields
@@ -24,9 +26,9 @@ from multiflow import (
     ProportionalJoint,
     Uniform,
     Weibull,
-    marginal_from_dict,
     marginal_to_dict,
 )
+from multiflow.config import ConfigError, parse_experiment
 from helpers import kolmogorov_statistic
 
 
@@ -176,6 +178,16 @@ class TestMarginalBaseRules:
         with pytest.raises(DistributionError, match="uniform high must be a number, got '75'"):
             Uniform(25, "75")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Uniform(True, 3), "uniform low must be a number, got True"),
+        (lambda: Pareto(5, np.bool_(True)), "pareto shape must be a number, got np.True_"),
+        (lambda: Weibull(10, True, 2), "weibull scale must be a number, got True"),
+        (lambda: Dirac(True), "dirac value must be a number, got True"),
+    ], ids=["uniform", "pareto", "weibull", "dirac"])
+    def test_a_bool_field_is_refused(self, build, message):
+        with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+            build()
+
     @pytest.mark.parametrize("dist", FAMILIES, ids=_call)
     def test_outputs_equal_the_family_formulas(self, dist):
         survival, quantile, cap = _reference_formulas(dist)
@@ -286,6 +298,16 @@ class TestValidation:
         with pytest.raises(DistributionError):
             build()
 
+    # A marginal record is read by the spec reader; these put it in layer A's
+    # load of a spec and read what the spec resolves.
+    WHERE = "spec.systems.demo.load_a"
+
+    @staticmethod
+    def _spec(record):
+        free = {"kind": "uniform", "min": 25, "max": 75}
+        return parse_experiment({"systems": {"demo": {
+            "load_a": record, "free_a": free, "load_b": free, "free_b": free}}})
+
     def test_from_dict_roundtrip(self):
         for record in (
             {"kind": "uniform", "min": 20, "max": 40},
@@ -293,32 +315,42 @@ class TestValidation:
             {"kind": "weibull", "min": 10, "lambda": 10.78, "k": 6},
             {"kind": "dirac", "value": 360},
         ):
-            dist = marginal_from_dict(record)
-            assert marginal_to_dict(dist) == {k: float(v) if k != "kind" else v
-                                              for k, v in record.items()}
+            spec = self._spec(record)
+            resolved = spec.resolved["systems"]["demo"]["load_a"]
+            assert resolved == {k: float(v) if k != "kind" else v for k, v in record.items()}
+            assert all(type(v) is float for k, v in resolved.items() if k != "kind")
+            assert marginal_to_dict(spec.systems["demo"].joint.load_a) == resolved
 
     def test_to_dict_rejects_a_non_marginal(self):
         with pytest.raises(TypeError, match="str"):
             marginal_to_dict("uniform")
 
     def test_from_dict_errors_name_the_field(self):
-        with pytest.raises(DistributionError, match="load_a.kind"):
-            marginal_from_dict({"kind": "gaussian"}, where="load_a")
-        with pytest.raises(DistributionError, match="load_a.max"):
-            marginal_from_dict({"kind": "uniform", "min": 20}, where="load_a")
-        with pytest.raises(DistributionError, match="load_a.b"):
-            marginal_from_dict({"kind": "pareto", "min": 5, "b": "two"}, where="load_a")
+        where = re.escape(self.WHERE)
+        for record, message in (
+            ({"kind": "gaussian"}, rf"^{where}\.kind: expected one of \['dirac', 'pareto', "
+                                   r"'uniform', 'weibull'\], got 'gaussian'$"),
+            ({"min": 20, "max": 40}, rf"^{where}\.kind: missing$"),
+            ({"kind": "uniform", "min": 20}, rf"^{where}\.max: missing$"),
+            ({"kind": "pareto", "min": 5, "b": "two"},
+             rf"^{where}\.b: expected a number, got 'two'$"),
+            ({"kind": "pareto", "min": 5, "b": 0.5},
+             rf"^{where}: pareto requires shape b > 1 for a finite mean, got 0.5$"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                self._spec(record)
 
     @pytest.mark.parametrize("value", ["20", True, np.bool_(True), None])
     def test_from_dict_takes_numbers_only(self, value):
-        with pytest.raises(DistributionError, match=r"^load_a\.min: expected a number"):
-            marginal_from_dict({"kind": "uniform", "min": value, "max": 40}, where="load_a")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(self.WHERE)}\.min: expected a number"):
+            self._spec({"kind": "uniform", "min": value, "max": 40})
 
     def test_from_dict_takes_numpy_numbers(self):
-        dist = marginal_from_dict({"kind": "uniform", "min": np.float64(20),
-                                   "max": np.int64(40)})
+        spec = self._spec({"kind": "uniform", "min": np.float64(20), "max": np.int64(40)})
+        dist = spec.systems["demo"].joint.load_a
         assert dist == Uniform(20.0, 40.0)
         assert type(dist.low) is float and type(dist.high) is float
+        assert spec.canonical == self._spec({"kind": "uniform", "min": 20, "max": 40}).canonical
 
     @pytest.mark.parametrize("record, typo", [
         ({"kind": "uniform", "min": 20, "max": 40, "maximum": 50}, "maximum"),
@@ -328,9 +360,11 @@ class TestValidation:
     ])
     def test_from_dict_rejects_unknown_fields(self, record, typo):
         valid = {key: value for key, value in record.items() if key != typo}
-        assert marginal_to_dict(marginal_from_dict(valid)) == valid
-        with pytest.raises(DistributionError, match=f"^load_a.{typo}: unknown field"):
-            marginal_from_dict(record, where="load_a")
+        assert marginal_to_dict(self._spec(valid).systems["demo"].joint.load_a) == valid
+        expected = sorted(valid)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(self.WHERE)}\.{typo}: unknown "
+                                              rf"field; expected one of {re.escape(str(expected))}$"):
+            self._spec(record)
 
 
 @pytest.fixture(scope="module")
@@ -766,6 +800,18 @@ class TestProportionalJoint:
         assert joint.joint_survival(79.0, 0.0) == pytest.approx(0.025, abs=0.005)
         # thresholds below 2*min never fail anyone
         assert joint.joint_survival(39.9, 39.9) == 1.0
+
+    @pytest.mark.parametrize("alpha", [np.float32(1.5), np.int64(2), 2], ids=repr)
+    def test_alpha_is_stored_as_a_float(self, alpha):
+        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), alpha)
+        assert type(joint.alpha) is float and joint.alpha == float(alpha)
+        assert json.loads(json.dumps(joint.to_dict()))["alpha"] == float(alpha)
+
+    @pytest.mark.parametrize("alpha", [True, np.bool_(True), "2.4", None], ids=repr)
+    def test_alpha_must_be_a_number(self, alpha):
+        message = f"tolerance factor alpha must be a number, got {alpha!r}"
+        with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+            ProportionalJoint(Uniform(20, 40), Pareto(5, 2), alpha)
 
     def test_free_space_means_track_alpha(self):
         joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), alpha=2.4)

@@ -504,3 +504,50 @@ class TestIntegerArguments:
     def test_accepts_numpy_integers(self, symmetric_uniform_config, name):
         call = self.CALLS[name]
         assert call(symmetric_uniform_config, np.int64(3)) == call(symmetric_uniform_config, 3)
+
+
+class TestRealArguments:
+    """Real-valued arguments follow the one real-number rule: a bool or a
+    non-number fails with a ValueError that names the argument, before
+    anything is solved, and a numpy float counts as the equal Python float."""
+
+    CALLS = {
+        "beta_a": lambda cfg, value: CrossLayerFactors(value, 0.0),
+        "beta_b": lambda cfg, value: CrossLayerFactors(0.0, value),
+        "tol": lambda cfg, value: iterate_to_steady_state(0.3, cfg, tol=value),
+        "tol_p": lambda cfg, value: critical_attack_size(cfg, tol_p=value),
+        "x_max": lambda cfg, value: stable_set_grid(
+            0.25, cfg, x_max=value, resolution=4).lhs_a.tolist(),
+        "y_max": lambda cfg, value: stable_set_grid(
+            0.25, cfg, y_max=value, resolution=4).lhs_b.tolist(),
+        "x": lambda cfg, value: is_stable_point(value, 10.0, 0.25, cfg),
+        "y": lambda cfg, value: is_stable_point(10.0, value, 0.25, cfg),
+    }
+
+    # None is the grid extents' default, the free-space cap, so it is no error there.
+    BAD = [(name, value, type_name) for name in sorted(CALLS)
+           for value, type_name in ((True, "bool"), (np.bool_(True), "bool"), ("0.2", "str"),
+                                    (None, "NoneType"))
+           if not (value is None and name.endswith("_max"))]
+
+    @pytest.mark.parametrize("name, value, type_name", BAD,
+                             ids=[f"{name}={value!r}" for name, value, _ in BAD])
+    def test_rejects_before_solving(self, monkeypatch, symmetric_uniform_config, name,
+                                    value, type_name):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("nothing may be solved before the arguments are checked")
+        monkeypatch.setattr(IndependentJoint, "cascade_cursor", no_solve)
+        monkeypatch.setattr(IndependentJoint, "stability_sides", no_solve)
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {type_name}$"):
+            self.CALLS[name](symmetric_uniform_config, value)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_accepts_numpy_floats(self, symmetric_uniform_config, name):
+        call = self.CALLS[name]
+        assert call(symmetric_uniform_config, np.float32(0.25)) == call(
+            symmetric_uniform_config, 0.25)
+
+    def test_factors_are_stored_as_floats(self):
+        factors = CrossLayerFactors(np.float32(0.25), 1)
+        assert factors == CrossLayerFactors(0.25, 1.0)
+        assert type(factors.beta_a) is float and type(factors.beta_b) is float
