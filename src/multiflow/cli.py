@@ -184,19 +184,17 @@ def cmd_curve(args, spec: ExperimentSpec) -> int:
 
 
 def cmd_critical(args, spec: ExperimentSpec) -> int:
-    header = ["system", "p_hat", "lower", "upper", "tol_p", "budget_bound",
-              "degenerate", "non_monotone"]
+    header = ["system", "p_hat", "lower", "upper", "tol_p", "budget_bound", "degenerate"]
     rows = []
     for name, cfg in spec.systems.items():
         result = meanfield.critical_attack_size(cfg, tol_p=args.tol_p)
         bound = allocate.optimal_critical_attack(
             *cfg.joint.mean_loads, cfg.factors, sum(cfg.joint.mean_frees))
         rows.append((name, result.p_hat, result.lower, result.upper, args.tol_p,
-                     bound, int(result.degenerate), int(result.non_monotone)))
+                     bound, int(result.degenerate)))
         print(f"{name}: p_hat={result.p_hat:.6f} (+/- {args.tol_p:g}), "
               f"budget bound {bound:.6f}"
-              + (" [degenerate]" if result.degenerate else "")
-              + (" [non-monotone scan]" if result.non_monotone else ""))
+              + (" [degenerate]" if result.degenerate else ""))
     _table(args, spec, "critical", None, header, list(zip(*rows)))
     return EXIT_OK
 

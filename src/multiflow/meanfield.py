@@ -20,9 +20,10 @@ which makes the surviving fraction at the limit the final system size.
 The two sides of those inequalities do not depend on p: the joint's
 ``stability_sides`` evaluates them on a grid, and a point is stable at p
 iff both reach 1/(1-p).  ``stable_set_grid`` scans that region explicitly
-for visual checks, ``is_stable_point`` tests one point, and
-``critical_attack_size`` bisects for the largest attack the system absorbs
-with a positive final size.
+for visual checks, and ``is_stable_point`` tests one point.  Since that
+threshold rises with p, a positive final size switches off only once as p
+grows, so ``critical_attack_size`` finds the largest attack the system
+absorbs by plain bisection.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
 DEFAULT_TOL_P = 1e-4
 DEFAULT_GRID_RESOLUTION = 400
-# Attack sizes probed by the critical search's coarse scan before bisecting.
-_SCAN_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -237,6 +236,9 @@ def is_stable_point(x: float, y: float, p: float, cfg: SystemConfig,
     x, y = _validate_real(x, "x"), _validate_real(y, "y")
     if not (x >= 0 and y >= 0):
         raise ValueError(f"excess loads must be >= 0, got ({x}, {y})")
+    rel_tol = _validate_real(rel_tol, "rel_tol")
+    if not 0.0 <= rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol}")
     lhs_a, lhs_b = cfg.joint.stability_sides([x], [y],
                                              cfg.factors.beta_a, cfg.factors.beta_b)
     threshold = (1.0 / (1.0 - p)) * (1.0 - rel_tol)
@@ -305,17 +307,16 @@ def stable_set_grid(p: float, cfg: SystemConfig,
 class CriticalAttackResult:
     """Bisection estimate of the critical attack size.
 
-    ``degenerate`` marks systems that collapse even at the smallest probed
-    attack.  ``non_monotone`` reports any survive-after-collapse pattern seen
-    during the coarse scan; the estimate then refers to the upper survival
-    boundary and should be inspected.
+    Survival is monotone in p: the stability sides do not depend on p and
+    the threshold 1/(1-p) rises with it, so the system survives exactly the
+    attacks below p*, which lies in [lower, upper].  ``degenerate`` marks
+    systems that collapse even at the smallest probed attack.
     """
 
     p_hat: float
     lower: float
     upper: float
     degenerate: bool = False
-    non_monotone: bool = False
 
     def __float__(self) -> float:
         return self.p_hat
@@ -325,8 +326,10 @@ def critical_attack_size(cfg: SystemConfig,
                          tol_p: float = DEFAULT_TOL_P) -> CriticalAttackResult:
     """Largest attack fraction with a positive final size, within tol_p.
 
-    A coarse scan of [tol_p, 1 - tol_p], so tol_p < 0.5, brackets the
-    survive/collapse boundary and checks monotonicity before bisecting.
+    A point is stable at p iff both p-free stability sides reach 1/(1-p),
+    which rises with p, so "n_inf(p) > 0" switches off once and a plain
+    bisection of [tol_p, 1] finds the switch in 1 + ceil(log2((1-tol_p)/tol_p))
+    solves.  tol_p must lie in (0, 0.5); p = 1 itself is never solved.
     """
     tol_p = _validate_real(tol_p, "tol_p")
     if not 0.0 < tol_p < 0.5:
@@ -338,28 +341,11 @@ def critical_attack_size(cfg: SystemConfig,
     if not alive(tol_p):
         return CriticalAttackResult(0.0, 0.0, tol_p, degenerate=True)
 
-    # The grid starts at exactly tol_p, which has just been found alive.
-    grid = np.linspace(tol_p, 1.0 - tol_p, _SCAN_POINTS)
-    flags = [True] + [alive(float(p)) for p in grid[1:]]
-
-    non_monotone = False
-    seen_dead = False
-    for ok in flags:
-        if not ok:
-            seen_dead = True
-        elif seen_dead:
-            non_monotone = True
-            break
-
-    last_alive = max(i for i, ok in enumerate(flags) if ok)
-    lower = float(grid[last_alive])
-    upper = float(grid[last_alive + 1]) if last_alive + 1 < len(grid) else 1.0
-
+    lower, upper = tol_p, 1.0
     while upper - lower > tol_p:
         mid = 0.5 * (lower + upper)
         if alive(mid):
             lower = mid
         else:
             upper = mid
-    return CriticalAttackResult(0.5 * (lower + upper), lower, upper,
-                                non_monotone=non_monotone)
+    return CriticalAttackResult(0.5 * (lower + upper), lower, upper)

@@ -840,9 +840,9 @@ def _digests(out: Path) -> dict[str, str]:
 
 class TestArtifactDigests:
     """Exact bytes of CLI artifacts and stdout, captured from the row-based
-    writer before the column writer replaced it.  The sample-backed
-    ``critical`` and ``curve`` digests were captured before the joints' layer
-    moments became pairs.
+    writer before the column writer replaced it.  The sample-backed ``curve``
+    digest was captured before the joints' layer moments became pairs, and
+    both ``critical`` digests when the critical search became one bisection.
 
     A change that means to move these bytes states it and updates them here.
     """
@@ -871,13 +871,13 @@ class TestArtifactDigests:
          {"curve_uniform_symmetric.csv":
           "5d70e64f6e268d5f2f7f321c37273b37830c28a2d97ad3ccb39ad6deef2d2949"}),
         (["critical", "--config", "mixed_families"],
-         "275b56e80d6b8168fcc6d8edb1250079f51ff7a0ce6a2992969f93858c12b8bb",
+         "a7eabf5e79cf5b52270c4d4fd14faca925e5b6164fae2e68c6b105db9a8eba88",
          {"critical.csv":
-          "5485d780386719ccb19c8aa0327027255669891d8356d1c14caf2a7c38c612da"}),
+          "34023957cbe06264559780c57797f0886133b18b782949cfc53bcb17318fc76c"}),
         (["critical", "--config", "alloc_pareto_uniform"],
-         "8ce1af1a784f401eecb8576f143abf9916ecaf7fcee1e5c1f58b2da185b79e17",
+         "334d00a4dc1a67873fe3c547389bbd6e3ad5f351d14a58dfee7ec853a6dbabb4",
          {"critical.csv":
-          "fac026486c2eeb2835d7fe6c13c4c250c63c3cfbcf9a346d81418140f39765d1"}),
+          "bf8e66e4114dbb8c57d7a1b2ee56e4be67d8d015f7619bb60080a42115b63fe4"}),
         (["curve", "--config", "alloc_pareto_uniform"],
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          {"curve_equal_free_space.csv":

@@ -247,6 +247,11 @@ class TestStablePoints:
         with pytest.raises(ValueError, match="excess loads"):
             is_stable_point(0.0, math.nan, 0.25, symmetric_uniform_config)
 
+    @pytest.mark.parametrize("rel_tol", [-0.1, 1.0, math.nan, math.inf])
+    def test_rel_tol_out_of_range_names_the_field(self, symmetric_uniform_config, rel_tol):
+        with pytest.raises(ValueError, match=r"^rel_tol\b"):
+            is_stable_point(0.0, 0.0, 0.9, symmetric_uniform_config, rel_tol=rel_tol)
+
 
 class TestStableSetGrid:
     def test_region_and_minimum(self, symmetric_uniform_config):
@@ -368,7 +373,7 @@ class TestCriticalAttackSize:
         assert result.upper - result.lower <= 1e-4
         assert final_size(result.lower, symmetric_uniform_config) > 0
         assert final_size(result.upper, symmetric_uniform_config) == 0
-        assert not result.degenerate and not result.non_monotone
+        assert not result.degenerate
 
     def test_identical_dirac_layers_match_budget_ratio(self):
         # beta = 0, both layers identical, Dirac free space: the critical
@@ -401,6 +406,50 @@ class TestCriticalAttackSize:
                             lambda p, cfg: solved.append(p) or solve(p, cfg))
         critical_attack_size(symmetric_uniform_config, tol_p=tol_p)
         assert solved.count(tol_p) == 1
+        assert len(solved) == 1 + math.ceil(math.log2((1 - tol_p) / tol_p))
+
+    def test_survival_switches_off_once(self):
+        # The stability sides do not depend on p and the threshold 1/(1-p)
+        # rises with it, so n_inf(p) > 0 can only turn false once; the
+        # bisection relies on that in place of a scan.
+        rng = np.random.default_rng(14)
+        systems = [random_system(rng) for _ in range(40)]
+        systems += [sampled_copy(random_system(rng)) for _ in range(2)]
+        grid = np.linspace(0.01, 0.99, 99)
+        families = set()
+        for cfg in systems:
+            if isinstance(cfg.joint, IndependentJoint):
+                families.update(type(m).__name__ for m in (cfg.joint.free_a, cfg.joint.free_b))
+            alive = [final_size(float(p), cfg) > 0 for p in grid]
+            assert alive == sorted(alive, reverse=True)
+            result = critical_attack_size(cfg)
+            if result.degenerate:
+                assert not any(alive)
+                continue
+            assert result.upper - result.lower <= 1e-4
+            assert final_size(result.lower, cfg) > 0
+            assert result.upper == 1.0 or final_size(result.upper, cfg) == 0
+        assert families == {"Uniform", "Pareto", "Weibull", "Dirac"}
+
+    def test_brackets_contain_the_reference_critical_sizes(self):
+        # perfbench/reference.json holds p* of the bundled closed-form systems
+        # from an independent oracle, bisected to 1e-7.
+        import json
+        from pathlib import Path
+
+        from multiflow import cli
+        from multiflow.config import load_experiment
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        reference = json.loads(path.read_text(encoding="utf-8"))["critical"]
+        checked = 0
+        for config in ("uniform_symmetric", "mixed_families", "beta_sweep"):
+            spec = load_experiment(cli._resolve_config_path(config))
+            for name, cfg in spec.systems.items():
+                result = critical_attack_size(cfg)
+                assert result.lower <= reference[f"{config}/{name}"] <= result.upper, name
+                checked += 1
+        assert checked == 8
 
     def test_float_protocol(self, symmetric_uniform_config):
         result = critical_attack_size(symmetric_uniform_config, tol_p=1e-3)
@@ -445,8 +494,8 @@ class TestStoredSampleGolden:
 
     def test_critical_attack_size(self, cfg):
         assert repr(critical_attack_size(cfg)) == (
-            "CriticalAttackResult(p_hat=0.6000471252441406, lower=0.6000166137695312, "
-            "upper=0.6000776367187499, degenerate=False, non_monotone=False)")
+            "CriticalAttackResult(p_hat=0.6000461029052734, lower=0.6000155883789062, "
+            "upper=0.6000766174316405, degenerate=False)")
 
     @pytest.mark.parametrize("p, expected", [
         (0.3, "SteadyState(n_inf=0.7, x_star=53.56337007835949, "
@@ -522,6 +571,7 @@ class TestRealArguments:
             0.25, cfg, y_max=value, resolution=4).lhs_b.tolist(),
         "x": lambda cfg, value: is_stable_point(value, 10.0, 0.25, cfg),
         "y": lambda cfg, value: is_stable_point(10.0, value, 0.25, cfg),
+        "rel_tol": lambda cfg, value: is_stable_point(10.0, 10.0, 0.25, cfg, rel_tol=value),
     }
 
     # None is the grid extents' default, the free-space cap, so it is no error there.
