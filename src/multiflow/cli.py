@@ -8,7 +8,7 @@ spec and seed produce byte-identical files.
 Every command hands its table to one writer as columns, one sequence per
 header field.  A numeric array column is formatted once per distinct value
 and its strings repeated, so the 160,000-row stable-set grid formats each
-axis point once; JSON rows are built from the same columns as Python values.
+axis point once; JSON rows are written from the columns the same way.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 nonconvergence.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -75,20 +76,22 @@ def _values(column):
     return column
 
 
-def _cells(column) -> list[str]:
-    """The CSV text of each cell of one column.
+def _cells(column, text=_fmt, number=repr) -> list[str]:
+    """The text of each cell of one column: ``text`` of each value, or
+    ``number`` of each Python int or float of a numeric array.
 
     A numeric array is formatted once per distinct value, so a grid axis
-    repeated across 160,000 rows costs one ``repr`` per axis point.  Floats
-    are told apart by bit pattern: by value, -0.0 would merge into 0.0.
+    repeated across 160,000 rows costs one ``number`` call per axis point.
+    Floats are told apart by bit pattern: by value, -0.0 would merge into 0.0.
     """
     if not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"):
-        return [_fmt(v) for v in column]
+        return [text(v) for v in _values(column)]
     keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
     distinct, inverse = np.unique(keys, return_inverse=True)
     # repr of a Python int or float is the text _fmt gives it
-    text = np.array([repr(v) for v in _values(distinct.view(column.dtype))], dtype=object)
-    return text[inverse].tolist()
+    strings = np.array([number(v) for v in _values(distinct.view(column.dtype))],
+                       dtype=object)
+    return strings[inverse].tolist()
 
 
 def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> None:
@@ -100,14 +103,37 @@ def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> N
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _json_rows(header: list[str], columns) -> list[dict]:
-    return [dict(zip(header, row)) for row in zip(*map(_values, columns))]
+def _json_value(value) -> str:
+    """The JSON text of one cell; ``repr`` is that text for an int or a finite float."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json_rows(header: list[str], columns) -> str:
+    """The ``"rows"`` list of row objects, indented two levels deep, as text;
+    each key with its value is formatted once per distinct column value."""
+    texts = []
+    for name, column in sorted(zip(header, columns), key=lambda field: field[0]):
+        cell = lambda v, key=f"{json.dumps(name)}: ": key + _json_value(v)  # noqa: E731
+        texts.append(_cells(column, cell, cell))
+    rows = list(map(",\n      ".join, zip(*texts)))
+    if not rows:
+        return "[]"
+    return "[\n    {\n      " + "\n    },\n    {\n      ".join(rows) + "\n    }\n  ]"
+
+
+def _write_json(path: Path, payload: dict, rows=None) -> None:
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)``, with ``rows``, a
+    (header, columns) pair, as the payload's ``"rows"`` list of row objects."""
+    # a value one level deep is its own dump shifted by one indent
+    fields = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+              for key, value in payload.items()}
+    if rows is not None:
+        fields["rows"] = _json_rows(*rows)
+    body = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text("{\n" + body + "\n}\n", encoding="utf-8")
 
 
 def _provenance(spec: ExperimentSpec, kind: str, system: str | None) -> list[str]:
@@ -143,9 +169,9 @@ def _table(args, spec: ExperimentSpec, kind: str, system: str | None,
     out = _out_dir(args, spec)
     for fmt in _formats(args, spec):
         if fmt == "json":
-            payload = {**_json_provenance(spec, kind, system), **notes,
-                       "rows": _json_rows(header, columns)}
-            _write_json(out / f"{stem}.json", payload)
+            _write_json(out / f"{stem}.json",
+                        {**_json_provenance(spec, kind, system), **notes},
+                        rows=(header, columns))
         else:
             _write_csv(out / f"{stem}.csv",
                        _provenance(spec, kind, system)
@@ -236,9 +262,8 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
         "y_star": None if minimum is None else minimum[1],
         "resolution": args.resolution,
     }
-    if "json" in _formats(args, spec):
-        sidecar["rows"] = _json_rows(header, columns)
-    _write_json(out_dir / f"stable_set_{name}.json", sidecar)
+    _write_json(out_dir / f"stable_set_{name}.json", sidecar,
+                rows=(header, columns) if "json" in _formats(args, spec) else None)
     if grid.empty:
         print(f"{name}: no stable points at p={args.p} (total collapse)")
     else:

@@ -17,8 +17,11 @@ empirical sample matrix for correlated inputs (e.g. multivariate-normal
 draws supplied by the user), and a per-node proportional coupling
 S = alpha * L used by the tolerance-factor allocation strategy.  The
 proportional coupling factorizes too, P[S_A > x, S_B > y] =
-P[L_A > x/alpha] * P[L_B > y/alpha], but its analytic queries are still
-served from a fixed stored sample matrix (10^6 rows, seed 424242).
+P[L_A > x/alpha] * P[L_B > y/alpha], but its cursor queries are still
+served from a fixed stored sample matrix (10^6 rows, seed 424242).  A
+joint's ``mean_loads``/``mean_frees`` are the model's exact moments; the
+solver reads the ``mean_loads`` of its cursor, those of the measure the
+cursor answers from (for the coupling, the stored sample's).
 
 A sample-backed joint answers cursor queries from one sorted slab per layer:
 the sample rows in ascending order of that layer's free space, held as four
@@ -72,9 +75,12 @@ class _Marginal:
 
     Fields are stored as floats, so an int or numpy argument computes as the
     equal float does, and a bool is refused; each family checks them in
-    ``_check``.  Inputs are converted once, and a scalar gives a float.
-    Sampling is inverse-CDF for every family, Dirac too, so streams stay
-    aligned.
+    ``_check``.  Inputs are converted once, and a scalar gives a float; a
+    Python float goes to ``_survival_float``, bit for bit ``_survival`` of a
+    0-d array, so powers stay numpy scalar powers and ``exp`` stays
+    ``np.exp`` (``**``, ``math.exp`` and the vectorised ``np.power`` round
+    differently).  Sampling is inverse-CDF for every family, Dirac too, so
+    streams stay aligned.
     """
 
     def __post_init__(self) -> None:
@@ -84,6 +90,8 @@ class _Marginal:
         self._check()
 
     def survival(self, x):
+        if type(x) is float:
+            return self._survival_float(x)
         return _scalar_or_array(self._survival(np.asarray(x, dtype=float)))
 
     def quantile(self, u):
@@ -116,6 +124,9 @@ class Uniform(_Marginal):
     def _survival(self, x):
         return np.clip((self.high - x) / (self.high - self.low), 0.0, 1.0)
 
+    def _survival_float(self, x):
+        return min(max((self.high - x) / (self.high - self.low), 0.0), 1.0)
+
     def _quantile(self, u):
         return self.low + u * (self.high - self.low)
 
@@ -146,6 +157,9 @@ class Pareto(_Marginal):
     def _survival(self, x):
         return (self.minimum / np.maximum(x, self.minimum)) ** self.shape
 
+    def _survival_float(self, x):
+        return float(np.float64(self.minimum / max(x, self.minimum)) ** self.shape)
+
     def _quantile(self, u):
         return self.minimum * (1.0 - u) ** (-1.0 / self.shape)
 
@@ -173,6 +187,10 @@ class Weibull(_Marginal):
         z = np.maximum(x - self.minimum, 0.0) / self.scale
         return np.exp(-(z ** self.shape))
 
+    def _survival_float(self, x):
+        z = np.float64(max(x - self.minimum, 0.0) / self.scale)
+        return float(np.exp(-(z ** self.shape)))
+
     def _quantile(self, u):
         return self.minimum + self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
 
@@ -196,6 +214,9 @@ class Dirac(_Marginal):
 
     def _survival(self, x):
         return np.where(x < self.value, 1.0, 0.0)
+
+    def _survival_float(self, x):
+        return 1.0 if x < self.value else 0.0
 
     def _quantile(self, u):
         return np.full(u.shape, self.value)
@@ -241,8 +262,9 @@ class JointLoadSpace:
     fresh cursor for every joint.  ``stability_sides`` sweeps cursors, which
     a joint with a closed form overrides.  Per-layer moments are pairs of
     floats, layer A first: ``mean_loads`` is (E[L_A], E[L_B]) and
-    ``mean_frees`` is (E[S_A], E[S_B]).  A pickle carries the dataclass
-    fields only; cached derived values are rebuilt on demand.
+    ``mean_frees`` is (E[S_A], E[S_B]), the model's exact moments; the
+    solver reads its cursor's ``mean_loads`` instead.  A pickle carries the
+    dataclass fields only; cached derived values are rebuilt on demand.
     """
 
     mean_loads: tuple[float, float]
@@ -280,9 +302,9 @@ class JointLoadSpace:
         if np.any(np.diff(xs) < 0):
             raise ValueError("stability grid xs must be nondecreasing")
         lhs_a, lhs_b = np.empty((2, len(xs), len(ys)))
-        mean_a, mean_b = self.mean_loads
         for iy, y in enumerate(ys):
             cursor = self.cascade_cursor()
+            mean_a, mean_b = cursor.mean_loads
             for ix, x in enumerate(xs):
                 stats = cursor.advance(x + beta_b * y, y + beta_a * x)
                 lhs_a[ix, iy] = (stats.probability * x + stats.load_a) / mean_a
@@ -305,7 +327,12 @@ class JointLoadSpace:
 
 
 class CascadeCursor:
-    """Monotone-threshold view of a joint: ``advance`` with nondecreasing (x, y)."""
+    """Monotone-threshold view of a joint: ``advance`` with nondecreasing (x, y).
+
+    ``mean_loads`` are the load means of the measure ``advance`` answers from.
+    """
+
+    mean_loads: tuple[float, float]
 
     def advance(self, x: float, y: float) -> SurvivalStats:
         raise NotImplementedError
@@ -315,13 +342,14 @@ class _IndependentCursor(CascadeCursor):
     """Closed form of an independent joint; it keeps no state between advances."""
 
     def __init__(self, joint: "IndependentJoint"):
-        self._joint = joint
+        self._survival_a = joint.free_a.survival
+        self._survival_b = joint.free_b.survival
+        self.mean_loads = joint.mean_loads
 
     def advance(self, x: float, y: float) -> SurvivalStats:
         # L independent of (S_A, S_B): the indicator factors out.
-        joint = self._joint
-        prob = joint.free_a.survival(x) * joint.free_b.survival(y)
-        mean_a, mean_b = joint.mean_loads
+        prob = self._survival_a(x) * self._survival_b(y)
+        mean_a, mean_b = self.mean_loads
         return SurvivalStats(prob, mean_a * prob, mean_b * prob)
 
 
@@ -410,6 +438,7 @@ class _EmpiricalCursor(CascadeCursor):
 
     def __init__(self, joint: "EmpiricalJoint"):
         self._joint = joint
+        self.mean_loads = joint.mean_loads
         self._lowest = joint._lowest_free
         self._m = joint.sample_count
         self._alive = self._m
@@ -570,8 +599,9 @@ _STORED_SEED = 424_242
 class ProportionalJoint(JointLoadSpace):
     """Free space coupled to load per node: S_{x,i} = alpha * L_{x,i}.
 
-    Populations use the exact coupling.  Analytic queries are answered from
-    a stored sample matrix of ``_STORED_ROWS`` rows drawn once from
+    Populations use the exact coupling, and ``mean_loads``/``mean_frees``
+    are exact.  Cursor queries, and so every solve, are answered from a
+    stored sample matrix of ``_STORED_ROWS`` rows drawn once from
     ``_STORED_SEED``, the same for every instance.
     """
 
@@ -599,13 +629,10 @@ class ProportionalJoint(JointLoadSpace):
 
     @property
     def mean_loads(self) -> tuple[float, float]:
-        # Solver-facing moments must all come from the same (stored-sample)
-        # measure, or the recursion loses its monotone-trajectory guarantee.
-        return self._empirical.mean_loads
+        return self.load_a.mean(), self.load_b.mean()
 
     @property
     def mean_frees(self) -> tuple[float, float]:
-        # reporting only (budget tables); the solver never reads these
         return self.alpha * self.load_a.mean(), self.alpha * self.load_b.mean()
 
     def cascade_cursor(self) -> CascadeCursor:

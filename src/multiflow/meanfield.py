@@ -76,8 +76,7 @@ class SystemConfig:
 
     def effective(self, q_a: float, q_b: float) -> tuple[float, float]:
         """Effective excess-load pair seen by the overload conditions."""
-        return (q_a + self.factors.beta_b * q_b,
-                q_b + self.factors.beta_a * q_a)
+        return _effective(q_a, q_b, self.factors.beta_a, self.factors.beta_b)
 
 
 @dataclass(frozen=True)
@@ -144,36 +143,48 @@ def _validate_int(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+# The recursion's arithmetic on floats, shared by ``step`` and
+# ``iterate_to_steady_state``; the moments are the cursor's.
+def _effective(q_a: float, q_b: float, beta_a: float, beta_b: float) -> tuple[float, float]:
+    return q_a + beta_b * q_b, q_b + beta_a * q_a
+
+
+def _attacked(p: float, mean_loads: tuple[float, float]) -> tuple[float, float]:
+    """Excess loads (q_A, q_B) right after the attack."""
+    scale = p / (1.0 - p)
+    mean_a, mean_b = mean_loads
+    return scale * mean_a, scale * mean_b
+
+
+def _round(p: float, mean_loads: tuple[float, float],
+           stats: SurvivalStats) -> tuple[float, float, float] | None:
+    """(n, q_A, q_B) after a round whose thresholds gave ``stats``; None on collapse."""
+    probability, load_a, load_b = stats
+    if probability < COLLAPSE_EPS:
+        return None
+    n = (1.0 - p) * probability
+    mean_a, mean_b = mean_loads
+    return n, (mean_a - (1.0 - p) * load_a) / n, (mean_b - (1.0 - p) * load_b) / n
+
+
 def initial_state(p: float, cfg: SystemConfig) -> CascadeState:
     """State right after the attack: n = 1-p, q = p*E[L]/(1-p) per layer."""
     p = _validate_p(p)
-    scale = p / (1.0 - p)
-    mean_a, mean_b = cfg.joint.mean_loads
-    return CascadeState(t=0, n=1.0 - p, q_a=scale * mean_a, q_b=scale * mean_b)
-
-
-def _collapse_state(t: int) -> CascadeState:
-    return CascadeState(t=t, n=0.0, q_a=math.inf, q_b=math.inf)
-
-
-def _next_state(t: int, p: float, cfg: SystemConfig, stats: SurvivalStats) -> CascadeState:
-    if stats.probability < COLLAPSE_EPS:
-        return _collapse_state(t)
-    n = (1.0 - p) * stats.probability
-    mean_a, mean_b = cfg.joint.mean_loads
-    q_a = (mean_a - (1.0 - p) * stats.load_a) / n
-    q_b = (mean_b - (1.0 - p) * stats.load_b) / n
-    return CascadeState(t=t, n=n, q_a=q_a, q_b=q_b)
+    q_a, q_b = _attacked(p, cfg.joint.cascade_cursor().mean_loads)
+    return CascadeState(t=0, n=1.0 - p, q_a=q_a, q_b=q_b)
 
 
 def step(state: CascadeState, p: float, cfg: SystemConfig) -> CascadeState:
     """One round of the recursion; collapse is absorbing."""
     p = _validate_p(p)
-    if state.collapsed:
-        return _collapse_state(state.t + 1)
-    eff_a, eff_b = cfg.effective(state.q_a, state.q_b)
-    stats = cfg.joint.survival_stats(eff_a, eff_b)
-    return _next_state(state.t + 1, p, cfg, stats)
+    after = None
+    if not state.collapsed:
+        cursor = cfg.joint.cascade_cursor()
+        after = _round(p, cursor.mean_loads,
+                       cursor.advance(*cfg.effective(state.q_a, state.q_b)))
+    if after is None:
+        return CascadeState(t=state.t + 1, n=0.0, q_a=math.inf, q_b=math.inf)
+    return CascadeState(state.t + 1, *after)
 
 
 def iterate_to_steady_state(p: float, cfg: SystemConfig,
@@ -192,16 +203,18 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     max_iter = _validate_int(max_iter, "max_iter", 1)
     cursor = cfg.joint.cascade_cursor()
-    state = initial_state(p, cfg)
-    eff_a, eff_b = cfg.effective(state.q_a, state.q_b)
+    advance, means = cursor.advance, cursor.mean_loads
+    beta_a, beta_b = cfg.factors.beta_a, cfg.factors.beta_b
+    q_a, q_b = _attacked(p, means)
+    eff_a, eff_b = _effective(q_a, q_b, beta_a, beta_b)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        stats = cursor.advance(eff_a, eff_b)
-        state = _next_state(iterations, p, cfg, stats)
-        if state.collapsed:
+        after = _round(p, means, advance(eff_a, eff_b))
+        if after is None:
             return SteadyState(0.0, math.inf, math.inf, iterations, True)
-        new_a, new_b = cfg.effective(state.q_a, state.q_b)
+        _, q_a, q_b = after
+        new_a, new_b = _effective(q_a, q_b, beta_a, beta_b)
         delta = max(abs(new_a - eff_a), abs(new_b - eff_b))
         # Theory guarantees nondecreasing effective loads; the max() guards
         # the cursor against last-bit rounding regressions.
@@ -212,11 +225,10 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
             break
     # Final size evaluated at the limit point itself, so the identity
     # n_inf = (1-p) * P[S_A > x*+bB y*, S_B > y*+bA x*] holds exactly.
-    prob = cursor.advance(*cfg.effective(state.q_a, state.q_b)).probability
+    prob = advance(new_a, new_b).probability
     if prob < COLLAPSE_EPS:
         return SteadyState(0.0, math.inf, math.inf, iterations, converged)
-    return SteadyState((1.0 - p) * prob, state.q_a, state.q_b,
-                       iterations, converged)
+    return SteadyState((1.0 - p) * prob, q_a, q_b, iterations, converged)
 
 
 def final_size(p: float, cfg: SystemConfig) -> float:

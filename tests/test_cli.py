@@ -457,6 +457,29 @@ class TestOptimizeCommand:
         text = capsys.readouterr().out
         assert "layer_weighted_equal" in text
 
+    @pytest.mark.parametrize("config", ["alloc_pareto_uniform", "alloc_uniform_weibull",
+                                        "alloc_weibull_pareto"])
+    def test_tolerance_factor_reads_exact_means(self, tmp_path, capsys, monkeypatch,
+                                                config):
+        # alpha = S / (E[L_A] + E[L_B]) from the exact means, the alpha the
+        # spec resolved to; the stored sample is never built
+        from multiflow.distributions import EmpiricalJoint
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stored sample was built")
+
+        monkeypatch.setattr(EmpiricalJoint, "_adopt", refuse)
+        alpha = load_experiment(cli._resolve_config_path(config)).resolved[
+            "systems"]["equal_tolerance_factor"]["alpha"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["optimize", "--config", config, "--system",
+                         "equal_tolerance_factor", "--out", str(out)]) == 0
+        assert f"alpha={alpha:.6g}  p_opt=-" in capsys.readouterr().out
+        _, header, rows = read_table(out / "optimize_equal_tolerance_factor.csv")
+        table = {row[0]: dict(zip(header, row)) for row in rows}
+        assert table["equal_tolerance_factor"]["alpha"] == repr(alpha)
+
     def test_missing_budget_is_usage_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, SMALL_SPEC)
         # explicit marginals give a budget via their means, so strip them
@@ -823,14 +846,49 @@ class TestColumnWriter:
         assert lines == self._reference(zip(*columns))
         assert lines[1] == "equal_tolerance_factor,,,2.4,"
 
-    def test_json_rows_hold_python_values(self):
+    @staticmethod
+    def _json_written(tmp_path, payload, header, columns) -> str:
+        path = tmp_path / "table.json"
+        cli._write_json(path, payload, rows=(header, columns))
+        return path.read_text(encoding="utf-8")
+
+    @staticmethod
+    def _json_reference(payload, header, columns) -> str:
+        """The dump of the row objects the JSON writer replaced."""
+        def values(column):
+            if isinstance(column, np.ndarray):
+                return (column.astype(int) if column.dtype == bool else column).tolist()
+            return column
+        rows = [dict(zip(header, row)) for row in zip(*map(values, columns))]
+        return json.dumps({**payload, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+    def test_json_rows_hold_python_values(self, tmp_path):
         stable = np.array([True, False])
         grid = np.array([-0.0, 1e16])
-        rows = cli._json_rows(["x", "stable", "label"], [grid, stable, ["a", ""]])
-        assert json.dumps(rows) == json.dumps([
-            {"x": float(x), "stable": int(s), "label": label}
-            for x, s, label in zip(grid, stable, ["a", ""])])
+        header, columns = ["x", "stable", "label"], [grid, stable, ["a", ""]]
+        text = self._json_written(tmp_path, {}, header, columns)
+        assert text == self._json_reference({}, header, columns)
+        rows = json.loads(text)["rows"]
+        assert rows == [{"x": -0.0, "stable": 1, "label": "a"},
+                        {"x": 1e16, "stable": 0, "label": ""}]
         assert all(type(row["stable"]) is int for row in rows)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 15])
+    def test_json_rows_are_the_bytes_of_json_dumps(self, tmp_path, count):
+        floats = np.array(self.FLOATS[:count])
+        columns = [floats, np.arange(count) - 3, floats[::-1].copy() > 0,
+                   list(self.FLOATS[:count]), [np.float64(v) for v in self.FLOATS[:count]],
+                   [True, None, "x\"y\n\u00e9", 2**70, -5, ""] * 3][:6]
+        columns[5] = columns[5][:count]
+        header = ["z", "a_int", "stable", "m", "b\u00e9", "label"]
+        payload = {"schema": "multiflow.test/1", "config": {"b": [1, {"c": -0.0}], "a": []},
+                   "p": 0.25, "empty": False, "x_star": None, "nested": {}}
+        text = self._json_written(tmp_path, payload, header, columns)
+        assert text == self._json_reference(payload, header, columns)
+        assert ("Infinity" in text and "NaN" in text) == (count > 4)
+        cli._write_json(tmp_path / "payload.json", payload)
+        assert (tmp_path / "payload.json").read_text(encoding="utf-8") == \
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _digests(out: Path) -> dict[str, str]:
@@ -843,6 +901,11 @@ class TestArtifactDigests:
     writer before the column writer replaced it.  The sample-backed ``curve``
     digest was captured before the joints' layer moments became pairs, and
     both ``critical`` digests when the critical search became one bisection.
+    The sample-backed ``critical`` digests were captured again when the
+    tolerance-factor joint's ``mean_loads`` became the exact load means:
+    its ``budget_bound`` went from 0.666680100084148, computed from the
+    stored sample's load means, to 0.6666666666666666, the bound of its two
+    sibling systems; every other byte is unchanged.
 
     A change that means to move these bytes states it and updates them here.
     """
@@ -875,9 +938,9 @@ class TestArtifactDigests:
          {"critical.csv":
           "34023957cbe06264559780c57797f0886133b18b782949cfc53bcb17318fc76c"}),
         (["critical", "--config", "alloc_pareto_uniform"],
-         "334d00a4dc1a67873fe3c547389bbd6e3ad5f351d14a58dfee7ec853a6dbabb4",
+         "ccee7b84b67891df7336c2e4b1227631393a70e5bd0becdbd21f20552936a4fc",
          {"critical.csv":
-          "bf8e66e4114dbb8c57d7a1b2ee56e4be67d8d015f7619bb60080a42115b63fe4"}),
+          "22a753a7e1c63b750764cebd22d28fbfc59261cfd2b711eacbed7fca887c83af"}),
         (["curve", "--config", "alloc_pareto_uniform"],
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          {"curve_equal_free_space.csv":

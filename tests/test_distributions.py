@@ -29,7 +29,7 @@ from multiflow import (
     marginal_to_dict,
 )
 from multiflow.config import ConfigError, parse_experiment
-from helpers import kolmogorov_statistic
+from helpers import kolmogorov_statistic, random_marginal
 
 
 # Densities written out independently of the library, for quadrature oracles.
@@ -231,6 +231,54 @@ class TestMarginalBaseRules:
         assert coupled.free_space_cap() == \
             2.4 * max(40.0, _reference_formulas(Weibull(10, 30, 0.7))[2])
         assert not hasattr(distributions, "support_cap")
+
+
+def _bits(value) -> int:
+    return int(np.asarray(value, dtype=np.float64).view(np.int64))
+
+
+class TestFloatSurvival:
+    """A Python float takes the family's ``_survival_float``, whose bits are
+    those of ``_survival`` on a 0-d array, the path every scalar took before.
+    The solver's results rest on these bits.  (On whole arrays numpy's
+    vectorised power may round Pareto and Weibull differently; arrays keep
+    their own path.)"""
+
+    EDGES = [0.0, -0.0, 1e300, math.inf, -math.inf, math.nan, -math.nan]
+    # integral shapes, where C pow and Python's ** treat a NaN base apart
+    FIXED = {"uniform": [], "dirac": [], "pareto": [Pareto(5, 2), Pareto(5, 3)],
+             "weibull": [Weibull(0, 1, 1), Weibull(2, 3, 2), Weibull(0, 1e-3, 3)]}
+
+    @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac"])
+    def test_bit_identical_to_the_array_formula(self, family):
+        rng = np.random.default_rng(["uniform", "pareto", "weibull", "dirac"].index(family))
+        dists = [random_marginal(rng, scale=float(rng.uniform(0.5, 200.0)), families=(family,))
+                 for _ in range(50)] + self.FIXED[family]
+        for dist in dists:
+            low, cap = dist.quantile(0.0), dist.support_cap()
+            xs = [float(x) for x in rng.uniform(0.0, 2.0 * cap, 200)]
+            xs += [low, cap] + [float(np.nextafter(v, d)) for v in (low, cap)
+                                for d in (-math.inf, math.inf)] + self.EDGES
+            for x in xs:
+                with np.errstate(over="ignore"):  # Weibull at 1e300
+                    want = dist._survival(np.asarray(x))
+                    got = dist._survival_float(x)
+                    public = dist.survival(x)
+                assert type(got) is float
+                assert _bits(got) == _bits(want), (dist, x, got, float(want))
+                assert _bits(public) == _bits(want), (dist, x)
+
+    def test_dirac_value_does_not_survive(self):
+        dist = Dirac(37.5)
+        assert dist._survival_float(37.5) == 0.0
+        assert dist._survival_float(float(np.nextafter(37.5, 0.0))) == 1.0
+
+    def test_only_a_python_float_takes_the_float_path(self, monkeypatch):
+        dist = Pareto(5, 2.5)
+        monkeypatch.setattr(Pareto, "_survival_float", lambda self, x: -1.0)
+        assert dist.survival(7.0) == -1.0
+        for x in (7, np.float64(7.0), np.float32(7.0), np.asarray(7.0)):
+            assert dist.survival(x) == float(dist._survival(np.asarray(7.0))), repr(x)
 
 
 class TestSampling:
@@ -483,6 +531,17 @@ class TestJointContract:
             assert type(pair) is tuple and len(pair) == 2, name
             assert all(type(value) is float for value in pair), name
             assert getattr(clone, name) == pair, name
+
+    @pytest.mark.parametrize("kind", sorted(JOINTS))
+    def test_cursor_moments_match_its_measure(self, kind):
+        # The solver takes its moments from the cursor.  They must be the
+        # load means of the measure the cursor answers from (the stored
+        # sample's for the tolerance factor), or the recursion loses its
+        # monotone trajectory.
+        joint = self.JOINTS[kind]()
+        stats = joint.survival_stats(0.0, 0.0)
+        assert stats.probability == 1.0
+        assert joint.cascade_cursor().mean_loads == (stats.load_a, stats.load_b)
 
     def test_layer_moments_are_defined_once_as_pairs(self):
         scalars = {"mean_load_a", "mean_load_b", "mean_free_a", "mean_free_b"}
@@ -823,14 +882,15 @@ class TestProportionalJoint:
         b = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
         assert a.joint_survival(55.0, 13.0) == b.joint_survival(55.0, 13.0)
 
-    def test_solver_moments_come_from_the_stored_samples(self):
-        # one consistent measure: mean loads must match the sample matrix,
-        # otherwise the cascade recursion loses its monotone trajectory
-        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
-        stats = joint.survival_stats(0.0, 0.0)
-        assert stats.probability == 1.0
-        assert joint.mean_loads[0] == stats.load_a
-        assert joint.mean_loads[1] == stats.load_b
+    def test_layer_moments_are_exact_and_build_no_sample(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stored sample was built")
+
+        monkeypatch.setattr(EmpiricalJoint, "_adopt", refuse)
+        load_a, load_b = Weibull(10, 5, 2), Pareto(5, 2)
+        joint = ProportionalJoint(load_a, load_b, 2.4)
+        assert joint.mean_loads == (load_a.mean(), load_b.mean())
+        assert joint.mean_frees == (2.4 * load_a.mean(), 2.4 * load_b.mean())
 
     @pytest.mark.parametrize("load_a, load_b, alpha", [
         (Uniform(20, 40), Pareto(5, 2), 2.4),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from multiflow import (
+    CascadeState,
     CrossLayerFactors,
     Dirac,
     EmpiricalJoint,
@@ -26,6 +27,7 @@ from multiflow import (
     stable_set_grid,
     step,
 )
+from multiflow.meanfield import COLLAPSE_EPS, DEFAULT_MAX_ITER, DEFAULT_TOL, SteadyState
 from helpers import random_system, sampled_copy, single_layer_recursion
 
 
@@ -106,7 +108,83 @@ class TestStep:
                 assert state.q_a == pytest.approx(q_ref, rel=1e-12)
 
 
+def _reference_steady_state(p, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """The closed-form solve as it was written before the float path: each
+    survival through the family's array formula on a 0-d array, the moments
+    read from the joint, and a CascadeState per round."""
+    joint = cfg.joint
+    mean_a, mean_b = joint.mean_loads
+
+    def effective(state):
+        return (state.q_a + cfg.factors.beta_b * state.q_b,
+                state.q_b + cfg.factors.beta_a * state.q_a)
+
+    def advance(x, y):
+        prob = (float(joint.free_a._survival(np.asarray(x, dtype=float)))
+                * float(joint.free_b._survival(np.asarray(y, dtype=float))))
+        return prob, mean_a * prob, mean_b * prob
+
+    def next_state(t, stats):
+        probability, load_a, load_b = stats
+        if probability < COLLAPSE_EPS:
+            return CascadeState(t=t, n=0.0, q_a=math.inf, q_b=math.inf)
+        n = (1.0 - p) * probability
+        return CascadeState(t=t, n=n, q_a=(mean_a - (1.0 - p) * load_a) / n,
+                            q_b=(mean_b - (1.0 - p) * load_b) / n)
+
+    scale = p / (1.0 - p)
+    state = CascadeState(t=0, n=1.0 - p, q_a=scale * mean_a, q_b=scale * mean_b)
+    eff_a, eff_b = effective(state)
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        state = next_state(iterations, advance(eff_a, eff_b))
+        if state.collapsed:
+            return SteadyState(0.0, math.inf, math.inf, iterations, True)
+        new_a, new_b = effective(state)
+        delta = max(abs(new_a - eff_a), abs(new_b - eff_b))
+        eff_a = max(eff_a, new_a)
+        eff_b = max(eff_b, new_b)
+        if delta < tol * (1.0 + max(eff_a, eff_b)):
+            converged = True
+            break
+    prob = advance(*effective(state))[0]
+    if prob < COLLAPSE_EPS:
+        return SteadyState(0.0, math.inf, math.inf, iterations, converged)
+    return SteadyState((1.0 - p) * prob, state.q_a, state.q_b, iterations, converged)
+
+
 class TestIterate:
+    def test_float_loop_reproduces_the_array_loop(self):
+        rng = np.random.default_rng(41)
+        cases = []
+        for _ in range(40):
+            # multi-round cascades happen just below the critical size
+            cfg = random_system(rng)
+            p_hat = critical_attack_size(cfg, tol_p=1e-3).p_hat
+            cases.append((cfg, [p_hat * f for f in (0.5, 0.9, 0.98, 1.0)]
+                          + [rng.uniform(0.02, 0.95)]))
+        # Dirac free space on every layer, then exact ties: p / (1 - p) = 3
+        # puts the first effective excess exactly on a Dirac value.
+        cases += [(random_system(rng, free_families=("dirac",)), rng.uniform(0.02, 0.95, 5))
+                  for _ in range(5)]
+        tie = SystemConfig.from_marginals(Uniform(20, 40), Dirac(90), Pareto(5, 2), Dirac(15))
+        cases.append((tie, [0.75, float(np.nextafter(0.75, 0)), float(np.nextafter(0.75, 1))]))
+        weighted = apply_strategy(LayerWeightedEqual(720), Pareto(100, 5), Uniform(150, 200),
+                                  CrossLayerFactors(0.2, 0.2))
+        cases.append((weighted, [2 / 3, 0.5, 0.6666, 0.7]))
+        solves = 0
+        for cfg, ps in cases:
+            for p in ps:
+                p = float(p)
+                assert repr(iterate_to_steady_state(p, cfg)) == \
+                    repr(_reference_steady_state(p, cfg)), (cfg, p)
+                solves += 1
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Dirac(1e9))
+        assert repr(iterate_to_steady_state(0.3, cfg, max_iter=2)) == \
+            repr(_reference_steady_state(0.3, cfg, max_iter=2))
+        assert solves >= 200
+
     def test_no_cascade_point(self, symmetric_uniform_config):
         steady = iterate_to_steady_state(0.25, symmetric_uniform_config)
         assert steady.n_inf == 0.75
