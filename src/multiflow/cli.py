@@ -212,6 +212,7 @@ def cmd_curve(args, spec: ExperimentSpec) -> int:
 def cmd_critical(args, spec: ExperimentSpec) -> int:
     header = ["system", "p_hat", "lower", "upper", "tol_p", "budget_bound", "degenerate"]
     rows = []
+    exit_code = EXIT_OK
     for name, cfg in spec.systems.items():
         result = meanfield.critical_attack_size(cfg, tol_p=args.tol_p)
         bound = allocate.optimal_critical_attack(
@@ -220,9 +221,13 @@ def cmd_critical(args, spec: ExperimentSpec) -> int:
                      bound, int(result.degenerate)))
         print(f"{name}: p_hat={result.p_hat:.6f} (+/- {args.tol_p:g}), "
               f"budget bound {bound:.6f}"
-              + (" [degenerate]" if result.degenerate else ""))
+              + (" [degenerate]" if result.degenerate else "")
+              + (f" [{result.nonconverged} nonconverged solves]"
+                 if result.nonconverged else ""))
+        if result.nonconverged:
+            exit_code = EXIT_NONCONVERGED
     _table(args, spec, "critical", None, header, list(zip(*rows)))
-    return EXIT_OK
+    return exit_code
 
 
 def _single_system(args, spec: ExperimentSpec):

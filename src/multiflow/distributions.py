@@ -70,8 +70,14 @@ def _scalar_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def _out(u):
+    """``out=`` that writes a step over ``u``: the array itself, or None for a
+    numpy scalar, which a step replaces."""
+    return u if isinstance(u, np.ndarray) else None
+
+
 class _Marginal:
-    """Shared rules; each family implements ``_survival``/``_quantile`` on float arrays.
+    """Shared rules; each family implements ``_survival`` and ``_quantile``.
 
     Fields are stored as floats, so an int or numpy argument computes as the
     equal float does, and a bool is refused; each family checks them in
@@ -79,8 +85,14 @@ class _Marginal:
     Python float goes to ``_survival_float``, bit for bit ``_survival`` of a
     0-d array, so powers stay numpy scalar powers and ``exp`` stays
     ``np.exp`` (``**``, ``math.exp`` and the vectorised ``np.power`` round
-    differently).  Sampling is inverse-CDF for every family, Dirac too, so
-    streams stay aligned.
+    differently).
+
+    ``_quantile(u)`` transforms a float array it owns in place and returns
+    it; given a numpy scalar, each step makes a new scalar, so a scalar
+    quantile keeps scalar powers too.  ``quantile`` hands it a private copy,
+    and ``sample`` the uniform draw itself, written into ``out`` when given:
+    a draw allocates nothing beyond its result.  Sampling is inverse-CDF for
+    every family, Dirac too, so streams stay aligned.
     """
 
     def __post_init__(self) -> None:
@@ -95,10 +107,14 @@ class _Marginal:
         return _scalar_or_array(self._survival(np.asarray(x, dtype=float)))
 
     def quantile(self, u):
-        return _scalar_or_array(self._quantile(np.asarray(u, dtype=float)))
+        # a private copy, so the caller's array is never written
+        u = np.array(u, dtype=float)
+        return _scalar_or_array(self._quantile(u if u.ndim else u[()]))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.quantile(rng.random(size))
+    def sample(self, rng: np.random.Generator, size=None, *, out: np.ndarray | None = None):
+        """Draw ``size`` values, or fill the float array ``out`` in place."""
+        u = rng.random(size, out=out)
+        return self._quantile(u) if isinstance(u, np.ndarray) else self.quantile(u)
 
     def support_cap(self) -> float:
         """Finite stand-in for the upper end of the support: the 0.9999 quantile."""
@@ -128,7 +144,9 @@ class Uniform(_Marginal):
         return min(max((self.high - x) / (self.high - self.low), 0.0), 1.0)
 
     def _quantile(self, u):
-        return self.low + u * (self.high - self.low)
+        u *= self.high - self.low
+        u += self.low
+        return u
 
     def support_cap(self) -> float:
         return self.high
@@ -161,7 +179,10 @@ class Pareto(_Marginal):
         return float(np.float64(self.minimum / max(x, self.minimum)) ** self.shape)
 
     def _quantile(self, u):
-        return self.minimum * (1.0 - u) ** (-1.0 / self.shape)
+        u = np.subtract(1.0, u, out=_out(u))
+        u **= -1.0 / self.shape
+        u *= self.minimum
+        return u
 
 
 @dataclass(frozen=True)
@@ -192,7 +213,14 @@ class Weibull(_Marginal):
         return float(np.exp(-(z ** self.shape)))
 
     def _quantile(self, u):
-        return self.minimum + self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
+        out = _out(u)
+        u = np.negative(u, out=out)
+        u = np.log1p(u, out=out)
+        u = np.negative(u, out=out)
+        u **= 1.0 / self.shape
+        u *= self.scale
+        u += self.minimum
+        return u
 
 
 @dataclass(frozen=True)
@@ -219,7 +247,8 @@ class Dirac(_Marginal):
         return 1.0 if x < self.value else 0.0
 
     def _quantile(self, u):
-        return np.full(u.shape, self.value)
+        # the value broadcast over every entry of u
+        return np.positive(self.value, out=_out(u))
 
     def support_cap(self) -> float:
         return self.value
@@ -311,8 +340,8 @@ class JointLoadSpace:
                 lhs_b[ix, iy] = (stats.probability * y + stats.load_b) / mean_b
         return lhs_a, lhs_b
 
-    def sample_population(self, n: int, rng: np.random.Generator):
-        """Draw n i.i.d. rows; returns (load_a, free_a, load_b, free_b) arrays."""
+    def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw n i.i.d. nodes into one (4, n) block, rows (load_a, free_a, load_b, free_b)."""
         raise NotImplementedError
 
     def free_space_cap(self) -> float:
@@ -381,12 +410,11 @@ class IndependentJoint(JointLoadSpace):
         mean_a, mean_b = self.mean_loads
         return prob * (x + mean_a) / mean_a, prob * (y + mean_b) / mean_b
 
-    def sample_population(self, n: int, rng: np.random.Generator):
-        load_a = np.asarray(self.load_a.sample(rng, n), dtype=float)
-        free_a = np.asarray(self.free_a.sample(rng, n), dtype=float)
-        load_b = np.asarray(self.load_b.sample(rng, n), dtype=float)
-        free_b = np.asarray(self.free_b.sample(rng, n), dtype=float)
-        return load_a, free_a, load_b, free_b
+    def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        block = np.empty((4, n))
+        for dist, row in zip((self.load_a, self.free_a, self.load_b, self.free_b), block):
+            dist.sample(rng, out=row)
+        return block
 
     def free_space_cap(self) -> float:
         return max(self.free_a.support_cap(), self.free_b.support_cap())
@@ -572,10 +600,10 @@ class EmpiricalJoint(JointLoadSpace):
     def cascade_cursor(self) -> CascadeCursor:
         return _EmpiricalCursor(self)
 
-    def sample_population(self, n: int, rng: np.random.Generator):
-        rows = self.samples[rng.integers(0, self.sample_count, size=n)]
-        return (np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1]),
-                np.ascontiguousarray(rows[:, 2]), np.ascontiguousarray(rows[:, 3]))
+    def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        block = np.empty((4, n))
+        self.samples.take(rng.integers(0, self.sample_count, size=n), axis=0, out=block.T)
+        return block
 
     def free_space_cap(self) -> float:
         return float(max(self.samples[:, 1].max(), self.samples[:, 3].max()))
@@ -638,10 +666,13 @@ class ProportionalJoint(JointLoadSpace):
     def cascade_cursor(self) -> CascadeCursor:
         return self._empirical.cascade_cursor()
 
-    def sample_population(self, n: int, rng: np.random.Generator):
-        load_a = np.asarray(self.load_a.sample(rng, n), dtype=float)
-        load_b = np.asarray(self.load_b.sample(rng, n), dtype=float)
-        return load_a, self.alpha * load_a, load_b, self.alpha * load_b
+    def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        block = np.empty((4, n))
+        for dist, load, free in ((self.load_a, block[0], block[1]),
+                                 (self.load_b, block[2], block[3])):
+            dist.sample(rng, out=load)
+            np.multiply(load, self.alpha, out=free)
+        return block
 
     def free_space_cap(self) -> float:
         return self.alpha * max(self.load_a.support_cap(), self.load_b.support_cap())

@@ -323,12 +323,16 @@ class CriticalAttackResult:
     the threshold 1/(1-p) rises with it, so the system survives exactly the
     attacks below p*, which lies in [lower, upper].  ``degenerate`` marks
     systems that collapse even at the smallest probed attack.
+    ``nonconverged`` counts the solves that hit ``max_iter``; each still
+    decided its step, so a nonzero count means the bracket may be wrong.  It
+    is kept out of the repr, which shows the bracket alone.
     """
 
     p_hat: float
     lower: float
     upper: float
     degenerate: bool = False
+    nonconverged: int = field(default=0, repr=False)
 
     def __float__(self) -> float:
         return self.p_hat
@@ -347,11 +351,17 @@ def critical_attack_size(cfg: SystemConfig,
     if not 0.0 < tol_p < 0.5:
         raise ValueError(f"tol_p must lie strictly in (0, 0.5), got {tol_p}")
 
+    nonconverged = 0
+
     def alive(p: float) -> bool:
-        return final_size(p, cfg) > 0.0
+        nonlocal nonconverged
+        steady = iterate_to_steady_state(p, cfg)
+        nonconverged += not steady.converged
+        return steady.n_inf > 0.0
 
     if not alive(tol_p):
-        return CriticalAttackResult(0.0, 0.0, tol_p, degenerate=True)
+        return CriticalAttackResult(0.0, 0.0, tol_p, degenerate=True,
+                                    nonconverged=nonconverged)
 
     lower, upper = tol_p, 1.0
     while upper - lower > tol_p:
@@ -360,4 +370,5 @@ def critical_attack_size(cfg: SystemConfig,
             lower = mid
         else:
             upper = mid
-    return CriticalAttackResult(0.5 * (lower + upper), lower, upper)
+    return CriticalAttackResult(0.5 * (lower + upper), lower, upper,
+                                nonconverged=nonconverged)

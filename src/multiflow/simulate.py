@@ -26,10 +26,15 @@ continues the sorted sweep from the earlier final thresholds.  This is the
 Newman-Ziff method (M. E. J. Newman and R. M. Ziff, PRL 85, 4104 (2000)),
 and the reuse mode of ``monte_carlo_curve`` sweeps each run's p grid so.
 
+``monte_carlo_curve`` draws no attack: it attacks prefixes of the fixed
+order ``arange(n)``.  A population's rows are i.i.d. and drawn apart from
+the attack, so relabelling the nodes leaves its law unchanged.  Hence the
+first k nodes are, in law, a uniform random k-subset, and the nested
+prefixes of the fixed order are those of a uniformly random order.
+
 All randomness flows through explicit seeds.  ``monte_carlo_curve`` derives
-one stream per (p-index, run-index) pair, or in reuse mode one population
-stream and one attack-order stream per run index, which makes results
-independent of worker scheduling.
+one population stream per (p-index, run-index) pair, or in reuse mode one
+per run index, which makes results independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -368,28 +373,21 @@ def _curve_task(cfg: SystemConfig, n: int, p_grid: Sequence[float], seed_base: i
                 resample_population: bool, task: tuple[int, Sequence[int]]) -> list[float]:
     """Surviving fractions of one run index at the given p indices.
 
-    In reuse mode the run draws one population and one attack order, and
-    each p resumes the previous p's cascade, so the indices must come in
-    ascending p.
+    Every cascade attacks a prefix of the fixed order ``arange(n)``.  In
+    reuse mode the run draws one population, and each p resumes the
+    previous p's cascade, so the indices must come in ascending p.
     """
     run_index, p_indices = task
+    order = np.arange(n)
     pop = outcome = None
     fractions = []
     for ip in p_indices:
         try:
-            if resample_population:
-                pop_seed, attack_seed = np.random.SeedSequence(
-                    seed_base, spawn_key=(ip, run_index)).spawn(2)
-                pop = build_population(cfg, n, pop_seed)
-                outcome = run_cascade(pop, p_grid[ip], cfg.factors, attack_seed)
-            else:
-                if pop is None:
-                    pop = build_population(
-                        cfg, n, np.random.SeedSequence(seed_base, spawn_key=(run_index,)))
-                    order = np.random.default_rng(np.random.SeedSequence(
-                        seed_base, spawn_key=(run_index, 0))).permutation(n)
-                outcome = run_cascade(pop, p_grid[ip], cfg.factors,
-                                      attack_order=order, resume=outcome)
+            if resample_population or pop is None:
+                key = (ip, run_index) if resample_population else (run_index,)
+                pop = build_population(cfg, n, np.random.SeedSequence(seed_base, spawn_key=key))
+            outcome = run_cascade(pop, p_grid[ip], cfg.factors, attack_order=order,
+                                  resume=None if resample_population else outcome)
         except Exception as exc:
             raise RuntimeError(
                 f"Monte Carlo task (p_index={ip}, run_index={run_index}) failed: {exc!r}") from exc
@@ -402,7 +400,11 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
                       resample_population: bool = True) -> RobustnessCurve:
     """Simulated robustness curve, deterministic in seed_base.
 
-    Every (p, run) pair owns an RNG stream derived from its indices,
+    Every cascade attacks the first round(p*n) nodes of its population,
+    the prefix of ``arange(n)``.  The rows are i.i.d. and drawn apart from
+    the attack, so that prefix is, in law, a uniform random subset, and no
+    attack is drawn.  Every (p, run) pair samples its population from a
+    stream derived from its indices,
     ``SeedSequence(seed_base, spawn_key=(p_index, run_index))``, so the
     result does not depend on the execution order or worker count.  A task
     is one p index of one run.
@@ -410,13 +412,11 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
     In reuse mode (``resample_population=False``) a task is the whole grid
     of one run, so that one population is built per run and, sequentially,
     only one is held at a time.  Run r samples its population from
-    ``SeedSequence(seed_base, spawn_key=(r,))`` and one random attack order
-    (a permutation of the n nodes) from ``spawn_key=(r, 0)``, a stream no
-    other draw uses.  It visits the grid in ascending p, attacks the
-    order's first round(p*n) nodes at each p, and resumes each cascade from
-    the previous p's final state.  Each prefix is a uniform random subset,
-    so every (p, run) result keeps its distribution; the runs share their
-    attacks across p (common random numbers).
+    ``SeedSequence(seed_base, spawn_key=(r,))``.  It visits the grid in
+    ascending p and resumes each cascade from the previous p's final
+    state.  The nested prefixes are, in law, those of a uniformly random
+    order, so every (p, run) result keeps its distribution; the runs share
+    their attacks across p (common random numbers).
 
     ``workers`` is capped at the task count; with one worker no process
     pool is started.

@@ -17,12 +17,14 @@ from multiflow import (
     Uniform,
     Weibull,
     apply_strategy,
+    critical_attack_size,
     layer_weighted_split,
     optimal_critical_attack,
     per_layer_critical,
     predicted_critical,
 )
 from multiflow.allocate import dirac_free_space
+from helpers import random_system
 
 FACTORS = CrossLayerFactors(0.2, 0.2)
 
@@ -246,3 +248,44 @@ class TestPredictedCritical:
     def test_tolerance_factor_has_no_closed_form(self):
         assert predicted_critical(EqualToleranceFactor(alpha=2.4), 125.0, 175.0,
                                   FACTORS) is None
+
+
+class TestAsymmetricBeta:
+    """The allocation results where a swapped beta_a/beta_b would show.
+
+    With beta_a != beta_b the two layers' effective loads differ, so the
+    layer-weighted split, the budget bound and the per-layer bounds each
+    read the two factors in one order only.  A Dirac allocation's p* lies
+    exactly on the strict-survival boundary, so the solver's bracket is
+    compared with the closed form, never p_hat.
+    """
+
+    @staticmethod
+    def _asymmetric_systems(seed: int, count: int):
+        rng = np.random.default_rng(seed)
+        systems = [random_system(rng) for _ in range(count)]
+        assert all(abs(cfg.factors.beta_a - cfg.factors.beta_b) > 1e-6 for cfg in systems)
+        assert any(cfg.factors.beta_a > cfg.factors.beta_b for cfg in systems)
+        assert any(cfg.factors.beta_a < cfg.factors.beta_b for cfg in systems)
+        return systems
+
+    def test_weighted_allocation_reaches_the_budget_bound(self):
+        for cfg in self._asymmetric_systems(seed=11, count=50):
+            joint = cfg.joint
+            budget = sum(joint.mean_frees)
+            allocated = apply_strategy(LayerWeightedEqual(budget), joint.load_a,
+                                       joint.load_b, cfg.factors)
+            bound = optimal_critical_attack(*joint.mean_loads, cfg.factors, budget)
+            result = critical_attack_size(allocated)
+            assert result.lower <= bound <= result.upper, cfg.factors
+
+    def test_per_layer_bounds_match_the_solver(self):
+        rng = np.random.default_rng(12)
+        for cfg in self._asymmetric_systems(seed=13, count=30):
+            joint = cfg.joint
+            mu_a, mu_b = rng.uniform(20.0, 200.0, 2)
+            bounds = per_layer_critical(mu_a, mu_b, *joint.mean_loads, cfg.factors)
+            allocated = apply_strategy(PerLayerEqual(mu_a, mu_b), joint.load_a,
+                                       joint.load_b, cfg.factors)
+            result = critical_attack_size(allocated)
+            assert result.lower <= bounds.p_opt <= result.upper, (mu_a, mu_b, cfg.factors)

@@ -323,6 +323,22 @@ class TestSampling:
         digest = hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest()
         assert digest == "69067164e164075a2154bfbffd04fb88009c7421ff7ad255382d9ff15fbe6305"
 
+    @pytest.mark.parametrize("dist", TestMarginalBaseRules.FAMILIES, ids=_call)
+    def test_quantile_leaves_its_input_alone(self, dist):
+        us = np.random.default_rng(2).random(50)
+        before = us.copy()
+        assert dist.quantile(us) is not us
+        assert np.array_equal(us, before)
+        assert type(dist.quantile(0.3)) is float
+        assert type(dist.quantile(np.float64(0.3))) is float
+
+    def test_drawing_into_a_row_matches_a_fresh_draw(self):
+        block = np.zeros((2, 1000))
+        row, dist = block[1], Weibull(10, 30, 2)
+        assert dist.sample(np.random.default_rng(4), out=row) is row
+        assert not block[0].any()
+        assert block[1].tobytes() == dist.sample(np.random.default_rng(4), 1000).tobytes()
+
     def test_samples_within_support(self):
         rng = np.random.default_rng(3)
         assert np.all(Uniform(20, 40).sample(rng, 10_000) >= 20)
@@ -954,3 +970,43 @@ class TestProportionalJoint:
             got_b = joint.partial_load_expectation("B", x, y)
             assert got_a == pytest.approx(expected_a, abs=0.15)
             assert got_b == pytest.approx(expected_b, abs=0.15)
+
+
+def _golden_empirical_joint() -> EmpiricalJoint:
+    rng = np.random.default_rng(3)
+    return EmpiricalJoint(np.column_stack([
+        Uniform(20, 40).sample(rng, 20_000), Pareto(50, 2).sample(rng, 20_000),
+        Weibull(10, 30, 2).sample(rng, 20_000), Dirac(136).sample(rng, 20_000)]))
+
+
+class TestPopulationGolden:
+    """Exact bytes of ``build_population(cfg, 2000, 7)`` for every family
+    (Uniform, Pareto b = 2 and 5, Weibull k = 2 and 6, Dirac) and every
+    joint, captured while each inverse CDF still built a new array per
+    operation.  The digest covers load_a, free_a, load_b and free_b, in
+    that order; the in-place draws must not move a bit of them.
+    """
+
+    @pytest.mark.parametrize("joint, digest", [
+        (lambda: IndependentJoint(Uniform(20, 40), Pareto(5, 2), Uniform(10, 30), Pareto(50, 2)),
+         "eecf814330a71d0e8ee51e9702a7958be52f22212a47e3b9359495877d4b7e29"),
+        (lambda: IndependentJoint(Pareto(10, 5), Weibull(10, 30, 2), Pareto(20, 5),
+                                  Weibull(5, 40, 2)),
+         "a1ddaf1285cdc7cd81a9e40e116434ae1d35b39a1e41327adbf939be2d3e0c5b"),
+        (lambda: IndependentJoint(Weibull(10, 10.78, 6), Dirac(136), Weibull(20, 5, 6),
+                                  Dirac(80)),
+         "10c11e1e01166579f2e83be09845f1d7c135181932f513d5610122d9b79bf4ac"),
+        (lambda: ProportionalJoint(Uniform(20, 40), Weibull(10, 30, 2), 2.4),
+         "d3af4794f370b3739661f7efb95133868853deaf804b065bbfbd7a16d2e78125"),
+        (lambda: ProportionalJoint(Pareto(5, 5), Dirac(30), 1.7),
+         "cc672e8310acf0918a9284c2400fb82e6fc9bcd716e9c3e3b074e16710063794"),
+        (_golden_empirical_joint,
+         "abcf3ff02f2da2115f9ace2008453fd639173a9834696d917016cc839dce690b"),
+    ], ids=["uniform_pareto2", "pareto5_weibull2", "weibull6_dirac",
+            "proportional_uniform_weibull", "proportional_pareto_dirac", "empirical"])
+    def test_digest(self, joint, digest):
+        from multiflow import CrossLayerFactors, SystemConfig, build_population
+
+        pop = build_population(SystemConfig(joint(), CrossLayerFactors(0.3, 0.1)), 2000, 7)
+        columns = (pop.load_a, pop.free_a, pop.load_b, pop.free_b)
+        assert hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest() == digest

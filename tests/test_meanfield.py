@@ -479,12 +479,39 @@ class TestCriticalAttackSize:
         import multiflow.meanfield as meanfield
 
         solved = []
-        solve = meanfield.final_size
-        monkeypatch.setattr(meanfield, "final_size",
+        solve = meanfield.iterate_to_steady_state
+        monkeypatch.setattr(meanfield, "iterate_to_steady_state",
                             lambda p, cfg: solved.append(p) or solve(p, cfg))
-        critical_attack_size(symmetric_uniform_config, tol_p=tol_p)
+        result = critical_attack_size(symmetric_uniform_config, tol_p=tol_p)
         assert solved.count(tol_p) == 1
         assert len(solved) == 1 + math.ceil(math.log2((1 - tol_p) / tol_p))
+        assert result.nonconverged == 0
+
+    @pytest.mark.parametrize("failing", [0, 5])
+    def test_a_nonconverged_solve_is_counted(self, symmetric_uniform_config,
+                                             monkeypatch, failing):
+        # the solve still decides its step, so the bracket is the same; only
+        # the count tells that one solve hit max_iter
+        import dataclasses
+
+        import multiflow.meanfield as meanfield
+
+        expected = critical_attack_size(symmetric_uniform_config)
+        solves = []
+        solve = meanfield.iterate_to_steady_state
+
+        def flaky(p, cfg):
+            steady = solve(p, cfg)
+            solves.append(p)
+            return (dataclasses.replace(steady, converged=False)
+                    if len(solves) == failing + 1 else steady)
+
+        monkeypatch.setattr(meanfield, "iterate_to_steady_state", flaky)
+        result = critical_attack_size(symmetric_uniform_config)
+        assert result.nonconverged == 1
+        assert (result.p_hat, result.lower, result.upper) == \
+            (expected.p_hat, expected.lower, expected.upper)
+        assert "nonconverged" not in repr(result)
 
     def test_survival_switches_off_once(self):
         # The stability sides do not depend on p and the threshold 1/(1-p)

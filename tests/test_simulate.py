@@ -538,16 +538,30 @@ class TestMonteCarloCurve:
         par = monte_carlo_curve(cfg, 1500, grid, runs=3, seed_base=31, workers=2,
                                 resample_population=False)
         assert np.array_equal(seq.samples, par.samples)
-        # one population and one attack order per run index, each from its
-        # own stream; each p attacks a prefix of that order
+        # one population per run index, from its own stream; each p attacks
+        # a prefix of the fixed order arange(n), and no attack is drawn
         for ir in range(3):
             pop = build_population(cfg, 1500, np.random.SeedSequence(31, spawn_key=(ir,)))
-            order = np.random.default_rng(
-                np.random.SeedSequence(31, spawn_key=(ir, 0))).permutation(1500)
             for ip, p in enumerate(grid):
-                expected = run_cascade(pop, p, cfg.factors, attack_order=order)
+                expected = run_cascade(pop, p, cfg.factors, attack_order=np.arange(1500))
                 assert seq.samples[ip, ir] == expected.surviving_fraction
         assert np.array_equal(seq.samples[1], seq.samples[3])
+
+    def test_resample_mode_attacks_a_prefix_of_each_population(self):
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200),
+                                          beta_a=0.3, beta_b=0.3)
+        grid = [0.27, 0.24, 0.3]
+        curve = monte_carlo_curve(cfg, 1500, grid, runs=3, seed_base=31)
+        # one population per (p, run) pair, from its own stream, attacked
+        # along arange(n)
+        for ip, p in enumerate(grid):
+            for ir in range(3):
+                pop = build_population(cfg, 1500,
+                                       np.random.SeedSequence(31, spawn_key=(ip, ir)))
+                expected = run_cascade(pop, p, cfg.factors, attack_order=np.arange(1500))
+                assert curve.samples[ip, ir] == expected.surviving_fraction
+        assert len(np.unique(curve.samples)) > 3  # the populations differ
 
     def test_workers_capped_at_task_count(self, monkeypatch, symmetric_uniform_config):
         def no_pool(*args, **kwargs):
