@@ -15,9 +15,12 @@ cascade that runs past ``MASKED_ROUNDS`` sorts the population's free spaces
 Survival is the non-strict comparison free_space >= effective excess (ties
 survive), mirroring the "load <= capacity" overload conditions.  An attack
 is round(p*n) distinct nodes, so the attacked fraction is fixed rather than
-Bernoulli-thinned: either drawn uniformly from a seed with
-``Generator.choice(n, k, replace=False)``, or the first round(p*n) entries
-of a given attack order.
+Bernoulli-thinned: the first round(p*n) entries of a given attack order,
+k distinct nodes drawn uniformly from a seed with
+``Generator.choice(n, k, replace=False)``, or, given neither, the first k
+nodes, the prefix of the identity order.  That prefix is a slice: it is
+attacked without a gather, and the masked rounds scan only the nodes
+after it.
 
 Failures only grow with the attacked set, so along one attack order the
 final state at one p is a valid start for any larger p.  ``run_cascade``
@@ -26,11 +29,11 @@ continues the sorted sweep from the earlier final thresholds.  This is the
 Newman-Ziff method (M. E. J. Newman and R. M. Ziff, PRL 85, 4104 (2000)),
 and the reuse mode of ``monte_carlo_curve`` sweeps each run's p grid so.
 
-``monte_carlo_curve`` draws no attack: it attacks prefixes of the fixed
-order ``arange(n)``.  A population's rows are i.i.d. and drawn apart from
-the attack, so relabelling the nodes leaves its law unchanged.  Hence the
+``monte_carlo_curve`` draws no attack: it attacks prefixes of the identity
+order by slice.  A population's rows are i.i.d. and drawn apart from the
+attack, so relabelling the nodes leaves its law unchanged.  Hence the
 first k nodes are, in law, a uniform random k-subset, and the nested
-prefixes of the fixed order are those of a uniformly random order.
+prefixes of the identity order are those of a uniformly random order.
 
 All randomness flows through explicit seeds.  ``monte_carlo_curve`` derives
 one population stream per (p-index, run-index) pair, or in reuse mode one
@@ -80,7 +83,8 @@ class Population:
                 raise ValueError(f"population {name} must be numeric") from None
             if a.ndim != 1:
                 raise ValueError(f"population {name} must be 1-D, got shape {a.shape}")
-            if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
+            # NaN fails the min test; an empty column fails the size test below
+            if a.size and not (a.min() > 0.0 and a.max() < math.inf):
                 raise ValueError(f"population {name} must be finite and strictly positive")
             object.__setattr__(self, name, a)
         n = len(self.load_a)
@@ -118,7 +122,7 @@ class TrajectoryPoint(NamedTuple):
 class SweepState(NamedTuple):
     """Final state of a cascade along an attack order, which ``resume`` continues."""
 
-    attack_order: np.ndarray
+    attack_order: np.ndarray | None  # None: the identity order
     attack_size: int
     shed: tuple[float, float]  # total initial load of the failed nodes, per layer
     thresholds: tuple[float, float]  # every node with less free space has failed
@@ -132,7 +136,8 @@ class CascadeOutcome:
     the oracle-equivalence and conservation checks.  A resumed cascade's
     ``rounds`` and ``trajectory`` cover only the continuation: round 0 is
     the state just after the newly attacked nodes fail.  ``state`` is set
-    when ``run_cascade`` attacked a prefix of an attack order.
+    when ``run_cascade`` attacked a prefix of an attack order, the identity
+    order included.
     """
 
     surviving_fraction: float
@@ -161,12 +166,13 @@ def _check_order(attack_order, n: int) -> np.ndarray:
     return attack_order
 
 
-def _attacked_nodes(n: int, k: int, attack_seed, attack_order) -> np.ndarray:
-    """The first k entries of the attack order, or k distinct uniform nodes
-    drawn from the seed; shared by both cascade variants."""
+def _attacked_nodes(n: int, k: int, attack_seed, attack_order) -> slice | np.ndarray:
+    """The first k entries of the attack order, k distinct uniform nodes
+    drawn from the seed, or, given neither, the first k nodes as a slice;
+    shared by both cascade variants."""
     if attack_order is None:
-        if k <= 0:
-            return np.empty(0, dtype=np.intp)
+        if attack_seed is None:
+            return slice(0, k)
         return np.random.default_rng(attack_seed).choice(n, k, replace=False)
     if attack_seed is not None:
         raise ValueError("give attack_seed or attack_order, not both")
@@ -186,20 +192,23 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     """Cascade via per-layer aggregate excess loads.
 
     The attack is round(p*n) distinct uniform nodes drawn from
-    ``attack_seed``, or the first round(p*n) entries of ``attack_order``, a
-    permutation of range(n).  ``resume`` continues an earlier outcome of
-    this function, on the same population and factors and along the same
-    ``attack_order`` array, whose attack was no larger: only the order's
-    next entries are attacked, and the cascade starts from the earlier
-    final state.  Failures only grow with the attacked set, so the failed
-    set is the one a call from scratch with the same prefix gives.
+    ``attack_seed``, the first round(p*n) entries of ``attack_order``, a
+    permutation of range(n), or, given neither, the first round(p*n) nodes:
+    the prefix of the identity order, attacked by slice.  ``resume``
+    continues an earlier outcome of this function, on the same population
+    and factors and along the same ``attack_order`` array (or again the
+    identity order), whose attack was no larger: only the order's next
+    entries are attacked, and the cascade starts from the earlier final
+    state.  Failures only grow with the attacked set, so the failed set is
+    the one a call from scratch with the same prefix gives.
 
-    From scratch, the first ``MASKED_ROUNDS`` rounds compare every node's
-    free spaces with the thresholds under the survivor mask: O(n) vector
-    work per round and no sort, which is all most cascades need.  A cascade
-    that runs longer, or is resumed, sweeps in free-space order
-    (``Population.free_order``, sorted once per population), so each node
-    is touched at most once per layer however many rounds remain.
+    From scratch, the first ``MASKED_ROUNDS`` rounds compare the free
+    spaces of every node outside an identity prefix with the thresholds
+    under the survivor mask: O(n) vector work per round and no sort, which
+    is all most cascades need.  A cascade that runs longer, or is resumed,
+    sweeps in free-space order (``Population.free_order``, sorted once per
+    population), so each node is touched at most once per layer however
+    many rounds remain.
     """
     p = _validate_p(p)
     _validate_int(max_trajectory, "max_trajectory", 0)
@@ -207,9 +216,12 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     k = _attack_count(p, n)
     if resume is None:
         attacked = _attacked_nodes(n, k, attack_seed, attack_order)
+        count = k
         failed = np.zeros(n, dtype=bool)
         alive, shed_a, shed_b = n, 0.0, 0.0
         previous, masked_rounds = (0.0, 0.0), MASKED_ROUNDS
+        # an identity prefix has failed as a whole; the masked rounds skip it
+        skip = k if isinstance(attacked, slice) else 0
     else:
         state = resume.state
         if state is None or attack_order is not state.attack_order or attack_seed is not None:
@@ -218,18 +230,22 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
             raise ValueError(f"resume cannot shrink the attack from {state.attack_size} "
                              f"to {k} nodes")
         failed = resume.failed.copy()
-        attacked = _check_order(attack_order, n)[state.attack_size:k]
-        attacked = attacked[~failed[attacked]]
+        if attack_order is None:
+            attacked = state.attack_size + np.flatnonzero(~failed[state.attack_size:k])
+        else:
+            attacked = _check_order(attack_order, n)[state.attack_size:k]
+            attacked = attacked[~failed[attacked]]
+        count = attacked.size
         alive = n - int(np.count_nonzero(failed))
         (shed_a, shed_b), previous, masked_rounds = state.shed, state.thresholds, 0
 
     failed[attacked] = True
-    alive -= attacked.size
+    alive -= count
     shed_a += float(pop.load_a[attacked].sum())
     shed_b += float(pop.load_b[attacked].sum())
 
     def outcome(rounds, trajectory, truncated=False):
-        sweep = (None if attack_order is None
+        sweep = (None if attack_seed is not None
                  else SweepState(attack_order, k, (shed_a, shed_b), previous))
         return CascadeOutcome(alive / n, rounds, tuple(trajectory), failed, truncated, sweep)
 
@@ -238,7 +254,7 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     q_a = shed_a / alive
     q_b = shed_b / alive
     trajectory = [TrajectoryPoint(0, alive / n, q_a, q_b)]
-    if attacked.size == 0:
+    if count == 0:
         return outcome(0, trajectory)
 
     positions = None  # per layer, how far the sorted sweep has scanned
@@ -249,10 +265,12 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
         thresholds = (q_a + factors.beta_b * q_b, q_b + factors.beta_a * q_a)
         # free space strictly below the threshold fails (ties survive)
         if rounds <= masked_rounds:
-            hit = pop.free_a < thresholds[0]
-            hit |= pop.free_b < thresholds[1]
-            hit &= ~failed
+            hit = pop.free_a[skip:] < thresholds[0]
+            hit |= pop.free_b[skip:] < thresholds[1]
+            hit &= ~failed[skip:]
             newly = np.flatnonzero(hit)
+            if skip:
+                newly += skip
             failed[newly] = True
         else:
             if positions is None:
@@ -305,9 +323,10 @@ def run_cascade_naive(pop: Population, p: float, factors: CrossLayerFactors,
     n = pop.size
     if n > MAX_NAIVE_NODES:
         raise ValueError(f"naive cascade is limited to n <= {MAX_NAIVE_NODES}, got {n}")
-    attacked = _attacked_nodes(n, _attack_count(p, n), attack_seed, attack_order)
+    k = _attack_count(p, n)
+    attacked = _attacked_nodes(n, k, attack_seed, attack_order)
     failed = np.zeros(n, dtype=bool)
-    if attacked.size == 0:
+    if k == 0:
         return CascadeOutcome(1.0, 0, (TrajectoryPoint(0, 1.0, 0.0, 0.0),), failed)
 
     beta_a, beta_b = factors.beta_a, factors.beta_b
@@ -373,12 +392,11 @@ def _curve_task(cfg: SystemConfig, n: int, p_grid: Sequence[float], seed_base: i
                 resample_population: bool, task: tuple[int, Sequence[int]]) -> list[float]:
     """Surviving fractions of one run index at the given p indices.
 
-    Every cascade attacks a prefix of the fixed order ``arange(n)``.  In
+    Every cascade attacks a prefix of the identity order, by slice.  In
     reuse mode the run draws one population, and each p resumes the
     previous p's cascade, so the indices must come in ascending p.
     """
     run_index, p_indices = task
-    order = np.arange(n)
     pop = outcome = None
     fractions = []
     for ip in p_indices:
@@ -386,7 +404,7 @@ def _curve_task(cfg: SystemConfig, n: int, p_grid: Sequence[float], seed_base: i
             if resample_population or pop is None:
                 key = (ip, run_index) if resample_population else (run_index,)
                 pop = build_population(cfg, n, np.random.SeedSequence(seed_base, spawn_key=key))
-            outcome = run_cascade(pop, p_grid[ip], cfg.factors, attack_order=order,
+            outcome = run_cascade(pop, p_grid[ip], cfg.factors,
                                   resume=None if resample_population else outcome)
         except Exception as exc:
             raise RuntimeError(
@@ -401,10 +419,10 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
     """Simulated robustness curve, deterministic in seed_base.
 
     Every cascade attacks the first round(p*n) nodes of its population,
-    the prefix of ``arange(n)``.  The rows are i.i.d. and drawn apart from
-    the attack, so that prefix is, in law, a uniform random subset, and no
-    attack is drawn.  Every (p, run) pair samples its population from a
-    stream derived from its indices,
+    the prefix of the identity order, by slice.  The rows are i.i.d. and
+    drawn apart from the attack, so that prefix is, in law, a uniform
+    random subset, and no attack is drawn.  Every (p, run) pair samples its
+    population from a stream derived from its indices,
     ``SeedSequence(seed_base, spawn_key=(p_index, run_index))``, so the
     result does not depend on the execution order or worker count.  A task
     is one p index of one run.

@@ -24,7 +24,7 @@ from multiflow import (
     predicted_critical,
 )
 from multiflow.allocate import dirac_free_space
-from helpers import random_system
+from helpers import random_system, sampled_copy
 
 FACTORS = CrossLayerFactors(0.2, 0.2)
 
@@ -289,3 +289,39 @@ class TestAsymmetricBeta:
                                        joint.load_b, cfg.factors)
             result = critical_attack_size(allocated)
             assert result.lower <= bounds.p_opt <= result.upper, (mu_a, mu_b, cfg.factors)
+
+
+class TestBudgetBound:
+    """No allocation beats the budget bound: the solver's lower end of the
+    critical attack size never exceeds optimal_critical_attack at the
+    system's own total mean free space, whatever the joint."""
+
+    @staticmethod
+    def _gap(cfg) -> float:
+        joint = cfg.joint
+        bound = optimal_critical_attack(*joint.mean_loads, cfg.factors, sum(joint.mean_frees))
+        return critical_attack_size(cfg).lower - bound
+
+    def test_independent_joints(self):
+        rng = np.random.default_rng(21)
+        gaps = [self._gap(random_system(rng)) for _ in range(300)]
+        assert max(gaps) <= 0.0
+
+    def test_tolerance_factor_joints(self):
+        rng = np.random.default_rng(22)
+        gaps = []
+        for _ in range(10):
+            base = random_system(rng)
+            budget = float(rng.uniform(0.5, 4.0)) * sum(base.joint.mean_loads)
+            cfg = apply_strategy(EqualToleranceFactor(s_total=budget), base.joint.load_a,
+                                 base.joint.load_b, base.factors)
+            assert sum(cfg.joint.mean_frees) == pytest.approx(budget)
+            gaps.append(self._gap(cfg))
+        assert max(gaps) <= 0.0
+
+    def test_sample_backed_joints(self):
+        rng = np.random.default_rng(23)
+        gaps = [self._gap(sampled_copy(random_system(rng), m=100_000,
+                                       seed=int(rng.integers(2 ** 31))))
+                for _ in range(10)]
+        assert max(gaps) <= 0.0

@@ -932,7 +932,9 @@ class TestArtifactDigests:
     was captured again when Monte Carlo stopped drawing attacks and attacked
     a fixed prefix of each population instead: only the row p = 0.4, next
     to p* and bimodal over its 20 runs, moved, its ``sim_mean`` from
-    0.209999 to 0.1499995.
+    0.209999 to 0.1499995.  The reuse-mode ``simulate`` digest, a run that
+    resumes each cascade along its p grid, was captured before Monte Carlo
+    attacked the identity prefix by slice.
 
     A change that means to move these bytes states it and updates them here.
     """
@@ -987,15 +989,25 @@ class TestArtifactDigests:
           "2c1d80d1ba30101d274d3a61f03b0f5f5c74364d4880fff9b2df06e8a4995af1",
           "simulate_demo_runs.csv":
           "744591b6528eaa94d6f6897a3bd95499c2286162b44c6937969a8f30dc8061f5"}),
+        (["simulate", "--config", "SMALL_SIMULATE_REUSE", "--raw"],
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         {"simulate_demo.csv":
+          "0e1a36b9f2933654b39c5c7fe45868492ad6a54e2633b85fbe227099b6a9bfd6",
+          "simulate_demo_runs.csv":
+          "9c5ab27e7653117b2c86fc3ca2cc0dabf73a9ae5e08c6f2efcf4b332be39ec9f"}),
     ], ids=["stable_set", "stable_set_json", "stable_set_sample_backed", "curve",
             "critical", "critical_sample_backed", "curve_sample_backed", "optimize",
-            "simulate_raw"])
+            "simulate_raw", "simulate_raw_reuse"])
     def test_digest(self, tmp_path, capsys, argv, stdout, files):
-        if "SMALL_SIMULATE" in argv:
-            document = dict(SMALL_SPEC, mode="simulate",
-                            sim={"n": 1000, "runs": 2, "seed_base": 7})
-            argv = [write_spec(tmp_path, document) if a == "SMALL_SIMULATE" else a
-                    for a in argv]
+        documents = {
+            "SMALL_SIMULATE": dict(SMALL_SPEC, mode="simulate",
+                                   sim={"n": 1000, "runs": 2, "seed_base": 7}),
+            # p = 0.4 lies next to the jump: one of the three runs survives
+            "SMALL_SIMULATE_REUSE": dict(
+                SMALL_SPEC, mode="simulate", p_grid=[0.1, 0.25, 0.38, 0.4, 0.42, 0.5],
+                sim={"n": 1000, "runs": 3, "seed_base": 7, "resample_population": False}),
+        }
+        argv = [write_spec(tmp_path, documents[a]) if a in documents else a for a in argv]
         out = tmp_path / "out"
         capsys.readouterr()
         assert cli.main(argv + ["--out", str(out), "--threads", "1"]) == 0

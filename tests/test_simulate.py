@@ -112,6 +112,19 @@ class TestRunCascade:
         with pytest.raises(ValueError, match=rf"population {column} must be {message}"):
             Population(**columns)
 
+    @pytest.mark.parametrize("column", ["load_a", "free_a", "load_b", "free_b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_values_name_the_field(self, column, value):
+        columns = {name: np.full(10, 40.0) for name in ("load_a", "free_a", "load_b", "free_b")}
+        columns[column][3] = value
+        with pytest.raises(ValueError,
+                           match=rf"^population {column} must be finite and strictly positive$"):
+            Population(**columns)
+
+    def test_rejects_an_empty_population(self):
+        with pytest.raises(ValueError, match="^population must contain at least one node$"):
+            Population([], [], [], [])
+
     def test_accepts_numpy_scalar_attack_fraction(self, symmetric_uniform_config):
         pop = build_population(symmetric_uniform_config, 2000, seed=3)
         factors = symmetric_uniform_config.factors
@@ -460,6 +473,85 @@ class TestNestedSweep:
         for cascade in (run_cascade, run_cascade_naive):
             with pytest.raises(ValueError, match=f"attack_order must be a {message}"):
                 cascade(pop, 0.3, cfg.factors, attack_order=order)
+
+
+def assert_same_outcome(got, want):
+    assert np.array_equal(got.failed, want.failed)
+    assert got.trajectory == want.trajectory
+    assert (got.rounds, got.truncated) == (want.rounds, want.truncated)
+    assert got.surviving_fraction == want.surviving_fraction
+    assert got.state.attack_size == want.state.attack_size
+    assert got.state.shed == want.state.shed
+    assert got.state.thresholds == want.state.thresholds
+
+
+class TestIdentityPrefix:
+    """With no attack argument, a cascade attacks the first k nodes."""
+
+    CFG = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                      Uniform(20, 40), Uniform(10, 200),
+                                      beta_a=0.3, beta_b=0.3)
+    GRID = [0.04, 0.21, 0.25, 0.29, 0.31, 0.32, 0.33, 0.6, 0.999]
+
+    def test_equals_the_explicit_identity_order(self):
+        pop = build_population(self.CFG, 3000, seed=11)
+        order = np.arange(3000)
+        outcomes = [run_cascade(pop, p, self.CFG.factors) for p in self.GRID]
+        for p, got in zip(self.GRID, outcomes):
+            assert_same_outcome(got, run_cascade(pop, p, self.CFG.factors, attack_order=order))
+            assert got.state.attack_order is None
+        assert sum(out.rounds > MASKED_ROUNDS for out in outcomes) >= 3
+        assert 0.0 in {out.surviving_fraction for out in outcomes}  # a total collapse
+
+    @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac"])
+    def test_matches_the_order_and_the_naive_oracle(self, family):
+        rng = np.random.default_rng(40 + ["uniform", "pareto", "weibull", "dirac"].index(family))
+        for _ in range(3):
+            cfg = random_system(rng, free_families=(family,))
+            pop = build_population(cfg, 1500, seed=int(rng.integers(2 ** 31)))
+            for p in rng.uniform(0.02, 0.95, 6):
+                got = run_cascade(pop, p, cfg.factors)
+                assert_same_outcome(got, run_cascade(pop, p, cfg.factors,
+                                                     attack_order=np.arange(1500)))
+                naive = run_cascade_naive(pop, p, cfg.factors)
+                assert np.array_equal(got.failed, naive.failed)
+                assert got.rounds == naive.rounds
+
+    @pytest.mark.parametrize("p, failed", [(0.4, False), (0.6, True)])
+    def test_single_node_edges(self, p, failed):
+        pop = Population([30.0], [50.0], [30.0], [50.0])
+        factors = CrossLayerFactors(0.2, 0.2)
+        for cascade in (run_cascade, run_cascade_naive):
+            out = cascade(pop, p, factors)
+            assert out.failed.tolist() == [failed]
+            assert out.surviving_fraction == float(not failed)
+            assert out.rounds == 0
+        out = run_cascade(pop, p, factors)
+        assert_same_outcome(out, run_cascade(pop, p, factors, attack_order=np.arange(1)))
+        assert out.state.attack_size == int(failed)
+
+    def test_resume_equals_a_run_from_scratch(self):
+        pop = build_population(self.CFG, 3000, seed=11)
+        grid = [0.3, 0.21, 0.25, 0.25, 0.32, 0.29, 0.6, 0.31, 0.04, 0.33]
+        order = np.arange(3000)
+        for p, resumed, along in zip(grid, sweep(pop, grid, self.CFG.factors, None),
+                                     sweep(pop, grid, self.CFG.factors, order)):
+            scratch = run_cascade(pop, p, self.CFG.factors)
+            assert np.array_equal(resumed.failed, scratch.failed)
+            assert resumed.surviving_fraction == scratch.surviving_fraction
+            assert resumed.state.attack_order is None
+            assert resumed.state.attack_size == scratch.state.attack_size
+            assert_same_outcome(resumed, along)
+
+    def test_does_not_mix_with_an_explicit_order(self):
+        pop = build_population(self.CFG, 100, seed=1)
+        identity = run_cascade(pop, 0.3, self.CFG.factors)
+        ordered = run_cascade(pop, 0.3, self.CFG.factors, attack_order=np.arange(100))
+        for resume, attack in ((identity, np.arange(100)), (ordered, None)):
+            with pytest.raises(ValueError, match="resume continues the attack_order"):
+                run_cascade(pop, 0.4, self.CFG.factors, attack_order=attack, resume=resume)
+        with pytest.raises(ValueError, match="resume continues the attack_order"):
+            run_cascade(pop, 0.4, self.CFG.factors, 3, resume=identity)
 
 
 class TestAgainstMeanField:
