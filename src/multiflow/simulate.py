@@ -50,6 +50,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .distributions import sort_order
 from .meanfield import CrossLayerFactors, SystemConfig, _validate_int, _validate_p
 
 MAX_NAIVE_NODES = 10_000
@@ -103,11 +104,13 @@ class Population:
         spaces in that order.
 
         Sorted on first use and kept, so a population reused across a p grid
-        is sorted once.  The arrays must not be modified after that.
+        is sorted once.  ``sort_order`` gives ``np.argsort``'s order index for
+        index, from one SIMD sort of packed keys.  The arrays must not be
+        modified after that.
         """
         orders = []
         for free in (self.free_a, self.free_b):
-            order = np.argsort(free)
+            order = sort_order(free)
             orders.append((order, free[order]))
         return tuple(orders)
 

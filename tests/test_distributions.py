@@ -569,11 +569,140 @@ class TestJointContract:
             assert {"mean_loads", "mean_frees"} <= set(vars(cls)), cls.__name__
 
 
+def _continuous_with_runs(n: int, seed: int, share: float) -> np.ndarray:
+    """n continuous values plus a ``share`` of n more, each a few ulps above
+    one of them, so that their sort keys share high bits; runs also hold
+    the smallest and the largest value.  No two values are equal."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(1.0, 2.0, n)
+    near = values[rng.choice(n, int(share * n), replace=False)]
+    nudged = near + rng.integers(1, 4, near.size) * np.spacing(near)
+    ends = [np.nextafter(values.min(), 0.0), np.nextafter(values.max(), 3.0)]
+    return rng.permutation(np.concatenate([values, nudged, ends]))
+
+
+@st.composite
+def _sort_inputs(draw):
+    """Positive finite values, subnormal to the largest float, some repeated
+    exactly (ties) and some a few ulps from another one."""
+    values = draw(st.lists(st.floats(min_value=5e-324, max_value=sys.float_info.max,
+                                     allow_subnormal=True), min_size=1, max_size=300))
+    near = draw(st.lists(st.tuples(st.integers(0, len(values) - 1), st.integers(0, 4)),
+                         max_size=30))
+    for index, ulps in near:
+        value = values[index]
+        for _ in range(ulps):
+            value = float(np.nextafter(value, math.inf if value < 1.0 else 0.0))
+        values.append(value)
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(values))
+    return np.array(values)[order]
+
+
+def _assert_sorts_like_argsort(values: np.ndarray) -> None:
+    before = values.copy()
+    values.setflags(write=False)  # any write to the input raises
+    got = distributions.sort_order(values)
+    assert got.dtype == np.intp and np.array_equal(got, np.argsort(values))
+    assert values.tobytes() == before.tobytes()
+
+
+class TestSortOrder:
+    """``sort_order`` is ``np.argsort``, index for index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sort_inputs())
+    def test_equals_argsort(self, values):
+        _assert_sorts_like_argsort(values)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1024, 1025, 65_536, 65_537])
+    def test_sizes_where_the_index_bits_change(self, n):
+        _assert_sorts_like_argsort(np.random.default_rng(n).uniform(20.0, 40.0, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 1024, 1025, 100_000])
+    def test_all_equal(self, n):
+        _assert_sorts_like_argsort(np.full(n, 30.0))
+
+    @pytest.mark.parametrize("n", [1025, 100_000])
+    def test_integer_rounded_ties(self, n):
+        _assert_sorts_like_argsort(np.round(np.random.default_rng(n).uniform(20.0, 40.0, n)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_few_exact_ties_among_continuous_values(self, seed):
+        values = np.random.default_rng(seed).uniform(1.0, 2.0, 2000)
+        values[1990:] = values[:10]
+        _assert_sorts_like_argsort(values)
+
+    def test_values_a_few_ulps_apart(self):
+        values = np.random.default_rng(5).permutation(1.0 + np.arange(5000) * np.spacing(1.0))
+        _assert_sorts_like_argsort(values)
+
+    @pytest.mark.parametrize("n, share", [(2000, 0.01), (2000, 0.05), (100_000, 0.02)])
+    def test_runs_among_continuous_values(self, n, share):
+        values = _continuous_with_runs(n, n, share)
+        assert np.unique(values).size == values.size
+        _assert_sorts_like_argsort(values)
+
+    def test_a_run_across_a_chunk_boundary(self):
+        chunk = distributions._SLAB_CHUNK
+        values = np.random.default_rng(8).uniform(1.0, 2.0, 3 * chunk)
+        ranked = np.argsort(values)
+        ranks = np.empty_like(ranked)
+        ranks[ranked] = np.arange(ranked.size)
+        # ranks chunk - 1 and chunk: a value and its successor, stored before it
+        below = ranked[chunk - 1]
+        twin = np.flatnonzero(ranks[:below] > chunk)[0]
+        values[twin] = np.nextafter(values[below], 3.0)
+        assert np.argsort(values)[chunk - 1:chunk + 1].tolist() == [below, twin]
+        bits = values.view(np.uint64) >> np.uint64((values.size - 1).bit_length())
+        assert bits[below] == bits[twin]  # their keys share high bits
+        _assert_sorts_like_argsort(values)
+
+    def test_subnormal_and_near_the_largest_float(self):
+        rng = np.random.default_rng(6)
+        tiny = rng.integers(1, 2**20, 500) * 5e-324
+        huge = sys.float_info.max * rng.uniform(0.5, 1.0, 500)
+        huge[:50] = np.nextafter(sys.float_info.max, 0.0)
+        huge[50:60] = sys.float_info.max
+        values = rng.permutation(np.concatenate([tiny, huge, rng.uniform(1.0, 2.0, 1000)]))
+        assert np.all(values > 0.0) and np.all(np.isfinite(values))
+        _assert_sorts_like_argsort(values)
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_strided_column_view(self, column):
+        samples = _matched_samples(100_000, 36)
+        values = samples[:, column]
+        assert not values.flags.c_contiguous
+        _assert_sorts_like_argsort(values)
+
+    def test_allocates_only_the_order(self):
+        values = np.random.default_rng(37).uniform(25.0, 75.0, (1_000_000, 4))[:, 1]
+        distributions.sort_order(values[:1000])  # first-call imports stay out
+        tracemalloc.start()
+        try:
+            distributions.sort_order(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000 + 500_000
+
+
 def _matched_samples(m: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.column_stack([
         rng.uniform(20, 40, m), rng.uniform(25, 75, m),
         rng.uniform(20, 40, m), rng.uniform(25, 75, m)])
+
+
+def _four_array_slab(samples: np.ndarray, free: int, other: int):
+    """Reference for ``EmpiricalJoint._sorted_by``: the slab as four separate
+    arrays, gathered through ``np.argsort`` and split column by column."""
+    order = np.argsort(samples[:, free])
+    slab = tuple(np.empty(samples.shape[0]) for _ in range(4))
+    for lo in range(0, samples.shape[0], 1 << 14):
+        rows = samples.take(order[lo:lo + (1 << 14)], axis=0)
+        for column, target in zip((free, other, 0, 2), slab):
+            target[lo:lo + (1 << 14)] = rows[:, column]
+    return slab
 
 
 class _MaskCursor:
@@ -726,6 +855,15 @@ class TestEmpiricalJoint:
         with pytest.raises(DistributionError, match="positive"):
             EmpiricalJoint(samples)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("column", range(4))
+    def test_rejects_each_bad_value(self, bad, column):
+        samples = _matched_samples(20_000, 1)
+        samples[19_999 if column % 2 else 0, column] = bad
+        message = "empirical samples must be finite and strictly positive"
+        with pytest.raises(DistributionError, match=f"^{message}$"):
+            EmpiricalJoint(samples)
+
     def test_requires_four_columns(self):
         with pytest.raises(DistributionError, match="shape"):
             EmpiricalJoint(np.ones((20_000, 3)))
@@ -799,6 +937,31 @@ class TestEmpiricalJoint:
         finally:
             tracemalloc.stop()
         assert peak < 16_384
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["continuous", "tied"])
+    def test_slab_equals_the_four_array_build(self, integer):
+        samples = _matched_samples(50_000, 34)
+        if integer:
+            samples[:, [1, 3]] = np.round(samples[:, [1, 3]])
+        emp = EmpiricalJoint(samples)
+        for slab, (free, other) in ((emp._slab_a, (1, 3)), (emp._slab_b, (3, 1))):
+            expected = _four_array_slab(emp.samples, free, other)
+            for name, got, want in zip(slab._fields, slab, expected):
+                assert got.flags.c_contiguous, name
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
+
+    def test_slab_build_peak_memory(self):
+        # the 32 MB block and the 8 MB order; the four-array build with an
+        # argsort peaked at 41.05 MB
+        emp = EmpiricalJoint._adopt(np.random.default_rng(35).uniform(20.0, 75.0, (1_000_000, 4)))
+        emp._sorted_by(3, 1)  # first-call imports stay out of the measurement
+        tracemalloc.start()
+        try:
+            emp._sorted_by(1, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 41_050_000
 
     def test_pickle_carries_only_the_sample(self):
         emp = EmpiricalJoint(_matched_samples(20_000, 33), source={"samples": "s.csv"})

@@ -10,6 +10,7 @@ from multiflow import (
     Dirac,
     IndependentJoint,
     Pareto,
+    ProportionalJoint,
     SystemConfig,
     Uniform,
     Weibull,
@@ -22,7 +23,7 @@ from multiflow import (
     simulate,
 )
 from multiflow.simulate import MASKED_ROUNDS, Population
-from helpers import random_system
+from helpers import random_marginal, random_system
 
 
 def assert_matches_naive(pop, p, factors, attack_seed):
@@ -70,6 +71,20 @@ class TestBuildPopulation:
     def test_rejects_empty(self, symmetric_uniform_config):
         with pytest.raises(ValueError):
             build_population(symmetric_uniform_config, 0, seed=1)
+
+    @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac", "coupled"])
+    @pytest.mark.parametrize("n", [1, 2, 1025, 100_000])
+    def test_free_order_is_argsort(self, family, n):
+        rng = np.random.default_rng(n)
+        if family == "coupled":
+            joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
+        else:
+            joint = IndependentJoint(*(random_marginal(rng, families=(family,)) for _ in range(4)))
+        pop = build_population(SystemConfig(joint, CrossLayerFactors(0.2, 0.2)), n, seed=7)
+        for (order, ordered), free in zip(pop.free_order, (pop.free_a, pop.free_b)):
+            expected = np.argsort(free)
+            assert order.dtype == np.intp and np.array_equal(order, expected)
+            assert ordered.tobytes() == free[expected].tobytes()
 
 
 class TestRunCascade:
