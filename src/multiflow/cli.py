@@ -270,7 +270,14 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
     _write_json(out_dir / f"stable_set_{name}.json", sidecar,
                 rows=(header, columns) if "json" in _formats(args, spec) else None)
     if grid.empty:
-        print(f"{name}: no stable points at p={args.p} (total collapse)")
+        # A coarse or short grid can miss a stable region the solver reaches.
+        steady = meanfield.iterate_to_steady_state(args.p, cfg)
+        if steady.collapsed:
+            print(f"{name}: no stable points at p={args.p} (total collapse)")
+        else:
+            print(f"{name}: the grid holds no stable cell at p={args.p}, but the "
+                  f"steady state ({steady.x_star:.6g}, {steady.y_star:.6g}) survives; "
+                  f"narrow it with --x-max/--y-max or refine it with --resolution")
     else:
         print(f"{name}: element-wise minimum stable point "
               f"({minimum[0]:.6g}, {minimum[1]:.6g}) at p={args.p}")

@@ -4,7 +4,9 @@ Four marginal families cover the configurations used throughout the package:
 uniform, Pareto (classical, location-scale form), Weibull shifted by a
 minimum value, and a Dirac point mass.  All supports are strictly positive.
 Each family holds only its formulas; the base class converts inputs, samples
-and caps the support.
+and caps the support.  Besides survival and quantile, each family gives its
+partial mean M(t) = E[X * 1{X > t}]; the shifted Weibull's needs the upper
+incomplete gamma, computed here in numpy.
 
 Each joint implements one query, ``cascade_cursor()``: a monotone view whose
 ``advance(x, y)`` gives the joint survival P[S_A > x, S_B > y] and the
@@ -17,8 +19,10 @@ empirical sample matrix for correlated inputs (e.g. multivariate-normal
 draws supplied by the user), and a per-node proportional coupling
 S = alpha * L used by the tolerance-factor allocation strategy.  The
 proportional coupling factorizes too, P[S_A > x, S_B > y] =
-P[L_A > x/alpha] * P[L_B > y/alpha], but its cursor queries are still
-served from a fixed stored sample matrix (10^6 rows, seed 424242).  A
+P[L_A > x/alpha] * P[L_B > y/alpha], with partial loads
+M_A(x/alpha) * P[L_B > y/alpha] and likewise for B, so its
+``stability_sides`` are exact.  Its cursor queries, and so every solve, are
+still served from a fixed stored sample matrix (10^6 rows, seed 424242).  A
 joint's ``mean_loads``/``mean_frees`` are the model's exact moments; the
 solver reads the ``mean_loads`` of its cursor, those of the measure the
 cursor answers from (for the coupling, the stored sample's).
@@ -78,6 +82,78 @@ def _out(u):
     return u if isinstance(u, np.ndarray) else None
 
 
+# Iteration cap of the incomplete gamma's series and continued fraction; at
+# double precision both converge far sooner for every a this module uses.
+_GAMMA_TERMS = 1000
+
+
+def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """Upper incomplete gamma Gamma(a, x) for one a > 0 and an array x >= 0.
+
+    Below a + 1 it is Gamma(a) less the lower function's power series, from
+    a + 1 on Lentz's continued fraction; either is x^a e^-x times a sum that
+    stops per element at double precision.  The prefix is taken through
+    logarithms, so for large x it underflows to 0 without overflowing first,
+    and Gamma(a, inf) is 0.
+    """
+    eps, tiny = np.finfo(float).eps, 1e-300
+
+    def series(i, state):
+        # sum_n x^n / (a (a+1) ... (a+n))
+        total, term, values = state
+        term *= values / (a + i)
+        total += term
+        return np.abs(term) < np.abs(total) * eps
+
+    def fraction(i, state):
+        total, b, c, d = state
+        an = -i * (i - a)
+        b += 2.0
+        d *= an
+        d += b
+        d[np.abs(d) < tiny] = tiny
+        np.divide(1.0, d, out=d)
+        np.divide(an, c, out=c)
+        c += b
+        c[np.abs(c) < tiny] = tiny
+        delta = d * c
+        total *= delta
+        return np.abs(delta - 1.0) < eps
+
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.zeros(flat.shape)
+    out[flat == 0.0] = math.gamma(a)
+    low = np.flatnonzero((0.0 < flat) & (flat < a + 1.0))
+    at = flat[low]
+    start = np.full(at.size, 1.0 / a)
+    sums = _converge(series, [start, start.copy(), at])
+    out[low] = math.gamma(a) - np.exp(a * np.log(at) - at) * sums
+    high = np.flatnonzero((a + 1.0 <= flat) & (flat < math.inf))
+    at = flat[high]
+    b = at + (1.0 - a)
+    sums = _converge(fraction, [1.0 / b, b, np.full(at.size, 1.0 / tiny), 1.0 / b])
+    out[high] = np.exp(a * np.log(at) - at) * sums
+    return out.reshape(x.shape)
+
+
+def _converge(step, state: list) -> np.ndarray:
+    """Run ``step(i, state)`` for i = 1, 2, ... on the arrays ``state``, whose
+    first is the running sum; ``step`` updates them in place and returns the
+    elements that have converged, which then drop out.  Returns the sums."""
+    result = np.empty(state[0].size)
+    rows = np.arange(result.size)
+    for i in range(1, _GAMMA_TERMS):
+        if not rows.size:
+            break
+        done = step(i, state)
+        result[rows[done]] = state[0][done]
+        keep = ~done
+        rows, state = rows[keep], [array[keep] for array in state]
+    result[rows] = state[0]
+    return result
+
+
 class _Marginal:
     """Shared rules; each family implements ``_survival`` and ``_quantile``.
 
@@ -107,6 +183,10 @@ class _Marginal:
         if type(x) is float:
             return self._survival_float(x)
         return _scalar_or_array(self._survival(np.asarray(x, dtype=float)))
+
+    def partial_mean(self, t):
+        """E[X * 1{X > t}], with the strict inequality of ``survival``."""
+        return _scalar_or_array(self._partial_mean(np.asarray(t, dtype=float)))
 
     def quantile(self, u):
         # a private copy, so the caller's array is never written
@@ -145,6 +225,10 @@ class Uniform(_Marginal):
     def _survival_float(self, x):
         return min(max((self.high - x) / (self.high - self.low), 0.0), 1.0)
 
+    def _partial_mean(self, t):
+        t = np.clip(t, self.low, self.high)
+        return (self.high ** 2 - t * t) / (2.0 * (self.high - self.low))
+
     def _quantile(self, u):
         u *= self.high - self.low
         u += self.low
@@ -180,6 +264,11 @@ class Pareto(_Marginal):
     def _survival_float(self, x):
         return float(np.float64(self.minimum / max(x, self.minimum)) ** self.shape)
 
+    def _partial_mean(self, t):
+        # t * S(t) * b / (b - 1) from t = minimum on, written to give 0 at inf
+        ratio = self.minimum / np.maximum(t, self.minimum)
+        return self.minimum * ratio ** (self.shape - 1.0) * (self.shape / (self.shape - 1.0))
+
     def _quantile(self, u):
         u = np.subtract(1.0, u, out=_out(u))
         u **= -1.0 / self.shape
@@ -214,6 +303,12 @@ class Weibull(_Marginal):
         z = np.float64(max(x - self.minimum, 0.0) / self.scale)
         return float(np.exp(-(z ** self.shape)))
 
+    def _partial_mean(self, t):
+        # E[lambda W 1{W > z}] = lambda * Gamma(1 + 1/k, z^k), by u = w^k
+        power = (np.maximum(t - self.minimum, 0.0) / self.scale) ** self.shape
+        return (self.minimum * np.exp(-power)
+                + self.scale * _upper_gamma(1.0 + 1.0 / self.shape, power))
+
     def _quantile(self, u):
         out = _out(u)
         u = np.negative(u, out=out)
@@ -247,6 +342,9 @@ class Dirac(_Marginal):
 
     def _survival_float(self, x):
         return 1.0 if x < self.value else 0.0
+
+    def _partial_mean(self, t):
+        return self.value * self._survival(t)
 
     def _quantile(self, u):
         # the value broadcast over every entry of u
@@ -291,11 +389,12 @@ class JointLoadSpace:
     across threads; sampling always takes an explicit generator.  Each
     implements ``cascade_cursor``, and ``survival_stats`` is one advance of a
     fresh cursor for every joint.  ``stability_sides`` sweeps cursors, which
-    a joint with a closed form overrides.  Per-layer moments are pairs of
-    floats, layer A first: ``mean_loads`` is (E[L_A], E[L_B]) and
-    ``mean_frees`` is (E[S_A], E[S_B]), the model's exact moments; the
-    solver reads its cursor's ``mean_loads`` instead.  A pickle carries the
-    dataclass fields only; cached derived values are rebuilt on demand.
+    the two joints with a closed form, independent and tolerance factor,
+    override.  Per-layer moments are pairs of floats, layer A first:
+    ``mean_loads`` is (E[L_A], E[L_B]) and ``mean_frees`` is (E[S_A], E[S_B]),
+    the model's exact moments; the solver reads its cursor's ``mean_loads``
+    instead.  A pickle carries the dataclass fields only; cached derived
+    values are rebuilt on demand.
     """
 
     mean_loads: tuple[float, float]
@@ -327,8 +426,9 @@ class JointLoadSpace:
 
         lhs_a = (P * x + E[L_A 1]) / E[L_A] at thresholds (x + beta_b * y,
         y + beta_a * x), and lhs_b likewise; (x, y) is stable at attack p iff
-        both reach 1/(1-p).  Where P = 0 this gives 0, not 0/0.  Each row of
-        fixed y is one cursor sweep, so ``xs`` must be nondecreasing.
+        both reach 1/(1-p).  Where P = 0 this gives 0, not 0/0.  Here each
+        row of fixed y is one cursor sweep, so ``xs`` must be nondecreasing;
+        a closed-form override evaluates the whole grid at once, in any order.
         """
         if np.any(np.diff(xs) < 0):
             raise ValueError("stability grid xs must be nondecreasing")
@@ -694,9 +794,11 @@ class ProportionalJoint(JointLoadSpace):
     """Free space coupled to load per node: S_{x,i} = alpha * L_{x,i}.
 
     Populations use the exact coupling, and ``mean_loads``/``mean_frees``
-    are exact.  Cursor queries, and so every solve, are answered from a
-    stored sample matrix of ``_STORED_ROWS`` rows drawn once from
-    ``_STORED_SEED``, the same for every instance.
+    and ``stability_sides`` are exact, from the load marginals' survival
+    and partial means.  Cursor queries, and so every solve, are answered
+    from a stored sample matrix of ``_STORED_ROWS`` rows drawn once from
+    ``_STORED_SEED``, the same for every instance, so a solver's steady
+    state can sit off the exact stable set by that sample's error.
     """
 
     load_a: MarginalDistribution
@@ -731,6 +833,20 @@ class ProportionalJoint(JointLoadSpace):
 
     def cascade_cursor(self) -> CascadeCursor:
         return self._empirical.cascade_cursor()
+
+    def stability_sides(self, xs, ys, beta_a: float, beta_b: float):
+        # S_i > t iff L_i > t / alpha, and the layers are independent, so with
+        # M(t) = E[L 1{L > t}] each partial load is one layer's partial mean
+        # times the other layer's survival.
+        x = np.asarray(xs, dtype=float)[:, None]
+        y = np.asarray(ys, dtype=float)[None, :]
+        u = (x + beta_b * y) / self.alpha
+        v = (y + beta_a * x) / self.alpha
+        survival_a, survival_b = self.load_a.survival(u), self.load_b.survival(v)
+        prob = survival_a * survival_b
+        mean_a, mean_b = self.mean_loads
+        return ((prob * x + self.load_a.partial_mean(u) * survival_b) / mean_a,
+                (prob * y + survival_a * self.load_b.partial_mean(v)) / mean_b)
 
     def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
         block = np.empty((4, n))

@@ -243,6 +243,10 @@ def is_stable_point(x: float, y: float, p: float, cfg: SystemConfig,
     The recursion converges to the minimum stable point from below, so its
     limit can undershoot the sharp boundary by roughly the solver tolerance;
     ``rel_tol`` loosens the threshold accordingly (0 gives the sharp test).
+    The test reads the joint's ``stability_sides``.  For the tolerance-factor
+    joint these are exact while its solver still answers from a stored
+    sample, so near the boundary that solver's limit can test unstable by
+    more than ``rel_tol``.
     """
     p = _validate_p(p)
     x, y = _validate_real(x, "x"), _validate_real(y, "y")
@@ -293,7 +297,11 @@ def stable_set_grid(p: float, cfg: SystemConfig,
     """Evaluate the stability inequalities on a cell-centered grid.
 
     The default extent is 1.2x the free-space cap, which contains every
-    excess load still compatible with survival.
+    excess load still compatible with survival; on a heavy-tailed load that
+    cap is far out, and the cells can be too wide to hold any stable point.
+    The surfaces are the joint's ``stability_sides``: exact for the closed-form
+    joints, the tolerance factor included, whose solver still answers from
+    a stored sample; swept over the sample for an empirical joint.
     """
     p = _validate_p(p)
     resolution = _validate_int(resolution, "resolution", 2)

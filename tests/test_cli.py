@@ -417,7 +417,7 @@ class TestStableSetCommand:
         assert "rows" not in csv_summary
         assert {k: v for k, v in summary.items() if k != "rows"} == csv_summary
 
-    def test_collapse_gives_empty_flag(self, tmp_path):
+    def test_collapse_gives_empty_flag(self, tmp_path, capsys):
         spec = write_spec(tmp_path, SMALL_SPEC)
         out = tmp_path / "out"
         assert cli.main(["stable-set", "--config", spec, "--out", str(out),
@@ -425,6 +425,36 @@ class TestStableSetCommand:
         sidecar = json.loads((out / "stable_set_demo.json").read_text())
         assert sidecar["empty"] is True
         assert sidecar["x_star"] is None
+        assert capsys.readouterr().out == "demo: no stable points at p=0.95 (total collapse)\n"
+
+    def test_an_empty_grid_is_no_collapse_while_the_solver_survives(self, tmp_path, capsys):
+        # The default extent is 1.2x the free-space cap, which the Pareto(5, 2)
+        # load tail puts so far out that the cells step over the stable region
+        # at p = 0.05, where n_inf is 0.95.
+        from multiflow.meanfield import iterate_to_steady_state
+
+        out = tmp_path / "out"
+        argv = ["stable-set", "--config", "alloc_weibull_pareto", "--system",
+                "equal_tolerance_factor", "--p", "0.05", "--resolution", "40"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert json.loads((out / "stable_set_equal_tolerance_factor.json").read_text())["empty"]
+        printed = capsys.readouterr().out
+        assert "collapse" not in printed
+        cfg = load_experiment(cli._resolve_config_path("alloc_weibull_pareto")).systems[
+            "equal_tolerance_factor"]
+        steady = iterate_to_steady_state(0.05, cfg)
+        assert steady.n_inf > 0.9
+        assert printed == (
+            f"equal_tolerance_factor: the grid holds no stable cell at p=0.05, but the "
+            f"steady state ({steady.x_star:.6g}, {steady.y_star:.6g}) survives; narrow it "
+            f"with --x-max/--y-max or refine it with --resolution\n")
+        # framed around that steady state, the grid finds it
+        assert cli.main(argv + ["--out", str(out), "--x-max", repr(4 * steady.x_star),
+                                "--y-max", repr(4 * steady.y_star)]) == 0
+        sidecar = json.loads((out / "stable_set_equal_tolerance_factor.json").read_text())
+        assert not sidecar["empty"]
+        cell = 4 * steady.x_star / 40
+        assert sidecar["x_star"] == pytest.approx(steady.x_star, abs=cell)
 
     def test_small_attack_minimum_near_origin(self, tmp_path):
         spec = write_spec(tmp_path, SMALL_SPEC)
@@ -934,7 +964,11 @@ class TestArtifactDigests:
     to p* and bimodal over its 20 runs, moved, its ``sim_mean`` from
     0.209999 to 0.1499995.  The reuse-mode ``simulate`` digest, a run that
     resumes each cascade along its p grid, was captured before Monte Carlo
-    attacked the identity prefix by slice.
+    attacked the identity prefix by slice.  The sample-backed ``stable-set``
+    CSV digest went from 953f6b3b... to b4a52cf0... when the tolerance-factor
+    joint's stability sides became exact instead of a sweep over its stored
+    sample: ``lhs_a``/``lhs_b`` moved by at most 1.4e-3, and the ``stable``
+    column, the JSON sidecar and stdout kept their bytes.
 
     A change that means to move these bytes states it and updates them here.
     """
@@ -955,7 +989,7 @@ class TestArtifactDigests:
           "equal_tolerance_factor", "--p", "0.2", "--resolution", "16"],
          "dabe6aedf31ffcf4e7c4a10c4061fe47f35456094c7bb606a53644fa2110d120",
          {"stable_set_equal_tolerance_factor.csv":
-          "953f6b3b8d05f346d4a55cee3346e8a08222d5069d2063636faa1d851e7631d4",
+          "b4a52cf08405eba475be941c1a432f91dcf7bd20be31a2cbe239b3ecd5f59a58",
           "stable_set_equal_tolerance_factor.json":
           "1220f392ff4cebbf93085c313ebf0781981bf152bd937ca9d851bf566c6ff156"}),
         (["curve", "--config", "uniform_symmetric"],

@@ -8,13 +8,14 @@ import pickle
 import re
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from multiflow import distributions
 from multiflow import (
@@ -279,6 +280,106 @@ class TestFloatSurvival:
         assert dist.survival(7.0) == -1.0
         for x in (7, np.float64(7.0), np.float32(7.0), np.asarray(7.0)):
             assert dist.survival(x) == float(dist._survival(np.asarray(7.0))), repr(x)
+
+
+class TestPartialMean:
+    """M(t) = E[X 1{X > t}] of every family against scipy: quadrature of the
+    densities above, and ``special.gammaincc`` for the shifted Weibull, whose
+    partial mean is min * S(t) + lambda * Gamma(1 + 1/k, z^k)."""
+
+    @staticmethod
+    def weibull_oracle(dist: Weibull, t: float) -> float:
+        a = 1.0 + 1.0 / dist.shape
+        power = (max(t - dist.minimum, 0.0) / dist.scale) ** dist.shape
+        return (dist.minimum * math.exp(-power)
+                + dist.scale * special.gammaincc(a, power) * special.gamma(a))
+
+    @pytest.mark.parametrize("dist, pdf, upper", [
+        (Uniform(20, 40), uniform_pdf, 40.0),
+        (Pareto(5, 2), pareto_pdf, math.inf),
+        (Pareto(100, 5), pareto_pdf, math.inf),
+        (Weibull(10, 84.25, 0.4), weibull_pdf, math.inf),
+        (Weibull(10, 30, 2), weibull_pdf, math.inf),
+        (Weibull(10, 10.78, 6), weibull_pdf, math.inf),
+    ], ids=["uniform", "pareto2", "pareto5", "weibull0.4", "weibull2", "weibull6"])
+    def test_against_quadrature(self, dist, pdf, upper):
+        low = dist.quantile(0.0)
+        # below, at and inside the support, and above its upper end or far in the tail
+        for t in (0.0, low - 1.0, low, dist.quantile(0.2), dist.quantile(0.5),
+                  dist.quantile(0.95), dist.support_cap(), 2.0 * dist.support_cap()):
+            # the body up to the support cap and the tail beyond it apart, so
+            # that k = 0.4's singular density at the minimum integrates cleanly
+            expected = 0.0
+            cuts = sorted({max(low, t), max(dist.support_cap(), t), upper})
+            for lower, higher in zip(cuts, cuts[1:]):
+                value, err = integrate.quad(lambda x: x * pdf(dist)(x), lower, higher,
+                                            limit=400, epsabs=1e-10, epsrel=1e-10)
+                assert err < 1e-6 * max(1.0, value)
+                expected += value
+            got = dist.partial_mean(t)
+            assert type(got) is float
+            assert got == pytest.approx(expected, rel=1e-7, abs=1e-9), (dist, t)
+        assert dist.partial_mean(low - 1.0) == pytest.approx(dist.mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [0.4, 2.0, 6.0, 1.0, 12.0])
+    def test_weibull_against_the_incomplete_gamma(self, shape):
+        dist = Weibull(10, 84.25 if shape == 0.4 else 30.0, shape)
+        ts = np.concatenate([[0.0, 10.0, np.nextafter(10.0, np.inf)],
+                             np.linspace(10.0, dist.quantile(1 - 1e-12), 400)])
+        got = dist.partial_mean(ts)
+        expected = np.array([self.weibull_oracle(dist, float(t)) for t in ts])
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+        # z = 0: the whole mean, min + lambda * Gamma(1 + 1/k)
+        assert got[0] == got[1] == pytest.approx(dist.mean(), rel=1e-14)
+
+    @pytest.mark.parametrize("a", [7 / 6, 1.5, 3.5, 1.0 + 1 / 0.05])
+    def test_upper_gamma_against_gammaincc(self, a):
+        rng = np.random.default_rng(int(10 * a))
+        x = np.concatenate([rng.uniform(0.0, 3.0 * a + 10.0, 5000),
+                            [1e-300, 1e-8, a + 1.0, np.nextafter(a + 1.0, 0.0), 50.0, 600.0]])
+        expected = special.gammaincc(a, x) * special.gamma(a)
+        got = distributions._upper_gamma(a, x)
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+        assert distributions._upper_gamma(a, np.array([0.0, np.inf])).tolist() == \
+            [math.gamma(a), 0.0]
+
+    def test_underflow_far_in_the_tail_is_zero_without_a_warning(self):
+        # underflow itself is silent under numpy's defaults, as in ``survival``
+        with np.errstate(divide="raise", over="raise", invalid="raise"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dist in (Weibull(10, 84.25, 0.4), Weibull(10, 30, 2), Weibull(0, 1, 6)):
+                # z^k from 1e3 to 1e100: the prefix x^a e^-x underflows
+                ts = dist.minimum + dist.scale * np.logspace(3, 100, 30) ** (1 / dist.shape)
+                got = dist.partial_mean(ts)
+                assert not np.isnan(got).any()
+                assert np.all(got >= 0.0) and np.all(got[5:] == 0.0)
+            for dist in (Uniform(20, 40), Pareto(5, 2), Weibull(10, 30, 2), Dirac(30)):
+                assert dist.partial_mean(math.inf) == 0.0
+
+    def test_dirac_mass_does_not_count_at_its_value(self):
+        dist = Dirac(37.5)
+        assert dist.partial_mean(37.5) == 0.0
+        assert dist.partial_mean(float(np.nextafter(37.5, 0.0))) == 37.5
+        assert dist.partial_mean(40.0) == 0.0
+        assert dist.partial_mean(0.0) == 37.5
+
+    @pytest.mark.parametrize("dist", [Uniform(20, 40), Pareto(5, 2), Weibull(10, 84.25, 0.4),
+                                      Weibull(10, 30, 2), Dirac(30)], ids=repr)
+    def test_scalars_and_arrays_agree(self, dist):
+        ts = np.linspace(0.0, 2.0 * dist.support_cap(), 41)
+        array = dist.partial_mean(ts)
+        assert isinstance(array, np.ndarray) and array.shape == ts.shape
+        grid = dist.partial_mean(ts.reshape(41, 1))
+        assert grid.shape == (41, 1) and np.array_equal(grid.ravel(), array)
+        for t, value in zip(ts, array):
+            for scalar in (float(t), np.float64(t), np.asarray(t)):
+                got = dist.partial_mean(scalar)
+                assert type(got) is float and got == value, (dist, t)
+        assert dist.partial_mean([1.0, 2.0]).tolist() == [dist.partial_mean(1.0),
+                                                          dist.partial_mean(2.0)]
+        # nonincreasing in t, from the mean down to 0
+        assert np.all(np.diff(array) <= 1e-12 * dist.mean())
 
 
 class TestSampling:
@@ -1107,32 +1208,78 @@ class TestProportionalJoint:
         assert len(blob) < 10_000  # workers rebuild the samples from the seed
         assert pickle.loads(blob).joint_survival(55.0, 13.0) == reference
 
-    def test_partial_expectation_against_quadrature(self):
-        # independent oracle: with S = alpha*L and independent loads,
-        # E[L_A 1{S_A > x, S_B > y}] = (trunc. mean of L_A above x/alpha)
-        #                              * P[L_B > y/alpha]
-        alpha = 2.4
-        load_a, load_b = Uniform(20, 40), Pareto(5, 2)
-        joint = ProportionalJoint(load_a, load_b, alpha)
+    # independent oracle: with S = alpha*L and independent loads,
+    # E[L_A 1{S_A > x, S_B > y}] = (trunc. mean of L_A above x/alpha)
+    #                              * P[L_B > y/alpha]
+    QUADRATURE_POINTS = ((50.0, 0.0), (70.0, 13.0), (85.0, 20.0), (0.0, 26.0))
 
-        def truncated_mean(pdf, lower, upper, threshold):
+    @staticmethod
+    def quadrature_oracle(x: float, y: float):
+        """(P, E[L_A 1], E[L_B 1]) at (x, y) for alpha = 2.4, loads U(20, 40) and Pareto(5, 2)."""
+        alpha = 2.4
+        pdf_a, pdf_b = uniform_pdf(Uniform(20, 40)), pareto_pdf(Pareto(5, 2))
+
+        def truncated(pdf, lower, upper, threshold, power):
             lo = max(lower, threshold)
             if upper is not None and lo >= upper:
                 return 0.0
-            value, err = integrate.quad(lambda t: t * pdf(t), lo,
+            value, err = integrate.quad(lambda t: t ** power * pdf(t), lo,
                                         np.inf if upper is None else upper, limit=200)
             assert err < 1e-6
             return value
 
-        for x, y in ((50.0, 0.0), (70.0, 13.0), (85.0, 20.0), (0.0, 26.0)):
-            expected_a = truncated_mean(uniform_pdf(load_a), 20, 40, x / alpha) \
-                * float(load_b.survival(y / alpha))
-            expected_b = truncated_mean(pareto_pdf(load_b), 5, None, y / alpha) \
-                * float(load_a.survival(x / alpha))
+        survival_a = truncated(pdf_a, 20, 40, x / alpha, 0)
+        survival_b = truncated(pdf_b, 5, None, y / alpha, 0)
+        return (survival_a * survival_b,
+                truncated(pdf_a, 20, 40, x / alpha, 1) * survival_b,
+                truncated(pdf_b, 5, None, y / alpha, 1) * survival_a)
+
+    def test_partial_expectation_against_quadrature(self):
+        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
+        for x, y in self.QUADRATURE_POINTS:
+            _, expected_a, expected_b = self.quadrature_oracle(x, y)
             got_a = joint.partial_load_expectation("A", x, y)
             got_b = joint.partial_load_expectation("B", x, y)
             assert got_a == pytest.approx(expected_a, abs=0.15)
             assert got_b == pytest.approx(expected_b, abs=0.15)
+
+    @pytest.mark.parametrize("beta_a, beta_b", [(0.0, 0.0), (0.2, 0.3)])
+    def test_stability_sides_against_quadrature(self, beta_a, beta_b):
+        # the sides are exact, so they match the oracle to its own accuracy
+        joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
+        mean_a = quad_mean(uniform_pdf(Uniform(20, 40)), 20, 40)
+        mean_b = quad_mean(pareto_pdf(Pareto(5, 2)), 5, np.inf)
+        for x, y in self.QUADRATURE_POINTS:
+            prob, load_a, load_b = self.quadrature_oracle(x + beta_b * y, y + beta_a * x)
+            lhs_a, lhs_b = joint.stability_sides([x], [y], beta_a, beta_b)
+            assert lhs_a[0, 0] == pytest.approx((prob * x + load_a) / mean_a, rel=1e-8)
+            assert lhs_b[0, 0] == pytest.approx((prob * y + load_b) / mean_b, rel=1e-8)
+
+
+def test_the_package_imports_no_scipy():
+    # numpy is the one runtime dependency (pyproject.toml); scipy is a test
+    # extra, so a fresh interpreter that loads the package and evaluates the
+    # tolerance-factor sides, Weibull's incomplete gamma included, has not
+    # imported it
+    import os
+    import subprocess
+    from pathlib import Path
+
+    code = "\n".join([
+        "import sys",
+        "import multiflow, multiflow.cli",
+        "from multiflow import (CrossLayerFactors, Pareto, ProportionalJoint, SystemConfig,",
+        "                       Weibull, stable_set_grid)",
+        "joint = ProportionalJoint(Weibull(10, 84.25, 0.4), Pareto(5, 2), 2.4)",
+        "grid = stable_set_grid(0.04, SystemConfig(joint, CrossLayerFactors(0.2, 0.2)),",
+        "                       x_max=30.0, y_max=1.0, resolution=50)",
+        "assert grid.stable.any()",
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def _golden_empirical_joint() -> EmpiricalJoint:

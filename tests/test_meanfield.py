@@ -13,8 +13,10 @@ from multiflow import (
     EmpiricalJoint,
     EqualToleranceFactor,
     IndependentJoint,
+    JointLoadSpace,
     LayerWeightedEqual,
     Pareto,
+    ProportionalJoint,
     SystemConfig,
     Uniform,
     Weibull,
@@ -405,14 +407,18 @@ class TestStabilitySidesGolden:
 
     The digest covers ``lhs_a.tobytes() + lhs_b.tobytes()``, so any change in
     the order of their arithmetic shows; a change that means to move these
-    bytes updates the digests here.
+    bytes updates the digests here.  The tolerance-factor digest went from
+    da77d4b9... (the sides swept over the stored sample) to 78284bb4... when
+    the tolerance-factor joint's sides became exact, from the load
+    marginals' partial means; no side moved by more than 8.7e-4 and no
+    cell's stability changed.
     """
 
     @pytest.mark.parametrize("config, system, resolution, digest", [
         ("uniform_symmetric", "uniform_symmetric", 40,
          "021a8a7ae4f4a4ed9093b329669a2fe600d79a5897822bd3d61084f6f5ec5f50"),
         ("alloc_pareto_uniform", "equal_tolerance_factor", 8,
-         "da77d4b9dcccbca9f26b20388c4fe82ca185516a4f4c890b818b49ec1dddddb6"),
+         "78284bb454365cdee2811799b77a27997f225656e88d000800d2764d5fffc7fc"),
     ], ids=["uniform_symmetric", "equal_tolerance_factor"])
     def test_digest(self, config, system, resolution, digest):
         from multiflow import cli
@@ -422,6 +428,92 @@ class TestStabilitySidesGolden:
         grid = stable_set_grid(0.25, cfg, resolution=resolution)
         data = grid.lhs_a.tobytes() + grid.lhs_b.tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _tolerance_factor_system(config: str) -> SystemConfig:
+    from multiflow import cli
+    from multiflow.config import load_experiment
+
+    return load_experiment(cli._resolve_config_path(config)).systems["equal_tolerance_factor"]
+
+
+class TestToleranceFactorSides:
+    """The tolerance-factor joint's exact stability sides, from the load
+    marginals' survival and partial means, on the three bundled systems.
+    Its solver still answers from the stored sample."""
+
+    # an attack of about half of each system's p*
+    SYSTEMS = {"alloc_pareto_uniform": 0.3, "alloc_uniform_weibull": 0.25,
+               "alloc_weibull_pareto": 0.04}
+
+    @pytest.fixture(scope="class", params=sorted(SYSTEMS))
+    def system(self, request):
+        return self.SYSTEMS[request.param], _tolerance_factor_system(request.param)
+
+    @staticmethod
+    def framed(p, cfg, resolution):
+        # twice the steady state frames the stable set's least point
+        steady = iterate_to_steady_state(p, cfg)
+        return steady, stable_set_grid(p, cfg, x_max=2 * steady.x_star,
+                                       y_max=2 * steady.y_star, resolution=resolution)
+
+    def test_agree_with_the_stored_sample_sweep(self, system):
+        _, cfg = system
+        joint, beta = cfg.joint, cfg.factors
+        xs = np.linspace(0.0, joint.alpha * joint.load_a.quantile(0.99), 16)
+        ys = np.linspace(0.0, joint.alpha * joint.load_b.quantile(0.99), 16)
+        exact = joint.stability_sides(xs, ys, beta.beta_a, beta.beta_b)
+        swept = JointLoadSpace.stability_sides(joint, xs, ys, beta.beta_a, beta.beta_b)
+        for got, sample in zip(exact, swept):
+            assert got.shape == (16, 16)
+            assert np.max(np.abs(got - sample)) < 0.02
+
+    def test_a_grid_builds_no_sample(self, system, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stored sample was built")
+
+        p, cfg = system
+        # a joint of its own: the shared one may have built its sample for a solve
+        joint = ProportionalJoint(cfg.joint.load_a, cfg.joint.load_b, cfg.joint.alpha)
+        monkeypatch.setattr(EmpiricalJoint, "_adopt", refuse)
+        grid = stable_set_grid(p, SystemConfig(joint, cfg.factors), resolution=400)
+        assert grid.lhs_a.shape == (400, 400)
+        assert "_empirical" not in vars(joint)
+
+    def test_grid_matches_pointwise(self, system):
+        p, cfg = system
+        _, grid = self.framed(p, cfg, 24)
+        assert 0 < int(grid.stable.sum()) < grid.stable.size
+        for ix in range(0, 24, 3):
+            for iy in range(0, 24, 3):
+                assert grid.stable[ix, iy] == is_stable_point(
+                    float(grid.x[ix]), float(grid.y[iy]), p, cfg, rel_tol=0.0)
+
+    def test_minimum_lies_within_a_cell_of_the_solver(self, system):
+        p, cfg = system
+        steady, grid = self.framed(p, cfg, 100)
+        x_min, y_min = grid.minimum
+        assert abs(x_min - steady.x_star) <= grid.x[1] - grid.x[0]
+        assert abs(y_min - steady.y_star) <= grid.y[1] - grid.y[0]
+
+    @pytest.mark.parametrize("config, resolution", [
+        ("alloc_pareto_uniform", 1600), ("alloc_uniform_weibull", 800),
+        ("alloc_weibull_pareto", 800)])
+    def test_the_landscape_maximum_gives_the_reference_critical_size(self, config, resolution):
+        # A point is stable at p iff min(lhs_a, lhs_b) >= 1/(1-p), so the
+        # grid's largest min gives p* from below; reference.json holds p*
+        # from an independent oracle, bisected to 1e-7.
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        reference = json.loads(path.read_text(encoding="utf-8"))["critical"][
+            f"{config}/equal_tolerance_factor"]
+        cfg = _tolerance_factor_system(config)
+        # just below p*, the least stable point lies next to the landscape's peak
+        _, grid = self.framed(reference - 0.01, cfg, resolution)
+        peak = float(np.max(np.minimum(grid.lhs_a, grid.lhs_b)))
+        assert reference - 2e-3 <= 1.0 - 1.0 / peak <= reference
 
 
 class TestLayerIndependent:
