@@ -34,7 +34,6 @@ from .distributions import (
     marginal_to_dict,
 )
 from .meanfield import (
-    CascadeState,
     CriticalAttackResult,
     CrossLayerFactors,
     StableSetGrid,
@@ -42,11 +41,9 @@ from .meanfield import (
     SystemConfig,
     critical_attack_size,
     final_size,
-    initial_state,
     is_stable_point,
     iterate_to_steady_state,
     stable_set_grid,
-    step,
 )
 from .simulate import (
     CascadeOutcome,
@@ -64,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationStrategy",
     "CascadeOutcome",
-    "CascadeState",
     "ConfigError",
     "CriticalAttackResult",
     "CrossLayerFactors",
@@ -96,7 +92,6 @@ __all__ = [
     "build_population",
     "critical_attack_size",
     "final_size",
-    "initial_state",
     "is_stable_point",
     "iterate_to_steady_state",
     "layer_weighted_split",
@@ -110,5 +105,4 @@ __all__ = [
     "run_cascade",
     "run_cascade_naive",
     "stable_set_grid",
-    "step",
 ]

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import IndependentJoint, JointLoadSpace, SurvivalStats
+from .distributions import IndependentJoint, JointLoadSpace
 
 # Below this joint survival the surviving fraction is smaller than 1/N for
 # any realistic N; the cascade is declared a total collapse.
@@ -73,24 +73,6 @@ class SystemConfig:
                        beta_a: float = 0.0, beta_b: float = 0.0) -> "SystemConfig":
         return SystemConfig(IndependentJoint(load_a, free_a, load_b, free_b),
                             CrossLayerFactors(beta_a, beta_b))
-
-    def effective(self, q_a: float, q_b: float) -> tuple[float, float]:
-        """Effective excess-load pair seen by the overload conditions."""
-        return _effective(q_a, q_b, self.factors.beta_a, self.factors.beta_b)
-
-
-@dataclass(frozen=True)
-class CascadeState:
-    """Surviving fraction and per-survivor excess loads after round ``t``."""
-
-    t: int
-    n: float
-    q_a: float
-    q_b: float
-
-    @property
-    def collapsed(self) -> bool:
-        return self.n == 0.0
 
 
 @dataclass(frozen=True)
@@ -143,50 +125,6 @@ def _validate_int(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-# The recursion's arithmetic on floats, shared by ``step`` and
-# ``iterate_to_steady_state``; the moments are the cursor's.
-def _effective(q_a: float, q_b: float, beta_a: float, beta_b: float) -> tuple[float, float]:
-    return q_a + beta_b * q_b, q_b + beta_a * q_a
-
-
-def _attacked(p: float, mean_loads: tuple[float, float]) -> tuple[float, float]:
-    """Excess loads (q_A, q_B) right after the attack."""
-    scale = p / (1.0 - p)
-    mean_a, mean_b = mean_loads
-    return scale * mean_a, scale * mean_b
-
-
-def _round(p: float, mean_loads: tuple[float, float],
-           stats: SurvivalStats) -> tuple[float, float, float] | None:
-    """(n, q_A, q_B) after a round whose thresholds gave ``stats``; None on collapse."""
-    probability, load_a, load_b = stats
-    if probability < COLLAPSE_EPS:
-        return None
-    n = (1.0 - p) * probability
-    mean_a, mean_b = mean_loads
-    return n, (mean_a - (1.0 - p) * load_a) / n, (mean_b - (1.0 - p) * load_b) / n
-
-
-def initial_state(p: float, cfg: SystemConfig) -> CascadeState:
-    """State right after the attack: n = 1-p, q = p*E[L]/(1-p) per layer."""
-    p = _validate_p(p)
-    q_a, q_b = _attacked(p, cfg.joint.cascade_cursor().mean_loads)
-    return CascadeState(t=0, n=1.0 - p, q_a=q_a, q_b=q_b)
-
-
-def step(state: CascadeState, p: float, cfg: SystemConfig) -> CascadeState:
-    """One round of the recursion; collapse is absorbing."""
-    p = _validate_p(p)
-    after = None
-    if not state.collapsed:
-        cursor = cfg.joint.cascade_cursor()
-        after = _round(p, cursor.mean_loads,
-                       cursor.advance(*cfg.effective(state.q_a, state.q_b)))
-    if after is None:
-        return CascadeState(t=state.t + 1, n=0.0, q_a=math.inf, q_b=math.inf)
-    return CascadeState(state.t + 1, *after)
-
-
 def iterate_to_steady_state(p: float, cfg: SystemConfig,
                             tol: float = DEFAULT_TOL,
                             max_iter: int = DEFAULT_MAX_ITER) -> SteadyState:
@@ -195,7 +133,9 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
     Convergence is relative on the effective excess loads:
     max(|delta_A|, |delta_B|) < tol * (1 + max effective load).  Total
     collapse counts as converged.  The limit point is the element-wise
-    minimum of the stable set.
+    minimum of the stable set.  A solve cut at ``max_iter=t`` reads round
+    t: ``n_inf`` is n_{t+1} and, unless that is a collapse,
+    ``x_star``/``y_star`` are q_t.
     """
     p = _validate_p(p)
     tol = _validate_real(tol, "tol")
@@ -203,18 +143,22 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     max_iter = _validate_int(max_iter, "max_iter", 1)
     cursor = cfg.joint.cascade_cursor()
-    advance, means = cursor.advance, cursor.mean_loads
+    advance, (mean_a, mean_b) = cursor.advance, cursor.mean_loads
     beta_a, beta_b = cfg.factors.beta_a, cfg.factors.beta_b
-    q_a, q_b = _attacked(p, means)
-    eff_a, eff_b = _effective(q_a, q_b, beta_a, beta_b)
+    scale = p / (1.0 - p)
+    q_a, q_b = scale * mean_a, scale * mean_b
+    eff_a, eff_b = q_a + beta_b * q_b, q_b + beta_a * q_a
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        after = _round(p, means, advance(eff_a, eff_b))
-        if after is None:
+        # One round: the survivors n and the excess loads they carry.
+        probability, load_a, load_b = advance(eff_a, eff_b)
+        if probability < COLLAPSE_EPS:
             return SteadyState(0.0, math.inf, math.inf, iterations, True)
-        _, q_a, q_b = after
-        new_a, new_b = _effective(q_a, q_b, beta_a, beta_b)
+        n = (1.0 - p) * probability
+        q_a = (mean_a - (1.0 - p) * load_a) / n
+        q_b = (mean_b - (1.0 - p) * load_b) / n
+        new_a, new_b = q_a + beta_b * q_b, q_b + beta_a * q_a
         delta = max(abs(new_a - eff_a), abs(new_b - eff_b))
         # Theory guarantees nondecreasing effective loads; the max() guards
         # the cursor against last-bit rounding regressions.

@@ -14,20 +14,21 @@ cascade that runs past ``MASKED_ROUNDS`` sorts the population's free spaces
 
 Survival is the non-strict comparison free_space >= effective excess (ties
 survive), mirroring the "load <= capacity" overload conditions.  An attack
-is round(p*n) distinct nodes, so the attacked fraction is fixed rather than
-Bernoulli-thinned: the first round(p*n) entries of a given attack order,
-k distinct nodes drawn uniformly from a seed with
-``Generator.choice(n, k, replace=False)``, or, given neither, the first k
+is k = round(p*n) distinct nodes, so the attacked fraction is fixed rather
+than Bernoulli-thinned: k nodes drawn uniformly from a seed with
+``Generator.choice(n, k, replace=False)``, or, given no seed, the first k
 nodes, the prefix of the identity order.  That prefix is a slice: it is
 attacked without a gather, and the masked rounds scan only the nodes
-after it.
+after it.  To attack along another order, relabel the population:
+``Population(*(c[order] for c in (load_a, free_a, load_b, free_b)))``.
 
-Failures only grow with the attacked set, so along one attack order the
-final state at one p is a valid start for any larger p.  ``run_cascade``
-resumes from it (``resume=``): it attacks only the order's next entries and
-continues the sorted sweep from the earlier final thresholds.  This is the
-Newman-Ziff method (M. E. J. Newman and R. M. Ziff, PRL 85, 4104 (2000)),
-and the reuse mode of ``monte_carlo_curve`` sweeps each run's p grid so.
+Failures only grow with the attacked set, so the final state of an
+identity-prefix cascade at one p is a valid start for any larger p.
+``run_cascade`` resumes from it (``resume=``): it attacks only the next
+nodes and continues the sorted sweep from the earlier final thresholds.
+This is the Newman-Ziff method (M. E. J. Newman and R. M. Ziff, PRL 85,
+4104 (2000)), and the reuse mode of ``monte_carlo_curve`` sweeps each
+run's p grid so.
 
 ``monte_carlo_curve`` draws no attack: it attacks prefixes of the identity
 order by slice.  A population's rows are i.i.d. and drawn apart from the
@@ -123,9 +124,8 @@ class TrajectoryPoint(NamedTuple):
 
 
 class SweepState(NamedTuple):
-    """Final state of a cascade along an attack order, which ``resume`` continues."""
+    """Final state of an identity-prefix cascade, which ``resume`` continues."""
 
-    attack_order: np.ndarray | None  # None: the identity order
     attack_size: int
     shed: tuple[float, float]  # total initial load of the failed nodes, per layer
     thresholds: tuple[float, float]  # every node with less free space has failed
@@ -139,8 +139,7 @@ class CascadeOutcome:
     the oracle-equivalence and conservation checks.  A resumed cascade's
     ``rounds`` and ``trajectory`` cover only the continuation: round 0 is
     the state just after the newly attacked nodes fail.  ``state`` is set
-    when ``run_cascade`` attacked a prefix of an attack order, the identity
-    order included.
+    when ``run_cascade`` attacked the identity prefix, with no seed.
     """
 
     surviving_fraction: float
@@ -162,48 +161,27 @@ def _attack_count(p: float, n: int) -> int:
     return int(math.floor(p * n + 0.5))
 
 
-def _check_order(attack_order, n: int) -> np.ndarray:
-    if (not isinstance(attack_order, np.ndarray) or attack_order.shape != (n,)
-            or attack_order.dtype.kind not in "iu"):
-        raise ValueError(f"attack_order must be a 1-D integer array of length {n}")
-    return attack_order
-
-
-def _attacked_nodes(n: int, k: int, attack_seed, attack_order) -> slice | np.ndarray:
-    """The first k entries of the attack order, k distinct uniform nodes
-    drawn from the seed, or, given neither, the first k nodes as a slice;
-    shared by both cascade variants."""
-    if attack_order is None:
-        if attack_seed is None:
-            return slice(0, k)
-        return np.random.default_rng(attack_seed).choice(n, k, replace=False)
-    if attack_seed is not None:
-        raise ValueError("give attack_seed or attack_order, not both")
-    _check_order(attack_order, n)
-    seen = np.zeros(n, dtype=bool)
-    if attack_order.min() >= 0 and attack_order.max() < n:
-        seen[attack_order] = True
-    if not seen.all():
-        raise ValueError(f"attack_order must be a permutation of range({n})")
-    return attack_order[:k]
+def _attacked_nodes(n: int, k: int, attack_seed) -> slice | np.ndarray:
+    """k distinct uniform nodes drawn from the seed or, given none, the
+    first k nodes as a slice; shared by both cascade variants."""
+    if attack_seed is None:
+        return slice(0, k)
+    return np.random.default_rng(attack_seed).choice(n, k, replace=False)
 
 
 def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
                 attack_seed=None, max_trajectory: int = MAX_TRAJECTORY_ROUNDS, *,
-                attack_order: np.ndarray | None = None,
                 resume: CascadeOutcome | None = None) -> CascadeOutcome:
     """Cascade via per-layer aggregate excess loads.
 
     The attack is round(p*n) distinct uniform nodes drawn from
-    ``attack_seed``, the first round(p*n) entries of ``attack_order``, a
-    permutation of range(n), or, given neither, the first round(p*n) nodes:
-    the prefix of the identity order, attacked by slice.  ``resume``
-    continues an earlier outcome of this function, on the same population
-    and factors and along the same ``attack_order`` array (or again the
-    identity order), whose attack was no larger: only the order's next
-    entries are attacked, and the cascade starts from the earlier final
-    state.  Failures only grow with the attacked set, so the failed set is
-    the one a call from scratch with the same prefix gives.
+    ``attack_seed`` or, given no seed, the first round(p*n) nodes: the
+    prefix of the identity order, attacked by slice.  ``resume`` continues
+    an earlier identity-prefix outcome of this function, on the same
+    population and factors, whose attack was no larger: only the next nodes
+    are attacked, and the cascade starts from the earlier final state.
+    Failures only grow with the attacked set, so the failed set is the one
+    a call from scratch gives.
 
     From scratch, the first ``MASKED_ROUNDS`` rounds compare the free
     spaces of every node outside an identity prefix with the thresholds
@@ -218,7 +196,7 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     n = pop.size
     k = _attack_count(p, n)
     if resume is None:
-        attacked = _attacked_nodes(n, k, attack_seed, attack_order)
+        attacked = _attacked_nodes(n, k, attack_seed)
         count = k
         failed = np.zeros(n, dtype=bool)
         alive, shed_a, shed_b = n, 0.0, 0.0
@@ -227,17 +205,17 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
         skip = k if isinstance(attacked, slice) else 0
     else:
         state = resume.state
-        if state is None or attack_order is not state.attack_order or attack_seed is not None:
-            raise ValueError("resume continues the attack_order of the outcome it was given")
+        if state is None or attack_seed is not None:
+            raise ValueError("resume continues an identity-prefix outcome of run_cascade, "
+                             "with no attack_seed")
+        if resume.failed.shape != (n,):
+            raise ValueError(f"resume comes from a population of {resume.failed.size} "
+                             f"nodes, not {n}")
         if k < state.attack_size:
             raise ValueError(f"resume cannot shrink the attack from {state.attack_size} "
                              f"to {k} nodes")
         failed = resume.failed.copy()
-        if attack_order is None:
-            attacked = state.attack_size + np.flatnonzero(~failed[state.attack_size:k])
-        else:
-            attacked = _check_order(attack_order, n)[state.attack_size:k]
-            attacked = attacked[~failed[attacked]]
+        attacked = state.attack_size + np.flatnonzero(~failed[state.attack_size:k])
         count = attacked.size
         alive = n - int(np.count_nonzero(failed))
         (shed_a, shed_b), previous, masked_rounds = state.shed, state.thresholds, 0
@@ -249,7 +227,7 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
 
     def outcome(rounds, trajectory, truncated=False):
         sweep = (None if attack_seed is not None
-                 else SweepState(attack_order, k, (shed_a, shed_b), previous))
+                 else SweepState(k, (shed_a, shed_b), previous))
         return CascadeOutcome(alive / n, rounds, tuple(trajectory), failed, truncated, sweep)
 
     if alive == 0:
@@ -311,12 +289,12 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
 
 
 def run_cascade_naive(pop: Population, p: float, factors: CrossLayerFactors,
-                      attack_seed=None, max_trajectory: int = MAX_TRAJECTORY_ROUNDS, *,
-                      attack_order: np.ndarray | None = None) -> CascadeOutcome:
+                      attack_seed=None,
+                      max_trajectory: int = MAX_TRAJECTORY_ROUNDS) -> CascadeOutcome:
     """Literal per-node bookkeeping oracle (quadratic work, n <= 10^4).
 
-    The attack is drawn as in ``run_cascade``, from ``attack_seed`` or as a
-    prefix of ``attack_order``; it always starts from scratch.  Each failed
+    The attack is drawn as in ``run_cascade``, from ``attack_seed`` or as
+    the identity prefix; it always starts from scratch.  Each failed
     node's current loads are split equally over the survivors, per-node
     load vectors are updated, and the overload conditions are re-tested
     against the fixed capacities.
@@ -327,7 +305,7 @@ def run_cascade_naive(pop: Population, p: float, factors: CrossLayerFactors,
     if n > MAX_NAIVE_NODES:
         raise ValueError(f"naive cascade is limited to n <= {MAX_NAIVE_NODES}, got {n}")
     k = _attack_count(p, n)
-    attacked = _attacked_nodes(n, k, attack_seed, attack_order)
+    attacked = _attacked_nodes(n, k, attack_seed)
     failed = np.zeros(n, dtype=bool)
     if k == 0:
         return CascadeOutcome(1.0, 0, (TrajectoryPoint(0, 1.0, 0.0, 0.0),), failed)

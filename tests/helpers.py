@@ -12,6 +12,7 @@ from multiflow import (
     EmpiricalJoint,
     IndependentJoint,
     Pareto,
+    Population,
     SystemConfig,
     Uniform,
     Weibull,
@@ -81,6 +82,14 @@ def sampled_copy(cfg: SystemConfig, m: int = 300_000, seed: int = 4) -> SystemCo
         joint.load_a.sample(rng, m), joint.free_a.sample(rng, m),
         joint.load_b.sample(rng, m), joint.free_b.sample(rng, m)])
     return SystemConfig(EmpiricalJoint(samples), cfg.factors)
+
+
+def relabelled(pop: Population, order: np.ndarray) -> Population:
+    """``pop`` with its rows taken in ``order``: row i is node order[i].
+
+    The identity prefix of the result attacks ``pop`` along ``order``, and a
+    failure mask m over ``pop``'s nodes reads m[order] over the result's."""
+    return Population(*(c[order] for c in (pop.load_a, pop.free_a, pop.load_b, pop.free_b)))
 
 
 def detect_discontinuities(cfg, p_grid, values, jump: float = 0.03,

@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from scipy import special
+
 from multiflow import (
     CrossLayerFactors,
     Dirac,
+    EmpiricalJoint,
     EqualFreeSpace,
     EqualToleranceFactor,
     LayerWeightedEqual,
     Pareto,
     PerLayerEqual,
     ProportionalJoint,
+    SystemConfig,
     Uniform,
     Weibull,
     apply_strategy,
@@ -24,7 +28,7 @@ from multiflow import (
     predicted_critical,
 )
 from multiflow.allocate import dirac_free_space
-from helpers import random_system, sampled_copy
+from helpers import random_marginal, random_system, sampled_copy
 
 FACTORS = CrossLayerFactors(0.2, 0.2)
 
@@ -324,4 +328,26 @@ class TestBudgetBound:
         gaps = [self._gap(sampled_copy(random_system(rng), m=100_000,
                                        seed=int(rng.integers(2 ** 31))))
                 for _ in range(10)]
+        assert max(gaps) <= 0.0
+
+    def test_correlated_sample_joints(self):
+        # Gaussian copula: correlated normals mapped through the normal CDF
+        # and each column's marginal quantile, so loads and free spaces
+        # correlate within and across the layers.
+        rng = np.random.default_rng(25)
+        m = 100_000
+        gaps = []
+        for _ in range(10):
+            root = rng.normal(size=(4, 4))
+            cov = root @ root.T
+            scale = 1.0 / np.sqrt(np.diag(cov))
+            corr = cov * np.outer(scale, scale)
+            normals = rng.standard_normal((m, 4)) @ np.linalg.cholesky(corr).T
+            loads = ("uniform", "pareto", "weibull")
+            marginals = [random_marginal(rng, 30.0, loads), random_marginal(rng, 80.0),
+                         random_marginal(rng, 30.0, loads), random_marginal(rng, 80.0)]
+            samples = np.column_stack([marginal.quantile(special.ndtr(normals[:, j]))
+                                       for j, marginal in enumerate(marginals)])
+            factors = CrossLayerFactors(*(float(b) for b in rng.uniform(0.0, 0.6, 2)))
+            gaps.append(self._gap(SystemConfig(EmpiricalJoint(samples), factors)))
         assert max(gaps) <= 0.0

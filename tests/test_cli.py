@@ -683,6 +683,7 @@ class TestBundledConfigs:
          "3d690203c29037ad7e6a95cc91d2915ee7616ff0f9a553af621ebda90c5d9bc9"),
         ("alloc_uniform_weibull",
          "57ae6efb896b7a915fe8b4ddcbf45af5e39ce029a271fe7b8c1380ebfe88109d"),
+        ("asymmetric_beta", "880f60c9ca7aad7c3a43ad084eb531da2dc6dc1493e1d2bf8f0dd6991f7a32fd"),
     ]
 
     @pytest.mark.parametrize("name, checksum", BUNDLED, ids=[name for name, _ in BUNDLED])
@@ -1017,6 +1018,11 @@ class TestArtifactDigests:
          "a1df6dd596ef0764d6acb494be1704b825b0c05cbaf420d0c5b44b559a5142da",
          {"optimize_layer_weighted_equal.csv":
           "b7e2086f989b8a2c053e71687fea1b6e46d4b5cc541eb0794c67aa5d1e8e3783"}),
+        (["optimize", "--config", "asymmetric_beta", "--system",
+          "layer_weighted_equal", "--budget", "720"],
+         "813d4d353a5d0139c69e7b4aee7f4d49a42af3b3fbb3fed721056b99a50f3e1a",
+         {"optimize_layer_weighted_equal.csv":
+          "c0f320bc6d6ddb8fcaa055720806c34255c942edaa92c0c79c0eec2bbc33069f"}),
         (["simulate", "--config", "SMALL_SIMULATE", "--raw"],
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          {"simulate_demo.csv":
@@ -1031,7 +1037,7 @@ class TestArtifactDigests:
           "9c5ab27e7653117b2c86fc3ca2cc0dabf73a9ae5e08c6f2efcf4b332be39ec9f"}),
     ], ids=["stable_set", "stable_set_json", "stable_set_sample_backed", "curve",
             "critical", "critical_sample_backed", "curve_sample_backed", "optimize",
-            "simulate_raw", "simulate_raw_reuse"])
+            "optimize_asymmetric_beta", "simulate_raw", "simulate_raw_reuse"])
     def test_digest(self, tmp_path, capsys, argv, stdout, files):
         documents = {
             "SMALL_SIMULATE": dict(SMALL_SPEC, mode="simulate",

@@ -1282,6 +1282,17 @@ def test_the_package_imports_no_scipy():
     assert result.returncode == 0, result.stderr
 
 
+def test_the_public_names_are_sorted_unique_and_resolve():
+    # a name deleted from the package but left in __all__ fails here, not
+    # at a user's `from multiflow import *`
+    import multiflow
+
+    names = multiflow.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(multiflow, name)] == []
+
+
 def _golden_empirical_joint() -> EmpiricalJoint:
     rng = np.random.default_rng(3)
     return EmpiricalJoint(np.column_stack([

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from multiflow import (
-    CascadeState,
     CrossLayerFactors,
     Dirac,
     EmpiricalJoint,
@@ -23,47 +22,61 @@ from multiflow import (
     apply_strategy,
     critical_attack_size,
     final_size,
-    initial_state,
     is_stable_point,
     iterate_to_steady_state,
     stable_set_grid,
-    step,
 )
 from multiflow.meanfield import COLLAPSE_EPS, DEFAULT_MAX_ITER, DEFAULT_TOL, SteadyState
 from helpers import random_system, sampled_copy, single_layer_recursion
 
 
+def effective(cfg, q_a, q_b):
+    """Effective excess-load pair seen by the overload conditions."""
+    return q_a + cfg.factors.beta_b * q_b, q_b + cfg.factors.beta_a * q_a
+
+
+def solve_rounds(p, cfg, t):
+    """The solve cut after round t, which reads that round: q_t as
+    ``x_star``/``y_star`` and n_{t+1} as ``n_inf``, or a collapse when
+    n_{t+1} is one.  A tolerance far below any rounding step lets only
+    ``max_iter`` end it early."""
+    return iterate_to_steady_state(p, cfg, tol=1e-300, max_iter=t)
+
+
 class TestInitialState:
+    """The state right after the attack, n_0 = 1-p and q_0 = p*E[L]/(1-p),
+    read from a first round that fails no one: then q_1 = q_0 and n_2 = n_0."""
+
     def test_quarter_attack(self, symmetric_uniform_config):
-        state = initial_state(0.25, symmetric_uniform_config)
-        assert state.t == 0
-        assert state.n == 0.75
-        assert state.q_a == 10.0
-        assert state.q_b == 10.0
+        steady = solve_rounds(0.25, symmetric_uniform_config, 1)
+        assert steady.n_inf == 0.75
+        assert steady.x_star == 10.0
+        assert steady.y_star == 10.0
 
     def test_vanishing_attack(self, symmetric_uniform_config):
-        state = initial_state(1e-12, symmetric_uniform_config)
-        assert state.n == pytest.approx(1.0)
-        assert state.q_a == pytest.approx(0.0, abs=1e-9)
+        steady = solve_rounds(1e-12, symmetric_uniform_config, 1)
+        assert steady.n_inf == pytest.approx(1.0)
+        assert steady.x_star == pytest.approx(0.0, abs=1e-9)
 
     def test_even_split(self):
-        cfg = SystemConfig.from_marginals(Uniform(50, 150), Uniform(25, 75),
-                                          Uniform(25, 75), Uniform(25, 75))
-        state = initial_state(0.5, cfg)
-        assert state.q_a == pytest.approx(100.0)
-        assert state.q_b == pytest.approx(50.0)
+        cfg = SystemConfig.from_marginals(Uniform(50, 150), Uniform(250, 750),
+                                          Uniform(25, 75), Uniform(250, 750))
+        steady = solve_rounds(0.5, cfg, 1)
+        assert steady.n_inf == 0.5
+        assert steady.x_star == pytest.approx(100.0)
+        assert steady.y_star == pytest.approx(50.0)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, math.nan])
     def test_rejects_bad_attack_fraction(self, p, symmetric_uniform_config):
-        with pytest.raises(ValueError):
-            initial_state(p, symmetric_uniform_config)
+        with pytest.raises(ValueError, match="^attack fraction p must lie strictly in"):
+            iterate_to_steady_state(p, symmetric_uniform_config)
 
     @pytest.mark.parametrize("p", [np.float32(0.3), np.float64(0.3)])
     def test_accepts_numpy_real_scalars(self, p, symmetric_uniform_config):
-        state = initial_state(p, symmetric_uniform_config)
+        steady = solve_rounds(p, symmetric_uniform_config, 1)
         # computed in double precision from the scalar's exact value
-        assert state == initial_state(float(p), symmetric_uniform_config)
-        assert type(state.n) is float and type(state.q_a) is float
+        assert steady == solve_rounds(float(p), symmetric_uniform_config, 1)
+        assert type(steady.n_inf) is float and type(steady.x_star) is float
         assert final_size(p, symmetric_uniform_config) == final_size(
             float(p), symmetric_uniform_config)
 
@@ -72,87 +85,87 @@ class TestInitialState:
     def test_rejects_non_numbers_naming_the_type(self, p, type_name,
                                                   symmetric_uniform_config):
         with pytest.raises(ValueError, match=f"must be a real number, got {type_name}"):
-            initial_state(p, symmetric_uniform_config)
+            iterate_to_steady_state(p, symmetric_uniform_config)
 
 
 class TestStep:
+    """Single rounds of the recursion, read from solves cut by ``max_iter``."""
+
     def test_fixed_point_when_no_failures(self, symmetric_uniform_config):
-        state = initial_state(0.25, symmetric_uniform_config)
-        after = step(state, 0.25, symmetric_uniform_config)
-        assert after.t == 1
-        assert after.n == 0.75
-        assert after.q_a == 10.0
-        assert after.q_b == 10.0
+        for t in (1, 2):
+            steady = solve_rounds(0.25, symmetric_uniform_config, t)
+            assert steady.n_inf == 0.75
+            assert (steady.x_star, steady.y_star) == (10.0, 10.0)
+            assert steady.iterations == 1 and steady.converged  # round 1 moved nothing
 
     def test_collapse_is_absorbing(self, symmetric_uniform_config):
-        state = initial_state(0.9, symmetric_uniform_config)
-        collapsed = step(state, 0.9, symmetric_uniform_config)
-        assert collapsed.collapsed
-        assert collapsed.q_a == math.inf
-        again = step(collapsed, 0.9, symmetric_uniform_config)
-        assert again.collapsed and again.q_a == math.inf
+        for t in (1, 2, 5):
+            steady = solve_rounds(0.9, symmetric_uniform_config, t)
+            assert steady.collapsed
+            assert steady.x_star == steady.y_star == math.inf
+            assert steady.iterations == 1 and steady.converged
 
     def test_matches_single_layer_recursion_when_other_layer_inert(self):
         # layer B can never fail: Dirac free space far above anything reachable
-        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(25, 60),
-                                          Uniform(20, 40), Dirac(1e9))
-        p = 0.5
-        oracle = single_layer_recursion(p, 30.0, Uniform(25, 60))
-        assert len(oracle) > 3  # a real multi-round cascade
-        state = initial_state(p, cfg)
-        for t in range(1, len(oracle)):
-            state = step(state, p, cfg)
-            n_ref, q_ref = oracle[t]
-            assert state.n == pytest.approx(n_ref, rel=1e-12, abs=1e-15)
-            if math.isinf(q_ref):
-                assert state.collapsed
-            else:
-                assert state.q_a == pytest.approx(q_ref, rel=1e-12)
+        compared = 0
+        for p, free_a, survives in ((0.5, Uniform(25, 60), False),
+                                    (0.3, Uniform(10, 200), True)):
+            cfg = SystemConfig.from_marginals(Uniform(20, 40), free_a,
+                                              Uniform(20, 40), Dirac(1e9))
+            oracle = single_layer_recursion(p, 30.0, free_a)
+            assert len(oracle) > 3  # a real multi-round cascade
+            assert math.isfinite(oracle[-1][1]) == survives
+            for t in range(1, len(oracle)):
+                steady = solve_rounds(p, cfg, t)
+                n_ref = oracle[t + 1][0] if t + 1 < len(oracle) else None
+                if steady.collapsed:
+                    assert n_ref == 0.0 or math.isinf(oracle[t][1])
+                    continue
+                assert steady.x_star == pytest.approx(oracle[t][1], rel=1e-12)
+                if n_ref is not None:
+                    assert steady.n_inf == pytest.approx(n_ref, rel=1e-12, abs=1e-15)
+                compared += 1
+        assert compared > 10
 
 
 def _reference_steady_state(p, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """The closed-form solve as it was written before the float path: each
     survival through the family's array formula on a 0-d array, the moments
-    read from the joint, and a CascadeState per round."""
+    read from the joint, and an (n, q_a, q_b) state per round."""
     joint = cfg.joint
     mean_a, mean_b = joint.mean_loads
-
-    def effective(state):
-        return (state.q_a + cfg.factors.beta_b * state.q_b,
-                state.q_b + cfg.factors.beta_a * state.q_a)
 
     def advance(x, y):
         prob = (float(joint.free_a._survival(np.asarray(x, dtype=float)))
                 * float(joint.free_b._survival(np.asarray(y, dtype=float))))
         return prob, mean_a * prob, mean_b * prob
 
-    def next_state(t, stats):
+    def next_state(stats):
         probability, load_a, load_b = stats
         if probability < COLLAPSE_EPS:
-            return CascadeState(t=t, n=0.0, q_a=math.inf, q_b=math.inf)
+            return 0.0, math.inf, math.inf
         n = (1.0 - p) * probability
-        return CascadeState(t=t, n=n, q_a=(mean_a - (1.0 - p) * load_a) / n,
-                            q_b=(mean_b - (1.0 - p) * load_b) / n)
+        return n, (mean_a - (1.0 - p) * load_a) / n, (mean_b - (1.0 - p) * load_b) / n
 
     scale = p / (1.0 - p)
-    state = CascadeState(t=0, n=1.0 - p, q_a=scale * mean_a, q_b=scale * mean_b)
-    eff_a, eff_b = effective(state)
+    q_a, q_b = scale * mean_a, scale * mean_b
+    eff_a, eff_b = effective(cfg, q_a, q_b)
     converged = False
     for iterations in range(1, max_iter + 1):
-        state = next_state(iterations, advance(eff_a, eff_b))
-        if state.collapsed:
+        n, q_a, q_b = next_state(advance(eff_a, eff_b))
+        if n == 0.0:
             return SteadyState(0.0, math.inf, math.inf, iterations, True)
-        new_a, new_b = effective(state)
+        new_a, new_b = effective(cfg, q_a, q_b)
         delta = max(abs(new_a - eff_a), abs(new_b - eff_b))
         eff_a = max(eff_a, new_a)
         eff_b = max(eff_b, new_b)
         if delta < tol * (1.0 + max(eff_a, eff_b)):
             converged = True
             break
-    prob = advance(*effective(state))[0]
+    prob = advance(*effective(cfg, q_a, q_b))[0]
     if prob < COLLAPSE_EPS:
         return SteadyState(0.0, math.inf, math.inf, iterations, converged)
-    return SteadyState((1.0 - p) * prob, state.q_a, state.q_b, iterations, converged)
+    return SteadyState((1.0 - p) * prob, q_a, q_b, iterations, converged)
 
 
 class TestIterate:
@@ -232,18 +245,18 @@ class TestIterate:
         for _ in range(25):
             cfg = random_system(rng)
             p = float(rng.uniform(0.05, 0.7))
-            state = initial_state(p, cfg)
-            eff_prev = cfg.effective(state.q_a, state.q_b)
-            n_prev = state.n
-            for _ in range(60):
-                state = step(state, p, cfg)
-                if state.collapsed:
+            mean_a, mean_b = cfg.joint.mean_loads
+            eff_prev = effective(cfg, p * mean_a / (1 - p), p * mean_b / (1 - p))
+            n_prev = 1 - p
+            for t in range(1, 61):
+                steady = solve_rounds(p, cfg, t)
+                if steady.collapsed:
                     break
-                eff = cfg.effective(state.q_a, state.q_b)
+                eff = effective(cfg, steady.x_star, steady.y_star)
                 assert eff[0] >= eff_prev[0] - 1e-9 * (1 + eff_prev[0])
                 assert eff[1] >= eff_prev[1] - 1e-9 * (1 + eff_prev[1])
-                assert state.n <= n_prev + 1e-12
-                eff_prev, n_prev = eff, state.n
+                assert steady.n_inf <= n_prev + 1e-12
+                eff_prev, n_prev = eff, steady.n_inf
                 checked += 1
         assert checked > 100
 
@@ -257,7 +270,7 @@ class TestIterate:
             if steady.collapsed:
                 continue
             found += 1
-            prob = cfg.joint.joint_survival(*cfg.effective(steady.x_star, steady.y_star))
+            prob = cfg.joint.joint_survival(*effective(cfg, steady.x_star, steady.y_star))
             assert steady.n_inf == pytest.approx((1 - p) * prob, rel=1e-12)
         assert found >= 10
         # The final probability comes from the solve's cursor; the identity
@@ -274,7 +287,7 @@ class TestIterate:
         for cfg, p in coupled:
             steady = iterate_to_steady_state(p, cfg)
             assert not steady.collapsed and steady.iterations > 1
-            prob = cfg.joint.joint_survival(*cfg.effective(steady.x_star, steady.y_star))
+            prob = cfg.joint.joint_survival(*effective(cfg, steady.x_star, steady.y_star))
             assert steady.n_inf == pytest.approx((1 - p) * prob, rel=1e-12)
 
     def test_final_size_bounded_by_attack_survivors(self):
@@ -286,8 +299,8 @@ class TestIterate:
             steady = iterate_to_steady_state(p, cfg)
             assert steady.n_inf <= 1 - p + 1e-15
             prob0 = cfg.joint.joint_survival(
-                *cfg.effective(p * cfg.joint.mean_loads[0] / (1 - p),
-                               p * cfg.joint.mean_loads[1] / (1 - p)))
+                *effective(cfg, p * cfg.joint.mean_loads[0] / (1 - p),
+                           p * cfg.joint.mean_loads[1] / (1 - p)))
             if prob0 == 1.0:
                 assert steady.n_inf == 1 - p
             else:
@@ -718,11 +731,16 @@ class TestValidation:
         assert CrossLayerFactors().beta_a == 0.0
 
     def test_effective_loads(self):
-        cfg = SystemConfig(
-            IndependentJoint(Uniform(20, 40), Uniform(25, 75),
-                             Uniform(20, 40), Uniform(25, 75)),
-            CrossLayerFactors(0.5, 0.25))
-        assert cfg.effective(10.0, 20.0) == (10.0 + 0.25 * 20.0, 20.0 + 0.5 * 10.0)
+        # At p = 1/2 the attack leaves q = E[L] = (30, 60), so the effective
+        # excess is (30 + 0.25 * 60, 60 + 0.5 * 30) = (45, 75).  Dirac free
+        # spaces just above it survive, and one on it fails.
+        above_a, above_b = np.nextafter(45.0, math.inf), np.nextafter(75.0, math.inf)
+        for free_a, free_b, n_inf in ((above_a, above_b, 0.5), (45.0, above_b, 0.0),
+                                      (above_a, 75.0, 0.0)):
+            cfg = SystemConfig(
+                IndependentJoint(Uniform(20, 40), Dirac(free_a), Uniform(50, 70), Dirac(free_b)),
+                CrossLayerFactors(0.5, 0.25))
+            assert final_size(0.5, cfg) == n_inf
 
 
 class TestIntegerArguments:

@@ -23,7 +23,7 @@ from multiflow import (
     simulate,
 )
 from multiflow.simulate import MASKED_ROUNDS, Population
-from helpers import random_marginal, random_system
+from helpers import random_marginal, random_system, relabelled
 
 
 def assert_matches_naive(pop, p, factors, attack_seed):
@@ -363,11 +363,11 @@ class TestOracleEquivalence:
         assert out.surviving_fraction == 0.0
 
 
-def sweep(pop, grid, factors, order):
-    """Outcomes of one nested-attack sweep over the grid, in input order."""
+def sweep(pop, grid, factors):
+    """Outcomes of one nested identity-prefix sweep over the grid, in input order."""
     outcomes, previous = {}, None
     for index in sorted(range(len(grid)), key=grid.__getitem__):
-        previous = run_cascade(pop, grid[index], factors, attack_order=order, resume=previous)
+        previous = run_cascade(pop, grid[index], factors, resume=previous)
         outcomes[index] = previous
     return [outcomes[index] for index in range(len(grid))]
 
@@ -381,16 +381,17 @@ class TestNestedSweep:
         for draw in range(6):
             cfg = random_system(rng, load_families=families, free_families=(family,))
             n = 5000 if draw < 3 else 1500
-            pop = build_population(cfg, n, seed=int(rng.integers(2 ** 31)))
-            order = rng.permutation(n)
+            # attacked along a random order
+            pop = relabelled(build_population(cfg, n, seed=int(rng.integers(2 ** 31))),
+                             rng.permutation(n))
             grid = [float(p) for p in rng.uniform(0.02, 0.95, 12)]
             grid[5] = grid[2]  # a repeated p
-            for p, resumed in zip(grid, sweep(pop, grid, cfg.factors, order)):
-                scratch = run_cascade(pop, p, cfg.factors, attack_order=order)
+            for p, resumed in zip(grid, sweep(pop, grid, cfg.factors)):
+                scratch = run_cascade(pop, p, cfg.factors)
                 assert np.array_equal(resumed.failed, scratch.failed)
                 assert resumed.surviving_fraction == scratch.surviving_fraction
                 if n <= 2000:
-                    naive = run_cascade_naive(pop, p, cfg.factors, attack_order=order)
+                    naive = run_cascade_naive(pop, p, cfg.factors)
                     assert np.array_equal(resumed.failed, naive.failed)
                 checked += 1
         assert checked == 72
@@ -410,20 +411,20 @@ class TestNestedSweep:
         ones = np.ones(n)
         grid = [0.9, 0.5, 0.8, 0.85, 0.8, 0.95]
         for _ in range(5):
-            pop = Population(ones, rng.choice(values, n), ones, rng.choice(values, n))
-            order = rng.permutation(n)
-            for p, resumed in zip(grid, sweep(pop, grid, factors, order)):
-                naive = run_cascade_naive(pop, p, factors, attack_order=order)
+            pop = relabelled(Population(ones, rng.choice(values, n), ones,
+                                        rng.choice(values, n)), rng.permutation(n))
+            for p, resumed in zip(grid, sweep(pop, grid, factors)):
+                naive = run_cascade_naive(pop, p, factors)
                 assert np.array_equal(resumed.failed, naive.failed)
 
     def test_tie_with_previous_final_threshold_survives_resume(self):
         cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
                                           Uniform(20, 40), Uniform(10, 200),
                                           beta_a=0.3, beta_b=0.3)
-        pop = build_population(cfg, 3000, seed=11)
-        order = np.random.default_rng(12).permutation(3000)
-        first = run_cascade(pop, 0.25, cfg.factors, attack_order=order)
-        second = run_cascade(pop, 0.3, cfg.factors, attack_order=order, resume=first)
+        pop = relabelled(build_population(cfg, 3000, seed=11),
+                         np.random.default_rng(12).permutation(3000))
+        first = run_cascade(pop, 0.25, cfg.factors)
+        second = run_cascade(pop, 0.3, cfg.factors, resume=first)
         assert second.rounds > MASKED_ROUNDS and second.surviving_fraction > 0
         # A survivor sits exactly on the final thresholds of the first
         # cascade, resumed at a p of the same attack size, or on those of
@@ -433,9 +434,9 @@ class TestNestedSweep:
             tied = copy_of(pop)
             tied.free_a[survivors[0]] = later.state.thresholds[0]
             tied.free_b[survivors[1]] = later.state.thresholds[1]
-            start = run_cascade(tied, 0.25, cfg.factors, attack_order=order)
+            start = run_cascade(tied, 0.25, cfg.factors)
             assert np.array_equal(start.failed, first.failed)
-            again = run_cascade(tied, p, cfg.factors, attack_order=order, resume=start)
+            again = run_cascade(tied, p, cfg.factors, resume=start)
             assert np.array_equal(again.failed, later.failed)
             assert again.state.thresholds == later.state.thresholds
 
@@ -443,18 +444,18 @@ class TestNestedSweep:
         cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
                                           Uniform(20, 40), Uniform(10, 200),
                                           beta_a=0.3, beta_b=0.3)
-        pop = build_population(cfg, 3000, seed=11)
-        order = np.random.default_rng(12).permutation(3000)
-        first = run_cascade(pop, 0.25, cfg.factors, attack_order=order)
+        pop = relabelled(build_population(cfg, 3000, seed=11),
+                         np.random.default_rng(12).permutation(3000))
+        first = run_cascade(pop, 0.25, cfg.factors)
         kept = first.failed.copy()
-        second = run_cascade(pop, 0.3, cfg.factors, attack_order=order, resume=first)
+        second = run_cascade(pop, 0.3, cfg.factors, resume=first)
         assert np.array_equal(first.failed, kept)
         assert second.trajectory[0].round == 0
         assert second.trajectory[0].surviving_fraction < first.surviving_fraction
         assert second.rounds == len(second.trajectory)  # the last round fails no one
         assert second.state.attack_size == 900 and first.state.attack_size == 750
-        assert not first.failed[order[750:900]].all()
-        repeat = run_cascade(pop, 0.3, cfg.factors, attack_order=order, resume=second)
+        assert not first.failed[750:900].all()
+        repeat = run_cascade(pop, 0.3, cfg.factors, resume=second)
         assert repeat.rounds == 0 and repeat.surviving_fraction == second.surviving_fraction
         assert run_cascade(pop, 0.3, cfg.factors, attack_seed=4).state is None
 
@@ -462,42 +463,22 @@ class TestNestedSweep:
         cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
                                           Uniform(20, 40), Uniform(10, 200))
         pop = build_population(cfg, 100, seed=1)
-        order = np.random.default_rng(2).permutation(100)
-        first = run_cascade(pop, 0.3, cfg.factors, attack_order=order)
+        first = run_cascade(pop, 0.3, cfg.factors)
         seeded = run_cascade(pop, 0.3, cfg.factors, attack_seed=3)
         with pytest.raises(ValueError, match="cannot shrink the attack from 30 to 20"):
-            run_cascade(pop, 0.2, cfg.factors, attack_order=order, resume=first)
-        for resume, attack in ((seeded, order), (first, order.copy()), (first, None)):
-            with pytest.raises(ValueError, match="resume continues the attack_order"):
-                run_cascade(pop, 0.4, cfg.factors, attack_order=attack, resume=resume)
-        with pytest.raises(ValueError, match="not both"):
-            run_cascade(pop, 0.4, cfg.factors, 3, attack_order=order)
+            run_cascade(pop, 0.2, cfg.factors, resume=first)
+        with pytest.raises(ValueError, match="resume continues an identity-prefix outcome"):
+            run_cascade(pop, 0.4, cfg.factors, resume=seeded)
 
-    @pytest.mark.parametrize("order, message", [
-        (np.arange(99), "1-D integer array of length 100"),
-        (np.arange(100.0), "1-D integer array of length 100"),
-        (list(range(100)), "1-D integer array of length 100"),
-        (np.r_[np.arange(99), 0], "permutation"),
-        (np.r_[np.arange(99), 100], "permutation"),
-        (np.r_[-1, np.arange(1, 100)], "permutation"),
-    ])
-    def test_rejects_a_bad_attack_order(self, order, message):
-        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
-                                          Uniform(20, 40), Uniform(10, 200))
-        pop = build_population(cfg, 100, seed=1)
-        for cascade in (run_cascade, run_cascade_naive):
-            with pytest.raises(ValueError, match=f"attack_order must be a {message}"):
-                cascade(pop, 0.3, cfg.factors, attack_order=order)
-
-
-def assert_same_outcome(got, want):
-    assert np.array_equal(got.failed, want.failed)
-    assert got.trajectory == want.trajectory
-    assert (got.rounds, got.truncated) == (want.rounds, want.truncated)
-    assert got.surviving_fraction == want.surviving_fraction
-    assert got.state.attack_size == want.state.attack_size
-    assert got.state.shed == want.state.shed
-    assert got.state.thresholds == want.state.thresholds
+    def test_rejects_a_resume_from_another_population_size(self, symmetric_uniform_config):
+        cfg = symmetric_uniform_config
+        small = build_population(cfg, 100, 1)
+        large = build_population(cfg, 1000, 2)
+        for earlier, later, p in ((small, large, 0.4), (large, small, 0.2)):
+            outcome = run_cascade(earlier, 0.3, cfg.factors)
+            with pytest.raises(ValueError, match=f"^resume comes from a population of "
+                                                 f"{earlier.size} nodes, not {later.size}$"):
+                run_cascade(later, p, cfg.factors, resume=outcome)
 
 
 class TestIdentityPrefix:
@@ -506,67 +487,65 @@ class TestIdentityPrefix:
     CFG = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
                                       Uniform(20, 40), Uniform(10, 200),
                                       beta_a=0.3, beta_b=0.3)
-    GRID = [0.04, 0.21, 0.25, 0.29, 0.31, 0.32, 0.33, 0.6, 0.999]
-
-    def test_equals_the_explicit_identity_order(self):
-        pop = build_population(self.CFG, 3000, seed=11)
-        order = np.arange(3000)
-        outcomes = [run_cascade(pop, p, self.CFG.factors) for p in self.GRID]
-        for p, got in zip(self.GRID, outcomes):
-            assert_same_outcome(got, run_cascade(pop, p, self.CFG.factors, attack_order=order))
-            assert got.state.attack_order is None
-        assert sum(out.rounds > MASKED_ROUNDS for out in outcomes) >= 3
-        assert 0.0 in {out.surviving_fraction for out in outcomes}  # a total collapse
 
     @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac"])
     def test_matches_the_order_and_the_naive_oracle(self, family):
+        # A seeded attack is the identity prefix of the population relabelled
+        # so that the drawn nodes come first, in the order drawn, and the rest
+        # keep theirs.
         rng = np.random.default_rng(40 + ["uniform", "pareto", "weibull", "dirac"].index(family))
+        rounds = []
         for _ in range(3):
             cfg = random_system(rng, free_families=(family,))
             pop = build_population(cfg, 1500, seed=int(rng.integers(2 ** 31)))
-            for p in rng.uniform(0.02, 0.95, 6):
+            for seed, p in enumerate(rng.uniform(0.02, 0.95, 6)):
                 got = run_cascade(pop, p, cfg.factors)
-                assert_same_outcome(got, run_cascade(pop, p, cfg.factors,
-                                                     attack_order=np.arange(1500)))
                 naive = run_cascade_naive(pop, p, cfg.factors)
                 assert np.array_equal(got.failed, naive.failed)
                 assert got.rounds == naive.rounds
+                seeded = run_cascade(pop, p, cfg.factors, seed)
+                k = math.floor(p * 1500 + 0.5)
+                drawn = np.random.default_rng(seed).choice(1500, k, replace=False)
+                order = np.r_[drawn, np.setdiff1d(np.arange(1500), drawn)]
+                prefix = run_cascade(relabelled(pop, order), p, cfg.factors)
+                assert np.array_equal(seeded.failed[order], prefix.failed)
+                assert seeded.trajectory == prefix.trajectory
+                assert seeded.rounds == prefix.rounds
+                rounds.append(prefix.rounds)
+        assert max(rounds) > 1 or family == "dirac"  # Dirac free spaces fail at once
 
     @pytest.mark.parametrize("p, failed", [(0.4, False), (0.6, True)])
     def test_single_node_edges(self, p, failed):
         pop = Population([30.0], [50.0], [30.0], [50.0])
         factors = CrossLayerFactors(0.2, 0.2)
         for cascade in (run_cascade, run_cascade_naive):
-            out = cascade(pop, p, factors)
-            assert out.failed.tolist() == [failed]
-            assert out.surviving_fraction == float(not failed)
-            assert out.rounds == 0
-        out = run_cascade(pop, p, factors)
-        assert_same_outcome(out, run_cascade(pop, p, factors, attack_order=np.arange(1)))
-        assert out.state.attack_size == int(failed)
+            for attack_seed in (None, 0):
+                out = cascade(pop, p, factors, attack_seed)
+                assert out.failed.tolist() == [failed]
+                assert out.surviving_fraction == float(not failed)
+                assert out.rounds == 0
+        assert run_cascade(pop, p, factors).state.attack_size == int(failed)
 
     def test_resume_equals_a_run_from_scratch(self):
         pop = build_population(self.CFG, 3000, seed=11)
         grid = [0.3, 0.21, 0.25, 0.25, 0.32, 0.29, 0.6, 0.31, 0.04, 0.33]
-        order = np.arange(3000)
-        for p, resumed, along in zip(grid, sweep(pop, grid, self.CFG.factors, None),
-                                     sweep(pop, grid, self.CFG.factors, order)):
-            scratch = run_cascade(pop, p, self.CFG.factors)
+        scratches = [run_cascade(pop, p, self.CFG.factors) for p in grid]
+        for resumed, scratch in zip(sweep(pop, grid, self.CFG.factors), scratches):
             assert np.array_equal(resumed.failed, scratch.failed)
             assert resumed.surviving_fraction == scratch.surviving_fraction
-            assert resumed.state.attack_order is None
             assert resumed.state.attack_size == scratch.state.attack_size
-            assert_same_outcome(resumed, along)
+        assert sum(out.rounds > MASKED_ROUNDS for out in scratches) >= 3
+        assert 0.0 in {out.surviving_fraction for out in scratches}  # a total collapse
 
     def test_does_not_mix_with_an_explicit_order(self):
+        # Only an identity prefix resumes: neither a seeded continuation nor
+        # an outcome of the naive oracle.
         pop = build_population(self.CFG, 100, seed=1)
         identity = run_cascade(pop, 0.3, self.CFG.factors)
-        ordered = run_cascade(pop, 0.3, self.CFG.factors, attack_order=np.arange(100))
-        for resume, attack in ((identity, np.arange(100)), (ordered, None)):
-            with pytest.raises(ValueError, match="resume continues the attack_order"):
-                run_cascade(pop, 0.4, self.CFG.factors, attack_order=attack, resume=resume)
-        with pytest.raises(ValueError, match="resume continues the attack_order"):
-            run_cascade(pop, 0.4, self.CFG.factors, 3, resume=identity)
+        naive = run_cascade_naive(pop, 0.3, self.CFG.factors)
+        for attack_seed, resume in ((3, identity), (None, naive)):
+            with pytest.raises(ValueError, match="resume continues an identity-prefix outcome"):
+                run_cascade(pop, 0.4, self.CFG.factors, attack_seed, resume=resume)
 
 
 class TestAgainstMeanField:
@@ -650,7 +629,7 @@ class TestMonteCarloCurve:
         for ir in range(3):
             pop = build_population(cfg, 1500, np.random.SeedSequence(31, spawn_key=(ir,)))
             for ip, p in enumerate(grid):
-                expected = run_cascade(pop, p, cfg.factors, attack_order=np.arange(1500))
+                expected = run_cascade(pop, p, cfg.factors)
                 assert seq.samples[ip, ir] == expected.surviving_fraction
         assert np.array_equal(seq.samples[1], seq.samples[3])
 
@@ -666,7 +645,7 @@ class TestMonteCarloCurve:
             for ir in range(3):
                 pop = build_population(cfg, 1500,
                                        np.random.SeedSequence(31, spawn_key=(ip, ir)))
-                expected = run_cascade(pop, p, cfg.factors, attack_order=np.arange(1500))
+                expected = run_cascade(pop, p, cfg.factors)
                 assert curve.samples[ip, ir] == expected.surviving_fraction
         assert len(np.unique(curve.samples)) > 3  # the populations differ
 
