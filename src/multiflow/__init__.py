@@ -31,7 +31,6 @@ from .distributions import (
     SurvivalStats,
     Uniform,
     Weibull,
-    marginal_to_dict,
 )
 from .meanfield import (
     CriticalAttackResult,
@@ -96,7 +95,6 @@ __all__ = [
     "iterate_to_steady_state",
     "layer_weighted_split",
     "load_experiment",
-    "marginal_to_dict",
     "monte_carlo_curve",
     "optimal_critical_attack",
     "parse_experiment",

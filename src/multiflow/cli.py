@@ -288,6 +288,8 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
     name, cfg = _single_system(args, spec)
     mean_a, mean_b = cfg.joint.mean_loads
     s_total = args.budget
+    if s_total is not None and not (math.isfinite(s_total) and s_total > 0):
+        raise ConfigError(f"--budget: expected a positive finite number, got {s_total:g}")
     if s_total is None:
         resolved = spec.resolved["systems"][name]
         if "allocation" in resolved:
@@ -295,7 +297,7 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
             s_total = resolved["allocation"].get("s_total")
         elif "free_a" in resolved:
             s_total = sum(cfg.joint.mean_frees)
-    if s_total is None or s_total <= 0:
+    if s_total is None:
         raise ConfigError("free-space budget missing (give --budget or an allocation "
                           "with s_total)")
 

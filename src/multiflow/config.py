@@ -8,8 +8,11 @@ and every record is read against its schema by ``_read``: an unknown key,
 a missing field or a wrong-typed value fails with an error that names the
 field.  A marginal or allocation record is tagged: its ``kind`` or
 ``strategy`` is read first and picks the class whose schema the rest of the
-record is read against.  The parsed spec derives a fully resolved, JSON-able
-copy of itself so output files can embed exactly what produced them.
+record is read against.  The parsed spec keeps a resolved, JSON-able copy
+of itself for output files to embed: each system's records as read (a
+marginal's numbers as floats, an allocation as given), a sample file's row
+count, and what an allocation derived, Dirac free spaces or the tolerance
+factor with its stored sample's size and seed.
 """
 
 from __future__ import annotations
@@ -30,7 +33,17 @@ from .allocate import (
     PerLayerEqual,
     apply_strategy,
 )
-from .distributions import _KINDS, DistributionError, EmpiricalJoint, IndependentJoint
+from .distributions import (
+    _STORED_ROWS,
+    _STORED_SEED,
+    Dirac,
+    DistributionError,
+    EmpiricalJoint,
+    IndependentJoint,
+    Pareto,
+    Uniform,
+    Weibull,
+)
 from .meanfield import CrossLayerFactors, SystemConfig
 
 MODES = ("analytic", "simulate", "both")
@@ -147,8 +160,9 @@ _SYSTEMS = {
 # Tagged records: the tag's value names the class, whose schema holds the
 # other fields in constructor order.  A marginal's fields are required
 # numbers; a strategy's are its dataclass fields as numbers.
-_MARGINALS = {kind: (cls, {name: (float, MISSING) for name in names})
-              for kind, (cls, names) in _KINDS.items()}
+_MARGINALS = {kind: (cls, {name: (float, MISSING) for name in names}) for kind, cls, names in (
+    ("uniform", Uniform, ("min", "max")), ("pareto", Pareto, ("min", "b")),
+    ("weibull", Weibull, ("min", "lambda", "k")), ("dirac", Dirac, ("value",)))}
 _ALLOCATIONS = {name: (cls, _schema(cls, float)) for name, cls in (
     ("layer_weighted_equal", LayerWeightedEqual), ("equal_free_space", EqualFreeSpace),
     ("equal_tolerance_factor", EqualToleranceFactor), ("per_layer_equal", PerLayerEqual))}
@@ -159,17 +173,17 @@ _SPEC = {"systems": (dict, MISSING), "mode": (MODES, "analytic"),
          "p_grid": (_P_GRID, None), "sim": (dict, None), "output": (dict, {})}
 
 
-def _construct(record: dict, where: str, tag: str, classes: dict):
-    """The object a tagged record describes; ``classes`` maps each tag value
-    to its class and the schema of the record's other fields."""
+def _construct(record: dict, where: str, tag: str, classes: dict) -> tuple[object, dict]:
+    """The object a tagged record describes, and the record as read;
+    ``classes`` maps each tag value to its class and the schema of the
+    record's other fields."""
     # The tag picks the schema of the rest of the record, so it is read first.
     tags = {tag: (tuple(sorted(classes)), MISSING)}
     name = _read({k: v for k, v in record.items() if k == tag}, where, tags)[tag]
     cls, schema = classes[name]
     values = _read(record, where, {**tags, **schema})
-    del values[tag]
     try:
-        return cls(*values.values())
+        return cls(*(values[field] for field in schema)), values
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -187,7 +201,7 @@ def _load_samples(path_value: str, base_dir: Path, where: str) -> EmpiricalJoint
     try:
         # No caller holds the loaded matrix, so the joint keeps it uncopied.
         samples = np.asarray(samples, dtype=float, order="C")
-        return EmpiricalJoint._adopt(samples, {"samples": path_value})
+        return EmpiricalJoint._adopt(samples)
     except DistributionError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -201,22 +215,33 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
         factors = CrossLayerFactors(values.pop("beta_a"), values.pop("beta_b"))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    resolved = {"beta_a": factors.beta_a, "beta_b": factors.beta_b}
 
     if kind == "samples":
-        cfg = SystemConfig(_load_samples(values["samples"], base_dir, where), factors)
-    else:
-        strategy = (_construct(values.pop("allocation"), f"{where}.allocation", "strategy",
-                               _ALLOCATIONS) if kind == "allocation" else None)
-        marginals = [_construct(value, f"{where}.{name}", "kind", _MARGINALS)
-                     for name, value in values.items()]
-        cfg = (SystemConfig(IndependentJoint(*marginals), factors) if strategy is None
-               else apply_strategy(strategy, *marginals, factors))
+        joint = _load_samples(values["samples"], base_dir, where)
+        resolved.update(samples=values["samples"], count=joint.sample_count)
+        return SystemConfig(joint, factors), resolved
 
-    resolved = {"beta_a": factors.beta_a, "beta_b": factors.beta_b, **cfg.joint.to_dict()}
-    if kind == "allocation":
-        # A Python-built spec may hold numpy scalars, which JSON cannot encode.
-        resolved["allocation"] = {key: value.item() if isinstance(value, np.generic) else value
-                                  for key, value in record["allocation"].items()}
+    strategy = (_construct(values.pop("allocation"), f"{where}.allocation", "strategy",
+                           _ALLOCATIONS)[0] if kind == "allocation" else None)
+    marginals = []
+    for name, value in values.items():
+        marginal, resolved[name] = _construct(value, f"{where}.{name}", "kind", _MARGINALS)
+        marginals.append(marginal)
+    if strategy is None:
+        return SystemConfig(IndependentJoint(*marginals), factors), resolved
+
+    cfg = apply_strategy(strategy, *marginals, factors)
+    if isinstance(strategy, EqualToleranceFactor):
+        resolved.update(alpha=cfg.joint.alpha, sample_count=_STORED_ROWS,
+                        sample_seed=_STORED_SEED)
+    else:
+        # every other strategy gives each layer one (Dirac) free space
+        resolved.update(free_a={"kind": "dirac", "value": cfg.joint.free_a.value},
+                        free_b={"kind": "dirac", "value": cfg.joint.free_b.value})
+    # A Python-built spec may hold numpy scalars, which JSON cannot encode.
+    resolved["allocation"] = {key: value.item() if isinstance(value, np.generic) else value
+                              for key, value in record["allocation"].items()}
     return cfg, resolved
 
 

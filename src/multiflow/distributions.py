@@ -6,7 +6,9 @@ minimum value, and a Dirac point mass.  All supports are strictly positive.
 Each family holds only its formulas; the base class converts inputs, samples
 and caps the support.  Besides survival and quantile, each family gives its
 partial mean M(t) = E[X * 1{X > t}]; the shifted Weibull's needs the upper
-incomplete gamma, computed here in numpy.
+incomplete gamma, computed here in numpy.  The module holds the formulas
+only: the names a spec file gives these families and joints, and the record
+that resolves them, belong to ``config``.
 
 Each joint implements one query, ``cascade_cursor()``: a monotone view whose
 ``advance(x, y)`` gives the joint survival P[S_A > x, S_B > y] and the
@@ -356,23 +358,6 @@ class Dirac(_Marginal):
 
 MarginalDistribution = Union[Uniform, Pareto, Weibull, Dirac]
 
-# Constructor and record fields (in constructor order) of each marginal kind.
-_KINDS = {
-    "uniform": (Uniform, ("min", "max")),
-    "pareto": (Pareto, ("min", "b")),
-    "weibull": (Weibull, ("min", "lambda", "k")),
-    "dirac": (Dirac, ("value",)),
-}
-
-
-def marginal_to_dict(dist: MarginalDistribution) -> dict:
-    """Tagged record of a marginal, as a spec names it."""
-    for kind, (cls, names) in _KINDS.items():
-        if isinstance(dist, cls):
-            values = (getattr(dist, f.name) for f in fields(cls))
-            return {"kind": kind, **dict(zip(names, values))}
-    raise TypeError(f"expected a marginal distribution, got {type(dist).__name__}")
-
 
 class SurvivalStats(NamedTuple):
     """Joint survival probability and the partial load means at one threshold pair."""
@@ -450,9 +435,6 @@ class JointLoadSpace:
         """Finite upper estimate for reachable free-space values (plot/grid bound)."""
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -520,14 +502,6 @@ class IndependentJoint(JointLoadSpace):
 
     def free_space_cap(self) -> float:
         return max(self.free_a.support_cap(), self.free_b.support_cap())
-
-    def to_dict(self) -> dict:
-        return {
-            "load_a": marginal_to_dict(self.load_a),
-            "free_a": marginal_to_dict(self.free_a),
-            "load_b": marginal_to_dict(self.load_b),
-            "free_b": marginal_to_dict(self.free_b),
-        }
 
 
 # Rows per chunk of a chunk-wise pass over a sample: a slab gathers 512 KB of
@@ -695,17 +669,15 @@ class EmpiricalJoint(JointLoadSpace):
     """
 
     samples: np.ndarray
-    source: dict | None = None  # provenance for serialization, optional
 
     def __post_init__(self) -> None:
         # private copy: cached sums must not drift under caller mutation
         self._hold(np.array(self.samples, dtype=float, order="C"))
 
     @classmethod
-    def _adopt(cls, samples: np.ndarray, source: dict | None = None) -> "EmpiricalJoint":
+    def _adopt(cls, samples: np.ndarray) -> "EmpiricalJoint":
         """Wrap a C-order float matrix that no caller holds, without copying it."""
         joint = cls.__new__(cls)
-        object.__setattr__(joint, "source", source)
         joint._hold(samples)
         return joint
 
@@ -773,11 +745,6 @@ class EmpiricalJoint(JointLoadSpace):
 
     def free_space_cap(self) -> float:
         return float(max(self.samples[:, 1].max(), self.samples[:, 3].max()))
-
-    def to_dict(self) -> dict:
-        if self.source is not None:
-            return {**self.source, "count": self.sample_count}
-        return {"empirical": {"count": self.sample_count}}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -858,12 +825,3 @@ class ProportionalJoint(JointLoadSpace):
 
     def free_space_cap(self) -> float:
         return self.alpha * max(self.load_a.support_cap(), self.load_b.support_cap())
-
-    def to_dict(self) -> dict:
-        return {
-            "load_a": marginal_to_dict(self.load_a),
-            "load_b": marginal_to_dict(self.load_b),
-            "alpha": self.alpha,
-            "sample_count": _STORED_ROWS,
-            "sample_seed": _STORED_SEED,
-        }

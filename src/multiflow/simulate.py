@@ -124,8 +124,10 @@ class TrajectoryPoint(NamedTuple):
 
 
 class SweepState(NamedTuple):
-    """Final state of an identity-prefix cascade, which ``resume`` continues."""
+    """Final state of an identity-prefix cascade, which ``resume`` continues
+    on the same population object only."""
 
+    population: Population
     attack_size: int
     shed: tuple[float, float]  # total initial load of the failed nodes, per layer
     thresholds: tuple[float, float]  # every node with less free space has failed
@@ -177,11 +179,11 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     The attack is round(p*n) distinct uniform nodes drawn from
     ``attack_seed`` or, given no seed, the first round(p*n) nodes: the
     prefix of the identity order, attacked by slice.  ``resume`` continues
-    an earlier identity-prefix outcome of this function, on the same
-    population and factors, whose attack was no larger: only the next nodes
-    are attacked, and the cascade starts from the earlier final state.
-    Failures only grow with the attacked set, so the failed set is the one
-    a call from scratch gives.
+    an earlier identity-prefix outcome of this function, on this same
+    ``Population`` object and factors, whose attack was no larger: only the
+    next nodes are attacked, and the cascade starts from the earlier final
+    state.  Failures only grow with the attacked set, so the failed set is
+    the one a call from scratch gives.
 
     From scratch, the first ``MASKED_ROUNDS`` rounds compare the free
     spaces of every node outside an identity prefix with the thresholds
@@ -211,6 +213,8 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
         if resume.failed.shape != (n,):
             raise ValueError(f"resume comes from a population of {resume.failed.size} "
                              f"nodes, not {n}")
+        if state.population is not pop:
+            raise ValueError("resume comes from another population of the same size")
         if k < state.attack_size:
             raise ValueError(f"resume cannot shrink the attack from {state.attack_size} "
                              f"to {k} nodes")
@@ -227,7 +231,7 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
 
     def outcome(rounds, trajectory, truncated=False):
         sweep = (None if attack_seed is not None
-                 else SweepState(k, (shed_a, shed_b), previous))
+                 else SweepState(pop, k, (shed_a, shed_b), previous))
         return CascadeOutcome(alive / n, rounds, tuple(trajectory), failed, truncated, sweep)
 
     if alive == 0:
@@ -384,9 +388,10 @@ def _curve_task(cfg: SystemConfig, n: int, p_grid: Sequence[float], seed_base: i
         try:
             if resample_population or pop is None:
                 key = (ip, run_index) if resample_population else (run_index,)
+                # an outcome holds its population, and none resumes on a new one
+                outcome = None
                 pop = build_population(cfg, n, np.random.SeedSequence(seed_base, spawn_key=key))
-            outcome = run_cascade(pop, p_grid[ip], cfg.factors,
-                                  resume=None if resample_population else outcome)
+            outcome = run_cascade(pop, p_grid[ip], cfg.factors, resume=outcome)
         except Exception as exc:
             raise RuntimeError(
                 f"Monte Carlo task (p_index={ip}, run_index={run_index}) failed: {exc!r}") from exc

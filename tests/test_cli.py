@@ -545,6 +545,14 @@ class TestOptimizeCommand:
         assert cli.main(["optimize", "--config", spec, "--out", str(tmp_path)]) == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["-5", "0", "nan", "inf"])
+    def test_invalid_budget_names_the_flag(self, tmp_path, capsys, budget):
+        spec = write_spec(tmp_path, self.SPEC)
+        assert cli.main(["optimize", "--config", spec, "--out", str(tmp_path),
+                         f"--budget={budget}"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --budget: expected a positive finite number, got {budget}\n"
+
     def test_per_layer_row_with_mu_flags(self, tmp_path):
         spec = write_spec(tmp_path, self.SPEC)
         out = tmp_path / "out"
@@ -728,6 +736,57 @@ class TestBundledConfigs:
         assert cli.main(["curve", "--config", spec, "--out", str(out)]) == 0
         _, _, rows = read_table(out / "curve_layer_weighted_equal.csv")
         assert float(rows[0][1]) == pytest.approx(0.7)
+
+
+class TestResolvedGolden:
+    """A resolved spec holding the records no bundled config has: Dirac
+    input marginals, a per-layer allocation, an alpha-only tolerance factor,
+    a sample file, and numpy scalars in the records.  Captured before the
+    resolved records moved from the joints to the spec reader."""
+
+    DOCUMENT = {
+        "systems": {
+            "points": {"beta_a": 0.25, "beta_b": np.float64(0.5),
+                       "load_a": {"kind": "dirac", "value": np.int64(30)},
+                       "free_a": {"kind": "uniform", "min": 25, "max": 75},
+                       "load_b": {"kind": "weibull", "min": 10, "lambda": 10.78, "k": 6},
+                       "free_b": {"kind": "dirac", "value": 40.5}},
+            "per_layer": {"beta_a": 0.2, "beta_b": 0.3,
+                          "load_a": {"kind": "pareto", "min": 5, "b": 3},
+                          "load_b": {"kind": "dirac", "value": 20},
+                          "allocation": {"strategy": "per_layer_equal",
+                                         "mu_a": np.float64(50.5), "mu_b": np.int64(60)}},
+            "alpha_only": {"load_a": {"kind": "uniform", "min": 20, "max": 40},
+                           "load_b": {"kind": "pareto", "min": 5, "b": 2},
+                           "allocation": {"strategy": "equal_tolerance_factor",
+                                          "alpha": np.float32(2.4)}},
+            "measured": {"beta_a": 0.1, "samples": "samples.npy"},
+        },
+        "p_grid": [0.1, 0.2],
+    }
+    CANONICAL = (
+        '{"mode":"analytic","p_grid":[0.1,0.2],"systems":{"alpha_only":{"allocation":'
+        '{"alpha":2.4000000953674316,"strategy":"equal_tolerance_factor"},'
+        '"alpha":2.4000000953674316,"beta_a":0.0,"beta_b":0.0,'
+        '"load_a":{"kind":"uniform","max":40.0,"min":20.0},'
+        '"load_b":{"b":2.0,"kind":"pareto","min":5.0},'
+        '"sample_count":1000000,"sample_seed":424242},'
+        '"measured":{"beta_a":0.1,"beta_b":0.0,"count":10000,"samples":"samples.npy"},'
+        '"per_layer":{"allocation":{"mu_a":50.5,"mu_b":60,"strategy":"per_layer_equal"},'
+        '"beta_a":0.2,"beta_b":0.3,"free_a":{"kind":"dirac","value":50.5},'
+        '"free_b":{"kind":"dirac","value":60.0},"load_a":{"b":3.0,"kind":"pareto","min":5.0},'
+        '"load_b":{"kind":"dirac","value":20.0}},'
+        '"points":{"beta_a":0.25,"beta_b":0.5,"free_a":{"kind":"uniform","max":75.0,"min":25.0},'
+        '"free_b":{"kind":"dirac","value":40.5},"load_a":{"kind":"dirac","value":30.0},'
+        '"load_b":{"k":6.0,"kind":"weibull","lambda":10.78,"min":10.0}}}}')
+    CHECKSUM = "db9dbe6ae45fbd0029d851f03633f6087ad0a14d106e844c7ec6ce6f155d0504"
+
+    def test_resolved_records_are_pinned(self, tmp_path):
+        samples = np.random.default_rng(5).uniform(20.0, 75.0, (10_000, 4))
+        np.save(tmp_path / "samples.npy", samples)
+        spec = parse_experiment(self.DOCUMENT, base_dir=tmp_path)
+        assert spec.canonical == self.CANONICAL
+        assert spec.checksum == self.CHECKSUM
 
 
 class TestOutputBlock:

@@ -27,7 +27,6 @@ from multiflow import (
     ProportionalJoint,
     Uniform,
     Weibull,
-    marginal_to_dict,
 )
 from multiflow.config import ConfigError, parse_experiment
 from helpers import kolmogorov_statistic, random_marginal
@@ -484,11 +483,9 @@ class TestValidation:
             resolved = spec.resolved["systems"]["demo"]["load_a"]
             assert resolved == {k: float(v) if k != "kind" else v for k, v in record.items()}
             assert all(type(v) is float for k, v in resolved.items() if k != "kind")
-            assert marginal_to_dict(spec.systems["demo"].joint.load_a) == resolved
-
-    def test_to_dict_rejects_a_non_marginal(self):
-        with pytest.raises(TypeError, match="str"):
-            marginal_to_dict("uniform")
+            # the resolved record reads back as the same marginal
+            assert self._spec(resolved).systems["demo"].joint.load_a == \
+                spec.systems["demo"].joint.load_a
 
     def test_from_dict_errors_name_the_field(self):
         where = re.escape(self.WHERE)
@@ -525,7 +522,7 @@ class TestValidation:
     ])
     def test_from_dict_rejects_unknown_fields(self, record, typo):
         valid = {key: value for key, value in record.items() if key != typo}
-        assert marginal_to_dict(self._spec(valid).systems["demo"].joint.load_a) == valid
+        assert self._spec(valid).resolved["systems"]["demo"]["load_a"] == valid
         expected = sorted(valid)
         with pytest.raises(ConfigError, match=rf"^{re.escape(self.WHERE)}\.{typo}: unknown "
                                               rf"field; expected one of {re.escape(str(expected))}$"):
@@ -624,6 +621,15 @@ class TestJointContract:
             assert "cascade_cursor" in vars(cls), cls.__name__
             # every joint answers the stateless query through its cursor
             assert "survival_stats" not in vars(cls), cls.__name__
+
+    def test_joints_hold_no_spec_record(self):
+        # How a spec file names a joint and its marginals belongs to config.
+        for cls in (distributions.JointLoadSpace, IndependentJoint, EmpiricalJoint,
+                    ProportionalJoint):
+            assert not hasattr(cls, "to_dict"), cls.__name__
+        assert [field.name for field in fields(EmpiricalJoint)] == ["samples"]
+        assert not hasattr(distributions, "marginal_to_dict")
+        assert not hasattr(distributions, "_KINDS")
 
     def test_a_joint_without_a_cursor_fails_plainly(self):
         class Bare(distributions.JointLoadSpace):
@@ -1064,8 +1070,11 @@ class TestEmpiricalJoint:
             tracemalloc.stop()
         assert peak < 41_050_000
 
-    def test_pickle_carries_only_the_sample(self):
-        emp = EmpiricalJoint(_matched_samples(20_000, 33), source={"samples": "s.csv"})
+    def test_pickle_carries_only_the_sample(self, tmp_path):
+        np.save(tmp_path / "s.npy", _matched_samples(20_000, 33))
+        spec = parse_experiment({"systems": {"measured": {"samples": "s.npy"}}},
+                                base_dir=tmp_path)
+        emp = spec.systems["measured"].joint
         before = len(pickle.dumps(emp))
         solved = emp.cascade_cursor().advance(45.0, 40.0)
         assert emp.survival_stats(45.0, 40.0).probability == solved.probability
@@ -1073,7 +1082,9 @@ class TestEmpiricalJoint:
         blob = pickle.dumps(emp)
         assert len(blob) == before
         clone = pickle.loads(blob)
-        assert clone.source == emp.source
+        # the spec, not the joint, names the sample file
+        assert clone.__getstate__().keys() == {"samples"}
+        assert spec.resolved["systems"]["measured"]["samples"] == "s.npy"
         assert not clone.samples.flags.writeable
         assert clone.cascade_cursor().advance(45.0, 40.0) == solved
 
@@ -1144,7 +1155,12 @@ class TestProportionalJoint:
     def test_alpha_is_stored_as_a_float(self, alpha):
         joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), alpha)
         assert type(joint.alpha) is float and joint.alpha == float(alpha)
-        assert json.loads(json.dumps(joint.to_dict()))["alpha"] == float(alpha)
+        spec = parse_experiment({"systems": {"demo": {
+            "load_a": {"kind": "uniform", "min": 20, "max": 40},
+            "load_b": {"kind": "pareto", "min": 5, "b": 2},
+            "allocation": {"strategy": "equal_tolerance_factor", "alpha": alpha}}}})
+        assert type(spec.systems["demo"].joint.alpha) is float
+        assert json.loads(json.dumps(spec.resolved))["systems"]["demo"]["alpha"] == float(alpha)
 
     @pytest.mark.parametrize("alpha", [True, np.bool_(True), "2.4", None], ids=repr)
     def test_alpha_must_be_a_number(self, alpha):

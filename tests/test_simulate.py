@@ -480,6 +480,24 @@ class TestNestedSweep:
                                                  f"{earlier.size} nodes, not {later.size}$"):
                 run_cascade(later, p, cfg.factors, resume=outcome)
 
+    def test_rejects_a_resume_from_another_population_of_the_same_size(self):
+        # Continued on another population, the earlier failure flags and
+        # shed loads belong to other nodes: resumed on the seed-12 draw, the
+        # surviving fraction read 0.654 against 0.6573 from scratch, with
+        # 98 flags wrong.
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200),
+                                          beta_a=0.3, beta_b=0.3)
+        pop = build_population(cfg, 3000, seed=11)
+        outcome = run_cascade(pop, 0.22, cfg.factors)
+        # an equal copy is another object, whose arrays may change apart
+        for later in (build_population(cfg, 3000, seed=12), copy_of(pop)):
+            with pytest.raises(ValueError, match="^resume comes from another population "
+                                                 "of the same size$"):
+                run_cascade(later, 0.27, cfg.factors, resume=outcome)
+        resumed = run_cascade(pop, 0.27, cfg.factors, resume=outcome)
+        assert np.array_equal(resumed.failed, run_cascade(pop, 0.27, cfg.factors).failed)
+
 
 class TestIdentityPrefix:
     """With no attack argument, a cascade attacks the first k nodes."""
