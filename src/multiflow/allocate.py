@@ -174,8 +174,8 @@ def apply_strategy(strategy: AllocationStrategy,
     """Build the full system configuration realized by an allocation strategy.
 
     The tolerance-factor strategy couples free space to load per node, so its
-    configuration carries a proportional joint (analytic queries then use
-    its fixed stored sample; populations use the exact coupling).
+    configuration carries a proportional joint, exact in every analytic
+    query and in its populations.
     """
     mean_a = load_a.mean()
     mean_b = load_b.mean()

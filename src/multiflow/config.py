@@ -9,10 +9,11 @@ a missing field or a wrong-typed value fails with an error that names the
 field.  A marginal or allocation record is tagged: its ``kind`` or
 ``strategy`` is read first and picks the class whose schema the rest of the
 record is read against.  The parsed spec keeps a resolved, JSON-able copy
-of itself for output files to embed: each system's records as read (a
-marginal's numbers as floats, an allocation as given), a sample file's row
-count, and what an allocation derived, Dirac free spaces or the tolerance
-factor with its stored sample's size and seed.
+of itself for output files to embed: each system's records as read, their
+numbers as floats (an allocation with the fields it gave), a sample file's
+row count, and what an allocation derived, Dirac free spaces or the
+tolerance factor alpha.  The tolerance-factor joint is exact, so its record
+names no sample.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .allocate import (
     apply_strategy,
 )
 from .distributions import (
-    _STORED_ROWS,
-    _STORED_SEED,
     Dirac,
     DistributionError,
     EmpiricalJoint,
@@ -222,8 +221,10 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
         resolved.update(samples=values["samples"], count=joint.sample_count)
         return SystemConfig(joint, factors), resolved
 
-    strategy = (_construct(values.pop("allocation"), f"{where}.allocation", "strategy",
-                           _ALLOCATIONS)[0] if kind == "allocation" else None)
+    strategy = None
+    if kind == "allocation":
+        strategy, allocation = _construct(values.pop("allocation"), f"{where}.allocation",
+                                          "strategy", _ALLOCATIONS)
     marginals = []
     for name, value in values.items():
         marginal, resolved[name] = _construct(value, f"{where}.{name}", "kind", _MARGINALS)
@@ -233,15 +234,13 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
 
     cfg = apply_strategy(strategy, *marginals, factors)
     if isinstance(strategy, EqualToleranceFactor):
-        resolved.update(alpha=cfg.joint.alpha, sample_count=_STORED_ROWS,
-                        sample_seed=_STORED_SEED)
+        resolved["alpha"] = cfg.joint.alpha
     else:
         # every other strategy gives each layer one (Dirac) free space
         resolved.update(free_a={"kind": "dirac", "value": cfg.joint.free_a.value},
                         free_b={"kind": "dirac", "value": cfg.joint.free_b.value})
-    # A Python-built spec may hold numpy scalars, which JSON cannot encode.
-    resolved["allocation"] = {key: value.item() if isinstance(value, np.generic) else value
-                              for key, value in record["allocation"].items()}
+    # the fields given, as read: the tag and float numbers
+    resolved["allocation"] = {key: allocation[key] for key in record["allocation"]}
     return cfg, resolved
 
 

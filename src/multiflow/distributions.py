@@ -22,12 +22,12 @@ draws supplied by the user), and a per-node proportional coupling
 S = alpha * L used by the tolerance-factor allocation strategy.  The
 proportional coupling factorizes too, P[S_A > x, S_B > y] =
 P[L_A > x/alpha] * P[L_B > y/alpha], with partial loads
-M_A(x/alpha) * P[L_B > y/alpha] and likewise for B, so its
-``stability_sides`` are exact.  Its cursor queries, and so every solve, are
-still served from a fixed stored sample matrix (10^6 rows, seed 424242).  A
-joint's ``mean_loads``/``mean_frees`` are the model's exact moments; the
-solver reads the ``mean_loads`` of its cursor, those of the measure the
-cursor answers from (for the coupling, the stored sample's).
+M_A(x/alpha) * P[L_B > y/alpha] and likewise for B, so its cursor, and
+so every solve, and its ``stability_sides`` are exact; the 10^6-row sample
+it can still draw (seed 424242) is only a reference for tests.  A joint's
+``mean_loads``/``mean_frees`` are the model's exact moments; the solver
+reads the ``mean_loads`` of its cursor, those of the measure the cursor
+answers from (for an empirical joint, the sample's).
 
 A sample-backed joint answers cursor queries from one sorted slab per layer:
 the sample rows in ascending order of that layer's free space, held as the
@@ -87,6 +87,7 @@ def _out(u):
 # Iteration cap of the incomplete gamma's series and continued fraction; at
 # double precision both converge far sooner for every a this module uses.
 _GAMMA_TERMS = 1000
+_EPS = float(np.finfo(float).eps)
 
 
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
@@ -98,7 +99,7 @@ def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     logarithms, so for large x it underflows to 0 without overflowing first,
     and Gamma(a, inf) is 0.
     """
-    eps, tiny = np.finfo(float).eps, 1e-300
+    eps, tiny = _EPS, 1e-300
 
     def series(i, state):
         # sum_n x^n / (a (a+1) ... (a+n))
@@ -139,6 +140,46 @@ def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def _upper_gamma_float(a: float, x: float) -> float:
+    """``_upper_gamma`` of one Python float x, bit for bit its 0-d result.
+
+    The same series and fraction steps as the array loops, on floats, so a
+    scalar call skips their per-step masks and copies, which cost far more
+    than its arithmetic.  The prefix takes numpy's ``log`` and ``exp`` of a
+    scalar, which round as the array's do (``math`` may round differently).
+    """
+    if x == 0.0:
+        return math.gamma(a)
+    if not 0.0 < x < math.inf:
+        return 0.0
+    eps, tiny = _EPS, 1e-300
+    if x < a + 1.0:
+        total = term = 1.0 / a
+        for i in range(1, _GAMMA_TERMS):
+            term *= x / (a + i)
+            total += term
+            if abs(term) < abs(total) * eps:
+                break
+        return float(math.gamma(a) - np.exp(a * np.log(x) - x) * total)
+    b = x + (1.0 - a)
+    total, c, d = 1.0 / b, 1.0 / tiny, 1.0 / b
+    for i in range(1, _GAMMA_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = d * an + b
+        if abs(d) < tiny:
+            d = tiny
+        d = 1.0 / d
+        c = an / c + b
+        if abs(c) < tiny:
+            c = tiny
+        delta = d * c
+        total *= delta
+        if abs(delta - 1.0) < eps:
+            break
+    return float(np.exp(a * np.log(x) - x) * total)
+
+
 def _converge(step, state: list) -> np.ndarray:
     """Run ``step(i, state)`` for i = 1, 2, ... on the arrays ``state``, whose
     first is the running sum; ``step`` updates them in place and returns the
@@ -162,10 +203,10 @@ class _Marginal:
     Fields are stored as floats, so an int or numpy argument computes as the
     equal float does, and a bool is refused; each family checks them in
     ``_check``.  Inputs are converted once, and a scalar gives a float; a
-    Python float goes to ``_survival_float``, bit for bit ``_survival`` of a
-    0-d array, so powers stay numpy scalar powers and ``exp`` stays
-    ``np.exp`` (``**``, ``math.exp`` and the vectorised ``np.power`` round
-    differently).
+    Python float goes to ``_survival_float`` and ``_partial_mean_float``,
+    bit for bit ``_survival`` and ``_partial_mean`` of a 0-d array, so
+    powers stay numpy scalar powers and ``exp`` stays ``np.exp`` (``**``,
+    ``math.exp`` and the vectorised ``np.power`` round differently).
 
     ``_quantile(u)`` transforms a float array it owns in place and returns
     it; given a numpy scalar, each step makes a new scalar, so a scalar
@@ -187,7 +228,10 @@ class _Marginal:
         return _scalar_or_array(self._survival(np.asarray(x, dtype=float)))
 
     def partial_mean(self, t):
-        """E[X * 1{X > t}], with the strict inequality of ``survival``."""
+        """E[X * 1{X > t}], with the strict inequality of ``survival``; a Python
+        float goes to ``_partial_mean_float``, as in ``survival``."""
+        if type(t) is float:
+            return self._partial_mean_float(t)
         return _scalar_or_array(self._partial_mean(np.asarray(t, dtype=float)))
 
     def quantile(self, u):
@@ -231,6 +275,10 @@ class Uniform(_Marginal):
         t = np.clip(t, self.low, self.high)
         return (self.high ** 2 - t * t) / (2.0 * (self.high - self.low))
 
+    def _partial_mean_float(self, t):
+        t = min(max(t, self.low), self.high)
+        return (self.high ** 2 - t * t) / (2.0 * (self.high - self.low))
+
     def _quantile(self, u):
         u *= self.high - self.low
         u += self.low
@@ -270,6 +318,11 @@ class Pareto(_Marginal):
         # t * S(t) * b / (b - 1) from t = minimum on, written to give 0 at inf
         ratio = self.minimum / np.maximum(t, self.minimum)
         return self.minimum * ratio ** (self.shape - 1.0) * (self.shape / (self.shape - 1.0))
+
+    def _partial_mean_float(self, t):
+        ratio = np.float64(self.minimum / max(t, self.minimum))
+        return float(self.minimum * ratio ** (self.shape - 1.0)
+                     * (self.shape / (self.shape - 1.0)))
 
     def _quantile(self, u):
         u = np.subtract(1.0, u, out=_out(u))
@@ -311,6 +364,11 @@ class Weibull(_Marginal):
         return (self.minimum * np.exp(-power)
                 + self.scale * _upper_gamma(1.0 + 1.0 / self.shape, power))
 
+    def _partial_mean_float(self, t):
+        power = np.float64(max(t - self.minimum, 0.0) / self.scale) ** self.shape
+        return float(self.minimum * np.exp(-power)
+                     + self.scale * _upper_gamma_float(1.0 + 1.0 / self.shape, float(power)))
+
     def _quantile(self, u):
         out = _out(u)
         u = np.negative(u, out=out)
@@ -347,6 +405,9 @@ class Dirac(_Marginal):
 
     def _partial_mean(self, t):
         return self.value * self._survival(t)
+
+    def _partial_mean_float(self, t):
+        return self.value * self._survival_float(t)
 
     def _quantile(self, u):
         # the value broadcast over every entry of u
@@ -522,7 +583,9 @@ def sort_order(values: np.ndarray) -> np.ndarray:
     two values are equal, numpy's order among them cannot be reproduced, and
     where more than an eighth of the rows lie in runs, the re-ordering would
     not pay off; then it returns ``np.argsort(values)`` itself.  So the
-    result always equals ``argsort``'s.
+    result always equals ``argsort``'s.  All-equal values (a Dirac free
+    space) go to ``argsort`` before any key is built; a continuous draw pays
+    one scalar compare for that test.
 
     Beyond the keys, which become the order, it allocates only per chunk and
     per run; ``values`` may be a strided view and is never written.  The run
@@ -531,6 +594,8 @@ def sort_order(values: np.ndarray) -> np.ndarray:
     code beyond the sort's.
     """
     n = len(values)
+    if n and values[0] == values[-1] and values.min() == values.max():
+        return np.argsort(values)
     low = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
     keys = np.bitwise_and(values.view(np.uint64), ~low)
     for lo in range(0, n, _SLAB_CHUNK):
@@ -751,7 +816,18 @@ class EmpiricalJoint(JointLoadSpace):
         self.samples.setflags(write=False)
 
 
-# Size and seed of the tolerance-factor joint's stored sample.
+class _ProportionalCursor(CascadeCursor):
+    """Closed form of a tolerance-factor joint; it keeps no state between advances."""
+
+    def __init__(self, joint: "ProportionalJoint"):
+        self._closed_form = joint._closed_form
+        self.mean_loads = joint.mean_loads
+
+    def advance(self, x: float, y: float) -> SurvivalStats:
+        return self._closed_form(x, y)
+
+
+# Size and seed of the tolerance-factor joint's reference sample.
 _STORED_ROWS = 1_000_000
 _STORED_SEED = 424_242
 
@@ -760,12 +836,12 @@ _STORED_SEED = 424_242
 class ProportionalJoint(JointLoadSpace):
     """Free space coupled to load per node: S_{x,i} = alpha * L_{x,i}.
 
-    Populations use the exact coupling, and ``mean_loads``/``mean_frees``
-    and ``stability_sides`` are exact, from the load marginals' survival
-    and partial means.  Cursor queries, and so every solve, are answered
-    from a stored sample matrix of ``_STORED_ROWS`` rows drawn once from
-    ``_STORED_SEED``, the same for every instance, so a solver's steady
-    state can sit off the exact stable set by that sample's error.
+    Every query is exact.  S_i > t iff L_i > t / alpha, and the layers are
+    independent, so the cursor and ``stability_sides`` both evaluate one
+    closed form from the load marginals' survival and partial means, and
+    populations use the exact coupling.  ``_empirical``, a sample matrix of
+    ``_STORED_ROWS`` rows drawn from ``_STORED_SEED``, is no query's: it is
+    kept only as a sample-backed reference for tests and benchmarks.
     """
 
     load_a: MarginalDistribution
@@ -779,8 +855,8 @@ class ProportionalJoint(JointLoadSpace):
 
     @cached_property
     def _empirical(self) -> EmpiricalJoint:
-        # Each draw and its alpha-multiple go straight into the matrix, which
-        # the joint then keeps without a copy.
+        # Built on demand, never by a query.  Each draw and its alpha-multiple
+        # go straight into the matrix, which the joint then keeps uncopied.
         rng = np.random.default_rng(np.random.SeedSequence(_STORED_SEED))
         samples = np.empty((_STORED_ROWS, 4))
         for column, dist in ((0, self.load_a), (2, self.load_b)):
@@ -798,22 +874,28 @@ class ProportionalJoint(JointLoadSpace):
     def mean_frees(self) -> tuple[float, float]:
         return self.alpha * self.load_a.mean(), self.alpha * self.load_b.mean()
 
+    def _closed_form(self, x, y) -> SurvivalStats:
+        """The survival stats at free-space thresholds (x, y), floats or arrays.
+
+        With M(t) = E[L 1{L > t}], each partial load is one layer's partial
+        mean times the other layer's survival, both at the load thresholds
+        x / alpha and y / alpha.
+        """
+        u, v = x / self.alpha, y / self.alpha
+        survival_a, survival_b = self.load_a.survival(u), self.load_b.survival(v)
+        return SurvivalStats(survival_a * survival_b,
+                             self.load_a.partial_mean(u) * survival_b,
+                             survival_a * self.load_b.partial_mean(v))
+
     def cascade_cursor(self) -> CascadeCursor:
-        return self._empirical.cascade_cursor()
+        return _ProportionalCursor(self)
 
     def stability_sides(self, xs, ys, beta_a: float, beta_b: float):
-        # S_i > t iff L_i > t / alpha, and the layers are independent, so with
-        # M(t) = E[L 1{L > t}] each partial load is one layer's partial mean
-        # times the other layer's survival.
         x = np.asarray(xs, dtype=float)[:, None]
         y = np.asarray(ys, dtype=float)[None, :]
-        u = (x + beta_b * y) / self.alpha
-        v = (y + beta_a * x) / self.alpha
-        survival_a, survival_b = self.load_a.survival(u), self.load_b.survival(v)
-        prob = survival_a * survival_b
+        prob, load_a, load_b = self._closed_form(x + beta_b * y, y + beta_a * x)
         mean_a, mean_b = self.mean_loads
-        return ((prob * x + self.load_a.partial_mean(u) * survival_b) / mean_a,
-                (prob * y + survival_a * self.load_b.partial_mean(v)) / mean_b)
+        return (prob * x + load_a) / mean_a, (prob * y + load_b) / mean_b
 
     def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
         block = np.empty((4, n))

@@ -680,18 +680,21 @@ class TestSimulateCommand:
 
 class TestBundledConfigs:
     # sha256 of each bundled config's resolved spec, the `config_sha256` its
-    # output files embed; a change here moves every table's header.
+    # output files embed; a change here moves every table's header.  The
+    # alloc_* and asymmetric_beta values were captured again when the
+    # tolerance-factor record dropped its stored sample's size and seed and
+    # allocation numbers became floats ("s_total": 720 reads as 720.0).
     BUNDLED = [
         ("uniform_symmetric", "89f1e1177bec52e0647f33c205ce098ff6e5dcb3a59bb6a6ee021d431941b07d"),
         ("mixed_families", "37497e849cef85e5d6548ccd500dd00d0962894242626fe8aedd91c07309e66f"),
         ("beta_sweep", "6b5bbc5a0f39902e17734a133fa01678240aac472d80431d3b8c9a57d4311ac2"),
         ("alloc_weibull_pareto",
-         "5aeb5970c163fd02b365ae45b876a06d0e49683c6bd8d58646c5dd8a538a6532"),
+         "c1b0129650afb3d699c64125a6f09dfded60608fe019f23d99d8b81b9ec98463"),
         ("alloc_pareto_uniform",
-         "3d690203c29037ad7e6a95cc91d2915ee7616ff0f9a553af621ebda90c5d9bc9"),
+         "495b887e105fa469cd97ded359706aa94abd040f101650fd32981fa57c74e852"),
         ("alloc_uniform_weibull",
-         "57ae6efb896b7a915fe8b4ddcbf45af5e39ce029a271fe7b8c1380ebfe88109d"),
-        ("asymmetric_beta", "880f60c9ca7aad7c3a43ad084eb531da2dc6dc1493e1d2bf8f0dd6991f7a32fd"),
+         "b1a07d356d84d9c3303389a576288939538debdc0afce66362e6ed95e4ebfdf8"),
+        ("asymmetric_beta", "ba9bf9f6c695061ff8263ea6b8415e737b737034c7f2870cad34c1d84b3570e5"),
     ]
 
     @pytest.mark.parametrize("name, checksum", BUNDLED, ids=[name for name, _ in BUNDLED])
@@ -742,7 +745,9 @@ class TestResolvedGolden:
     """A resolved spec holding the records no bundled config has: Dirac
     input marginals, a per-layer allocation, an alpha-only tolerance factor,
     a sample file, and numpy scalars in the records.  Captured before the
-    resolved records moved from the joints to the spec reader."""
+    resolved records moved from the joints to the spec reader, and again
+    when the tolerance-factor record dropped ``sample_count``/``sample_seed``
+    and allocation numbers became floats (``mu_b`` 60 to 60.0)."""
 
     DOCUMENT = {
         "systems": {
@@ -769,17 +774,16 @@ class TestResolvedGolden:
         '{"alpha":2.4000000953674316,"strategy":"equal_tolerance_factor"},'
         '"alpha":2.4000000953674316,"beta_a":0.0,"beta_b":0.0,'
         '"load_a":{"kind":"uniform","max":40.0,"min":20.0},'
-        '"load_b":{"b":2.0,"kind":"pareto","min":5.0},'
-        '"sample_count":1000000,"sample_seed":424242},'
+        '"load_b":{"b":2.0,"kind":"pareto","min":5.0}},'
         '"measured":{"beta_a":0.1,"beta_b":0.0,"count":10000,"samples":"samples.npy"},'
-        '"per_layer":{"allocation":{"mu_a":50.5,"mu_b":60,"strategy":"per_layer_equal"},'
+        '"per_layer":{"allocation":{"mu_a":50.5,"mu_b":60.0,"strategy":"per_layer_equal"},'
         '"beta_a":0.2,"beta_b":0.3,"free_a":{"kind":"dirac","value":50.5},'
         '"free_b":{"kind":"dirac","value":60.0},"load_a":{"b":3.0,"kind":"pareto","min":5.0},'
         '"load_b":{"kind":"dirac","value":20.0}},'
         '"points":{"beta_a":0.25,"beta_b":0.5,"free_a":{"kind":"uniform","max":75.0,"min":25.0},'
         '"free_b":{"kind":"dirac","value":40.5},"load_a":{"kind":"dirac","value":30.0},'
         '"load_b":{"k":6.0,"kind":"weibull","lambda":10.78,"min":10.0}}}}')
-    CHECKSUM = "db9dbe6ae45fbd0029d851f03633f6087ad0a14d106e844c7ec6ce6f155d0504"
+    CHECKSUM = "fe52c587a80de0049b98969e34c2fa9b437dc360940996351582be5d667d2108"
 
     def test_resolved_records_are_pinned(self, tmp_path):
         samples = np.random.default_rng(5).uniform(20.0, 75.0, (10_000, 4))
@@ -1030,6 +1034,15 @@ class TestArtifactDigests:
     sample: ``lhs_a``/``lhs_b`` moved by at most 1.4e-3, and the ``stable``
     column, the JSON sidecar and stdout kept their bytes.
 
+    Every file digest of the ``alloc_pareto_uniform`` and ``asymmetric_beta``
+    runs was captured again when the tolerance-factor cursor became exact:
+    the resolved config in each file's header lost its stored sample's
+    ``sample_count``/``sample_seed`` and reads ``s_total`` as 720.0, so
+    ``config_sha256`` moved too.  Apart from that header, one row moved: the
+    ``critical`` row of ``equal_tolerance_factor`` (and so that stdout), whose
+    bracket went from [0.6000156, 0.6000766], the stored sample's, to
+    [0.5999546, 0.6000156], which holds the exact p* = 0.6.
+
     A change that means to move these bytes states it and updates them here.
     """
 
@@ -1049,9 +1062,9 @@ class TestArtifactDigests:
           "equal_tolerance_factor", "--p", "0.2", "--resolution", "16"],
          "dabe6aedf31ffcf4e7c4a10c4061fe47f35456094c7bb606a53644fa2110d120",
          {"stable_set_equal_tolerance_factor.csv":
-          "b4a52cf08405eba475be941c1a432f91dcf7bd20be31a2cbe239b3ecd5f59a58",
+          "cd0eb7316f0bb7a543115695a73ea46ddea890b1b80e935412676040075caf59",
           "stable_set_equal_tolerance_factor.json":
-          "1220f392ff4cebbf93085c313ebf0781981bf152bd937ca9d851bf566c6ff156"}),
+          "a2cd1a232e645b7784bee76833e3f744d434caec3c999b9356a73b828d8d53e0"}),
         (["curve", "--config", "uniform_symmetric"],
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          {"curve_uniform_symmetric.csv":
@@ -1061,27 +1074,27 @@ class TestArtifactDigests:
          {"critical.csv":
           "34023957cbe06264559780c57797f0886133b18b782949cfc53bcb17318fc76c"}),
         (["critical", "--config", "alloc_pareto_uniform"],
-         "ccee7b84b67891df7336c2e4b1227631393a70e5bd0becdbd21f20552936a4fc",
+         "2b56b9fe2a2269549c5d2b533f7c13748e3650a8a9e3afdfdd4c19ac54c54d3d",
          {"critical.csv":
-          "22a753a7e1c63b750764cebd22d28fbfc59261cfd2b711eacbed7fca887c83af"}),
+          "498659625fc9c2d0c9a43b12a38048b89c69f667a5f31b397f04594c2e09ddc8"}),
         (["curve", "--config", "alloc_pareto_uniform"],
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          {"curve_equal_free_space.csv":
-          "65b6da68dd18d7f1b9eec3afe254fe446142dfc2ec7b16b32608d9dbce9f2e9c",
+          "5ce620bd7ee6463d763762eab5df48a75b7732f97ee531d80f9bcf6e8f088965",
           "curve_equal_tolerance_factor.csv":
-          "f96c5f516c43c8cd76a7834ab139b27b28f8815e79f89aa879e08e67a7de4ec0",
+          "2c5697971ed0ae749cfafc32eb1c96e562316a71b1337e88f91b927cd2868845",
           "curve_layer_weighted_equal.csv":
-          "504d698e0080ba60cf66cfa73c6af346539c7ab6bd1c697651ba95e95db2c818"}),
+          "38e72c74e0f66ea23f6b4a8e57363154e63ac7612d263fdd6f6b1fe6d9507b3a"}),
         (["optimize", "--config", "alloc_pareto_uniform", "--system",
           "layer_weighted_equal", "--budget", "720"],
          "a1df6dd596ef0764d6acb494be1704b825b0c05cbaf420d0c5b44b559a5142da",
          {"optimize_layer_weighted_equal.csv":
-          "b7e2086f989b8a2c053e71687fea1b6e46d4b5cc541eb0794c67aa5d1e8e3783"}),
+          "591d9e1ca2b7f12e59763743f6538373a7fc1836106447368dcf2f6ef7bb8023"}),
         (["optimize", "--config", "asymmetric_beta", "--system",
           "layer_weighted_equal", "--budget", "720"],
          "813d4d353a5d0139c69e7b4aee7f4d49a42af3b3fbb3fed721056b99a50f3e1a",
          {"optimize_layer_weighted_equal.csv":
-          "c0f320bc6d6ddb8fcaa055720806c34255c942edaa92c0c79c0eec2bbc33069f"}),
+          "496c406780fcc91aff5afaaf763acd5cffafeb8a527a55c9ea97a4790ff919d9"}),
         (["simulate", "--config", "SMALL_SIMULATE", "--raw"],
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          {"simulate_demo.csv":

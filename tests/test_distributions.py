@@ -381,6 +381,57 @@ class TestPartialMean:
         assert np.all(np.diff(array) <= 1e-12 * dist.mean())
 
 
+class TestFloatPartialMean:
+    """A Python float takes the family's ``_partial_mean_float``, whose bits
+    are those of ``_partial_mean`` on a 0-d array; for the Weibull that
+    includes ``_upper_gamma_float`` against the array ``_upper_gamma``."""
+
+    @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac"])
+    def test_bit_identical_to_the_array_formula(self, family):
+        rng = np.random.default_rng(10 + ["uniform", "pareto", "weibull", "dirac"].index(family))
+        dists = [random_marginal(rng, scale=float(rng.uniform(0.5, 200.0)), families=(family,))
+                 for _ in range(40)] + TestFloatSurvival.FIXED[family]
+        for dist in dists:
+            low, cap = dist.quantile(0.0), dist.support_cap()
+            ts = [float(t) for t in rng.uniform(0.0, 2.0 * cap, 100)]
+            # below, at and next to the support's ends, far out, and the edges
+            ts += [low, cap, 1e6 * cap] + [float(np.nextafter(v, d)) for v in (low, cap)
+                                           for d in (-math.inf, math.inf)]
+            ts += TestFloatSurvival.EDGES
+            for t in ts:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = dist._partial_mean(np.asarray(t))
+                    got = dist._partial_mean_float(t)
+                    public = dist.partial_mean(t)
+                assert type(got) is float and type(public) is float
+                assert _bits(got) == _bits(want), (dist, t, got, float(want))
+                assert _bits(public) == _bits(want), (dist, t)
+
+    @pytest.mark.parametrize("dist", [Weibull(10, 84.25, 0.4), Weibull(10, 30, 2),
+                                      Weibull(0, 1, 1), Weibull(2, 3, 6)], ids=repr)
+    def test_weibull_covers_both_gamma_branches_and_the_ends(self, dist):
+        a = 1.0 + 1.0 / dist.shape
+        # z^k below a + 1 takes the series, from a + 1 on the fraction
+        powers = [1e-300, 1e-8, 0.5 * a, float(np.nextafter(a + 1.0, 0.0)), a + 1.0,
+                  2.0 * a + 5.0, 50.0, 800.0]
+        ts = [dist.minimum + dist.scale * z ** (1.0 / dist.shape) for z in powers]
+        for t in ts + [0.0, dist.minimum, math.inf]:
+            want = dist._partial_mean(np.asarray(t))
+            assert _bits(dist.partial_mean(t)) == _bits(want), (dist, t)
+        assert dist.partial_mean(0.0) == dist.partial_mean(dist.minimum)
+        assert dist.partial_mean(math.inf) == 0.0
+        for x in powers + [0.0, math.inf]:
+            want = distributions._upper_gamma(a, np.asarray(x))
+            assert _bits(distributions._upper_gamma_float(a, x)) == _bits(want), (a, x)
+
+    def test_only_a_python_float_takes_the_float_path(self, monkeypatch):
+        dist = Weibull(10, 30, 2)
+        monkeypatch.setattr(Weibull, "_partial_mean_float", lambda self, t: -1.0)
+        assert dist.partial_mean(40.0) == -1.0
+        for t in (40, np.float64(40.0), np.float32(40.0), np.asarray(40.0)):
+            assert dist.partial_mean(t) == float(dist._partial_mean(np.asarray(40.0))), repr(t)
+
+
 class TestSampling:
     def test_dirac_constant(self):
         rng = np.random.default_rng(0)
@@ -658,9 +709,9 @@ class TestJointContract:
     @pytest.mark.parametrize("kind", sorted(JOINTS))
     def test_cursor_moments_match_its_measure(self, kind):
         # The solver takes its moments from the cursor.  They must be the
-        # load means of the measure the cursor answers from (the stored
-        # sample's for the tolerance factor), or the recursion loses its
-        # monotone trajectory.
+        # load means of the measure the cursor answers from (the sample's
+        # for an empirical joint, the exact ones for a closed form), or the
+        # recursion loses its monotone trajectory.
         joint = self.JOINTS[kind]()
         stats = joint.survival_stats(0.0, 0.0)
         assert stats.probability == 1.0
@@ -725,9 +776,23 @@ class TestSortOrder:
     def test_sizes_where_the_index_bits_change(self, n):
         _assert_sorts_like_argsort(np.random.default_rng(n).uniform(20.0, 40.0, n))
 
-    @pytest.mark.parametrize("n", [2, 3, 1024, 1025, 100_000])
-    def test_all_equal(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 1025, 100_000])
+    def test_all_equal(self, n, monkeypatch):
+        # all-equal values go to argsort before any key is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("sort keys were built")
+
+        monkeypatch.setattr(distributions.np, "bitwise_and", refuse)
         _assert_sorts_like_argsort(np.full(n, 30.0))
+        _assert_sorts_like_argsort(np.full(2 * n + 1, 30.0)[::2])
+
+    @pytest.mark.parametrize("n", [3, 1025, 100_000])
+    def test_equal_ends_around_other_values(self, n):
+        # the first and last value alike, but not all values: the packed sort
+        values = np.full(n, 30.0)
+        values[n // 2] = 20.0
+        _assert_sorts_like_argsort(values)
+        _assert_sorts_like_argsort(np.random.default_rng(n).uniform(20.0, 40.0, n).clip(25.0))
 
     @pytest.mark.parametrize("n", [1025, 100_000])
     def test_integer_rounded_ties(self, n):
@@ -1147,7 +1212,7 @@ class TestProportionalJoint:
     def test_analytic_queries_reflect_coupling(self):
         joint = ProportionalJoint(Uniform(20, 40), Uniform(20, 40), alpha=2.0)
         # S_A = 2 L_A <= 80, so surviving x=79 requires L_A > 39.5
-        assert joint.joint_survival(79.0, 0.0) == pytest.approx(0.025, abs=0.005)
+        assert joint.joint_survival(79.0, 0.0) == pytest.approx(0.025, rel=1e-12)
         # thresholds below 2*min never fail anyone
         assert joint.joint_survival(39.9, 39.9) == 1.0
 
@@ -1174,9 +1239,10 @@ class TestProportionalJoint:
         assert joint.mean_frees[1] == pytest.approx(2.4 * 10.0)
 
     def test_sample_matrix_is_seed_deterministic(self):
+        # the reference sample, which no query reads, is the same per instance
         a = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
         b = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
-        assert a.joint_survival(55.0, 13.0) == b.joint_survival(55.0, 13.0)
+        assert np.array_equal(a._empirical.samples, b._empirical.samples)
 
     def test_layer_moments_are_exact_and_build_no_sample(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1219,7 +1285,8 @@ class TestProportionalJoint:
         import pickle
 
         joint = ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4)
-        reference = joint.joint_survival(55.0, 13.0)  # materializes the cache
+        joint._empirical  # materializes the cache
+        reference = joint.joint_survival(55.0, 13.0)
         blob = pickle.dumps(joint)
         assert len(blob) < 10_000  # workers rebuild the samples from the seed
         assert pickle.loads(blob).joint_survival(55.0, 13.0) == reference
@@ -1256,8 +1323,29 @@ class TestProportionalJoint:
             _, expected_a, expected_b = self.quadrature_oracle(x, y)
             got_a = joint.partial_load_expectation("A", x, y)
             got_b = joint.partial_load_expectation("B", x, y)
-            assert got_a == pytest.approx(expected_a, abs=0.15)
-            assert got_b == pytest.approx(expected_b, abs=0.15)
+            # exact, so it matches the oracle to the oracle's own accuracy
+            assert got_a == pytest.approx(expected_a, rel=1e-8)
+            assert got_b == pytest.approx(expected_b, rel=1e-8)
+
+    def test_cursor_is_the_closed_form_and_builds_no_sample(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stored sample was built")
+
+        monkeypatch.setattr(EmpiricalJoint, "_adopt", refuse)
+        load_a, load_b = Weibull(10, 5, 2), Pareto(5, 2)
+        joint = ProportionalJoint(load_a, load_b, 2.4)
+        cursor = joint.cascade_cursor()
+        assert cursor.mean_loads == joint.mean_loads
+        # stateless: thresholds may move back, and a fresh cursor agrees
+        for x, y in ((40.0, 13.0), (30.0, 20.0), (0.0, 0.0), (40.0, 13.0)):
+            u, v = x / 2.4, y / 2.4
+            stats = cursor.advance(x, y)
+            assert stats == (load_a.survival(u) * load_b.survival(v),
+                             load_a.partial_mean(u) * load_b.survival(v),
+                             load_a.survival(u) * load_b.partial_mean(v))
+            assert all(type(value) is float for value in stats)
+            assert joint.survival_stats(x, y) == stats
+        assert "_empirical" not in vars(joint)
 
     @pytest.mark.parametrize("beta_a, beta_b", [(0.0, 0.0), (0.2, 0.3)])
     def test_stability_sides_against_quadrature(self, beta_a, beta_b):

@@ -451,9 +451,10 @@ def _tolerance_factor_system(config: str) -> SystemConfig:
 
 
 class TestToleranceFactorSides:
-    """The tolerance-factor joint's exact stability sides, from the load
-    marginals' survival and partial means, on the three bundled systems.
-    Its solver still answers from the stored sample."""
+    """The tolerance-factor joint's exact stability sides and cursor, from the
+    load marginals' survival and partial means, on the three bundled
+    systems; its stored sample is only the reference they are checked
+    against."""
 
     # an attack of about half of each system's p*
     SYSTEMS = {"alloc_pareto_uniform": 0.3, "alloc_uniform_weibull": 0.25,
@@ -476,10 +477,35 @@ class TestToleranceFactorSides:
         xs = np.linspace(0.0, joint.alpha * joint.load_a.quantile(0.99), 16)
         ys = np.linspace(0.0, joint.alpha * joint.load_b.quantile(0.99), 16)
         exact = joint.stability_sides(xs, ys, beta.beta_a, beta.beta_b)
-        swept = JointLoadSpace.stability_sides(joint, xs, ys, beta.beta_a, beta.beta_b)
+        swept = JointLoadSpace.stability_sides(joint._empirical, xs, ys,
+                                               beta.beta_a, beta.beta_b)
         for got, sample in zip(exact, swept):
             assert got.shape == (16, 16)
             assert np.max(np.abs(got - sample)) < 0.02
+
+    def test_cursor_agrees_with_the_stored_sample_cursor(self, system):
+        # Each answer of the sample cursor is a mean over its m rows, so it
+        # lies within 5 standard errors of the exact one; the spread of the
+        # sample's first 10^5 rows estimates that error.
+        _, cfg = system
+        joint = cfg.joint
+        reference = joint._empirical
+        load_a, free_a, load_b, free_b = reference.samples[:100_000].T
+        m = reference.sample_count
+        xs = np.linspace(0.0, joint.alpha * joint.load_a.quantile(0.99), 12)
+        ys = np.linspace(0.0, joint.alpha * joint.load_b.quantile(0.99), 12)
+        exact = joint.cascade_cursor()
+        assert exact.mean_loads == joint.mean_loads
+        for y in map(float, ys):
+            # one sweep of nondecreasing x per row, as in a solve
+            sampled = reference.cascade_cursor()
+            for x in map(float, xs):
+                alive = (free_a > x) & (free_b > y)
+                got, want = exact.advance(x, y), sampled.advance(x, y)
+                for value, mean, column in zip(got, want, (None, load_a, load_b)):
+                    draws = alive if column is None else np.where(alive, column, 0.0)
+                    error = float(draws.std()) / math.sqrt(m)
+                    assert abs(value - mean) <= 5.0 * error + 1e-12, (x, y, got, want)
 
     def test_a_grid_builds_no_sample(self, system, monkeypatch):
         def refuse(*args, **kwargs):
@@ -491,6 +517,19 @@ class TestToleranceFactorSides:
         monkeypatch.setattr(EmpiricalJoint, "_adopt", refuse)
         grid = stable_set_grid(p, SystemConfig(joint, cfg.factors), resolution=400)
         assert grid.lhs_a.shape == (400, 400)
+        assert "_empirical" not in vars(joint)
+
+    def test_solves_build_no_sample(self, system, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stored sample was built")
+
+        p, cfg = system
+        joint = ProportionalJoint(cfg.joint.load_a, cfg.joint.load_b, cfg.joint.alpha)
+        fresh = SystemConfig(joint, cfg.factors)
+        monkeypatch.setattr(EmpiricalJoint, "_adopt", refuse)
+        result = critical_attack_size(fresh)
+        assert result.lower < result.upper and not result.nonconverged
+        assert iterate_to_steady_state(p, fresh).n_inf > 0.0
         assert "_empirical" not in vars(joint)
 
     def test_grid_matches_pointwise(self, system):
@@ -527,6 +566,20 @@ class TestToleranceFactorSides:
         _, grid = self.framed(reference - 0.01, cfg, resolution)
         peak = float(np.max(np.minimum(grid.lhs_a, grid.lhs_b)))
         assert reference - 2e-3 <= 1.0 - 1.0 / peak <= reference
+
+
+@pytest.mark.parametrize("config", ["alloc_pareto_uniform", "alloc_uniform_weibull",
+                                    "alloc_weibull_pareto", "asymmetric_beta"])
+@pytest.mark.parametrize("share", [0.3, 0.9, 1.0])
+def test_the_solver_limit_of_a_tolerance_factor_is_stable(config, share):
+    # The cursor and the sides evaluate one closed form, up to last-bit
+    # rounding of scalar against vectorised powers, so the solver's limit
+    # passes the stability test within its default rel_tol, up to p* itself.
+    cfg = _tolerance_factor_system(config)
+    p = share * critical_attack_size(cfg).lower
+    steady = iterate_to_steady_state(p, cfg)
+    assert steady.converged and not steady.collapsed
+    assert is_stable_point(steady.x_star, steady.y_star, p, cfg)
 
 
 class TestLayerIndependent:
@@ -653,13 +706,16 @@ class TestCriticalAttackSize:
         path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
         reference = json.loads(path.read_text(encoding="utf-8"))["critical"]
         checked = 0
-        for config in ("uniform_symmetric", "mixed_families", "beta_sweep"):
+        for config in ("uniform_symmetric", "mixed_families", "beta_sweep",
+                       "alloc_pareto_uniform", "alloc_uniform_weibull", "alloc_weibull_pareto"):
             spec = load_experiment(cli._resolve_config_path(config))
             for name, cfg in spec.systems.items():
+                if f"{config}/{name}" not in reference:
+                    continue  # a Dirac allocation, whose p* sits on its boundary
                 result = critical_attack_size(cfg)
                 assert result.lower <= reference[f"{config}/{name}"] <= result.upper, name
                 checked += 1
-        assert checked == 8
+        assert checked == 11
 
     def test_float_protocol(self, symmetric_uniform_config):
         result = critical_attack_size(symmetric_uniform_config, tol_p=1e-3)
@@ -688,7 +744,9 @@ class TestCriticalAttackSize:
 
 
 class TestStoredSampleGolden:
-    """Exact outputs of the tolerance-factor system, answered from its stored sample.
+    """Exact outputs of the tolerance-factor system's stored sample, solved as
+    an empirical joint: the sample-backed reference the exact cursor
+    replaced, which answered every solve until then.
 
     Any change to the sample, the cursor's sweep or its summation order moves
     these last bits; a change that means to move them updates them here.
@@ -696,11 +754,8 @@ class TestStoredSampleGolden:
 
     @pytest.fixture(scope="class")
     def cfg(self):
-        from multiflow import cli
-        from multiflow.config import load_experiment
-
-        spec = load_experiment(cli._resolve_config_path("alloc_pareto_uniform"))
-        return spec.systems["equal_tolerance_factor"]
+        cfg = _tolerance_factor_system("alloc_pareto_uniform")
+        return SystemConfig(cfg.joint._empirical, cfg.factors)
 
     def test_critical_attack_size(self, cfg):
         assert repr(critical_attack_size(cfg)) == (
@@ -720,6 +775,33 @@ class TestStoredSampleGolden:
         steady = iterate_to_steady_state(p, cfg)
         assert repr(steady) == expected
         assert repr(final_size(p, cfg)) == repr(steady.n_inf)
+
+
+class TestExactToleranceFactorGolden:
+    """Exact outputs of the same tolerance-factor system from its closed-form
+    cursor.  The exact p* is 0.6: at p = 0.6 the least stable point puts
+    layer A's load threshold on the Pareto minimum, where every node still
+    survives, and any larger attack collapses the system."""
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        return _tolerance_factor_system("alloc_pareto_uniform")
+
+    def test_critical_attack_size(self, cfg):
+        assert repr(critical_attack_size(cfg)) == (
+            "CriticalAttackResult(p_hat=0.599985073852539, lower=0.5999545593261718, "
+            "upper=0.6000155883789062, degenerate=False)")
+
+    @pytest.mark.parametrize("p, expected", [
+        (0.3, "SteadyState(n_inf=0.7, x_star=53.57142857142858, "
+              "y_star=75.00000000000003, iterations=1, converged=True)"),
+        (0.6, "SteadyState(n_inf=0.4, x_star=187.5, y_star=262.5, "
+              "iterations=1, converged=True)"),
+        (0.60001, "SteadyState(n_inf=0.0, x_star=inf, y_star=inf, "
+                  "iterations=6, converged=True)"),
+    ])
+    def test_final_size(self, cfg, p, expected):
+        assert repr(iterate_to_steady_state(p, cfg)) == expected
 
 
 class TestValidation:
