@@ -179,6 +179,19 @@ def _table(args, spec: ExperimentSpec, kind: str, system: str | None,
                        header, columns)
 
 
+def _monte_carlo(args, spec: ExperimentSpec, name: str, cfg) -> simulate.RobustnessCurve:
+    """The spec's Monte Carlo curve of one system; stderr counts any cascade
+    whose trajectory was truncated, and the tables do not change."""
+    curve = simulate.monte_carlo_curve(
+        cfg, spec.sim.n, spec.p_grid, spec.sim.runs, spec.sim.seed_base,
+        workers=args.threads, resample_population=spec.sim.resample_population)
+    truncated = int(np.count_nonzero(curve.truncated))
+    if truncated:
+        print(f"warning: {name}: {truncated} of {curve.truncated.size} Monte Carlo cascades "
+              "truncated their trajectory", file=sys.stderr)
+    return curve
+
+
 def cmd_curve(args, spec: ExperimentSpec) -> int:
     if spec.p_grid is None:
         raise ConfigError("spec.p_grid: required for the curve command")
@@ -195,10 +208,7 @@ def cmd_curve(args, spec: ExperimentSpec) -> int:
         header = ["p", "n_inf_analytic"]
         columns = [spec.p_grid, analytic]
         if with_sim:
-            curve = simulate.monte_carlo_curve(
-                cfg, spec.sim.n, spec.p_grid, spec.sim.runs, spec.sim.seed_base,
-                workers=args.threads,
-                resample_population=spec.sim.resample_population)
+            curve = _monte_carlo(args, spec, name, cfg)
             header += ["sim_mean", "sim_std"]
             columns += [curve.mean, curve.std]
         notes = {}
@@ -337,9 +347,7 @@ def cmd_simulate(args, spec: ExperimentSpec) -> int:
     if spec.sim is None:
         raise ConfigError("spec.sim: required for the simulate command")
     for name, cfg in spec.systems.items():
-        curve = simulate.monte_carlo_curve(
-            cfg, spec.sim.n, spec.p_grid, spec.sim.runs, spec.sim.seed_base,
-            workers=args.threads, resample_population=spec.sim.resample_population)
+        curve = _monte_carlo(args, spec, name, cfg)
         count = len(spec.p_grid)
         _table(args, spec, "simulate", name,
                ["p", "mean_n_inf", "std_n_inf", "runs", "n"],

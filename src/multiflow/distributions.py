@@ -203,8 +203,9 @@ class _Marginal:
     Fields are stored as floats, so an int or numpy argument computes as the
     equal float does, and a bool is refused; each family checks them in
     ``_check``.  Inputs are converted once, and a scalar gives a float; a
-    Python float goes to ``_survival_float`` and ``_partial_mean_float``,
-    bit for bit ``_survival`` and ``_partial_mean`` of a 0-d array, so
+    Python float or a numpy float64 (a float subclass) goes as a Python
+    float to ``_survival_float`` and ``_partial_mean_float``, bit for bit
+    ``_survival`` and ``_partial_mean`` of a 0-d array, so
     powers stay numpy scalar powers and ``exp`` stays ``np.exp`` (``**``,
     ``math.exp`` and the vectorised ``np.power`` round differently).
 
@@ -223,15 +224,15 @@ class _Marginal:
         self._check()
 
     def survival(self, x):
-        if type(x) is float:
-            return self._survival_float(x)
+        if isinstance(x, float):
+            return self._survival_float(float(x))
         return _scalar_or_array(self._survival(np.asarray(x, dtype=float)))
 
     def partial_mean(self, t):
         """E[X * 1{X > t}], with the strict inequality of ``survival``; a Python
-        float goes to ``_partial_mean_float``, as in ``survival``."""
-        if type(t) is float:
-            return self._partial_mean_float(t)
+        float or a float64 goes to ``_partial_mean_float``, as in ``survival``."""
+        if isinstance(t, float):
+            return self._partial_mean_float(float(t))
         return _scalar_or_array(self._partial_mean(np.asarray(t, dtype=float)))
 
     def quantile(self, u):
@@ -488,8 +489,14 @@ class JointLoadSpace:
                 lhs_b[ix, iy] = (stats.probability * y + stats.load_b) / mean_b
         return lhs_a, lhs_b
 
-    def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n i.i.d. nodes into one (4, n) block, rows (load_a, free_a, load_b, free_b)."""
+    def sample_population(self, n: int, rng: np.random.Generator,
+                          attacked: int = 0) -> tuple[np.ndarray, ...]:
+        """Draw n i.i.d. nodes as the rows (load_a, free_a, load_b, free_b).
+
+        The free rows leave out the first ``attacked`` nodes, an attacked
+        head whose free spaces no cascade reads; every value returned has
+        the bits of the ``attacked=0`` draw.
+        """
         raise NotImplementedError
 
     def free_space_cap(self) -> float:
@@ -527,6 +534,34 @@ class _IndependentCursor(CascadeCursor):
         return SurvivalStats(prob, mean_a * prob, mean_b * prob)
 
 
+def _check_head(n: int, attacked: int) -> None:
+    _require(0 <= attacked <= n, f"attacked must lie in [0, n = {n}], got {attacked}")
+
+
+def _rows(n: int, attacked: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, n) load rows and (2, n - attacked) free rows of a population,
+    as views of one allocation.  The allocator then reuses a freed
+    population's memory for the next; as two arrays, each 10^5-node
+    population page-faulted about 190 times."""
+    _check_head(n, attacked)
+    block = np.empty(4 * n - 2 * attacked)
+    return block[:2 * n].reshape(2, n), block[2 * n:].reshape(2, n - attacked)
+
+
+def _skip(rng: np.random.Generator, count: int) -> None:
+    """Move ``rng`` past ``count`` uniform doubles, as drawing them would.
+
+    PCG64 spends one 64-bit word per double, so it jumps there with
+    ``advance``, unless a buffered 32-bit half would be dropped.  Other
+    generators (Philox's ``advance`` counts 256-bit blocks) draw and drop.
+    """
+    bits = rng.bit_generator
+    if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)) and not bits.state["has_uint32"]:
+        bits.advance(count)
+    else:
+        rng.random(count)
+
+
 @dataclass(frozen=True)
 class IndependentJoint(JointLoadSpace):
     """Four mutually independent marginals; every joint query factorizes."""
@@ -555,11 +590,15 @@ class IndependentJoint(JointLoadSpace):
         mean_a, mean_b = self.mean_loads
         return prob * (x + mean_a) / mean_a, prob * (y + mean_b) / mean_b
 
-    def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        block = np.empty((4, n))
-        for dist, row in zip((self.load_a, self.free_a, self.load_b, self.free_b), block):
-            dist.sample(rng, out=row)
-        return block
+    def sample_population(self, n: int, rng: np.random.Generator,
+                          attacked: int = 0) -> tuple[np.ndarray, ...]:
+        loads, frees = _rows(n, attacked)
+        layers = ((self.load_a, self.free_a), (self.load_b, self.free_b))
+        for (load_dist, free_dist), load, free in zip(layers, loads, frees):
+            load_dist.sample(rng, out=load)
+            _skip(rng, attacked)  # where the head's free spaces would be drawn
+            free_dist.sample(rng, out=free)
+        return loads[0], frees[0], loads[1], frees[1]
 
     def free_space_cap(self) -> float:
         return max(self.free_a.support_cap(), self.free_b.support_cap())
@@ -803,10 +842,12 @@ class EmpiricalJoint(JointLoadSpace):
     def cascade_cursor(self) -> CascadeCursor:
         return _EmpiricalCursor(self)
 
-    def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_population(self, n: int, rng: np.random.Generator,
+                          attacked: int = 0) -> tuple[np.ndarray, ...]:
+        _check_head(n, attacked)
         block = np.empty((4, n))
         self.samples.take(rng.integers(0, self.sample_count, size=n), axis=0, out=block.T)
-        return block
+        return block[0], block[1, attacked:], block[2], block[3, attacked:]
 
     def free_space_cap(self) -> float:
         return float(max(self.samples[:, 1].max(), self.samples[:, 3].max()))
@@ -897,13 +938,13 @@ class ProportionalJoint(JointLoadSpace):
         mean_a, mean_b = self.mean_loads
         return (prob * x + load_a) / mean_a, (prob * y + load_b) / mean_b
 
-    def sample_population(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        block = np.empty((4, n))
-        for dist, load, free in ((self.load_a, block[0], block[1]),
-                                 (self.load_b, block[2], block[3])):
+    def sample_population(self, n: int, rng: np.random.Generator,
+                          attacked: int = 0) -> tuple[np.ndarray, ...]:
+        loads, frees = _rows(n, attacked)
+        for dist, load, free in zip((self.load_a, self.load_b), loads, frees):
             dist.sample(rng, out=load)
-            np.multiply(load, self.alpha, out=free)
-        return block
+            np.multiply(load[attacked:], self.alpha, out=free)
+        return loads[0], frees[0], loads[1], frees[1]
 
     def free_space_cap(self) -> float:
         return self.alpha * max(self.load_a.support_cap(), self.load_b.support_cap())

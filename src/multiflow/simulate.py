@@ -19,7 +19,8 @@ than Bernoulli-thinned: k nodes drawn uniformly from a seed with
 ``Generator.choice(n, k, replace=False)``, or, given no seed, the first k
 nodes, the prefix of the identity order.  That prefix is a slice: it is
 attacked without a gather, and the masked rounds scan only the nodes
-after it.  To attack along another order, relabel the population:
+after it.  To attack along another order, relabel a population with no
+attacked head (below):
 ``Population(*(c[order] for c in (load_a, free_a, load_b, free_b)))``.
 
 Failures only grow with the attacked set, so the final state of an
@@ -36,6 +37,17 @@ attack, so relabelling the nodes leaves its law unchanged.  Hence the
 first k nodes are, in law, a uniform random k-subset, and the nested
 prefixes of the identity order are those of a uniformly random order.
 
+No cascade reads an attacked node's free space, so a population may leave
+out those of an *attacked head*, its first ``head`` nodes, which every
+cascade on it must then attack (an identity prefix of at least ``head``
+nodes).  ``monte_carlo_curve`` gives each population the head of its
+smallest attack.  The sampler steps its stream past the head's free
+spaces, so every drawn value keeps its bits, and so does each outcome,
+with one exception: the sorted sweep orders tied free spaces by the
+tail's own sort, so where two unattacked nodes tie exactly but carry
+unequal loads (not in a Dirac layer, which sorts in index order either
+way), a round's shed load can move in its last bits.
+
 All randomness flows through explicit seeds.  ``monte_carlo_curve`` derives
 one population stream per (p-index, run-index) pair, or in reuse mode one
 per run index, which makes results independent of worker scheduling.
@@ -46,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -68,12 +80,20 @@ MASKED_ROUNDS = 12
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """Per-node loads and free spaces for a finite network."""
+    """Per-node loads and free spaces for a finite network.
+
+    The first ``head`` nodes form an attacked head: every cascade on the
+    population attacks them, so their free spaces are never read and not
+    kept.  ``free_a`` and ``free_b`` hold the free spaces of the other
+    n - head nodes, node i's at index i - head; head = 0 is a full
+    population.
+    """
 
     load_a: np.ndarray
     free_a: np.ndarray
     load_b: np.ndarray
     free_b: np.ndarray
+    head: int = field(default=0, kw_only=True)
 
     def __post_init__(self) -> None:
         names = ("load_a", "free_a", "load_b", "free_b")
@@ -89,9 +109,14 @@ class Population:
             if a.size and not (a.min() > 0.0 and a.max() < math.inf):
                 raise ValueError(f"population {name} must be finite and strictly positive")
             object.__setattr__(self, name, a)
-        n = len(self.load_a)
-        if any(len(getattr(self, name)) != n for name in names):
-            raise ValueError("population arrays must have equal length")
+        n, head = len(self.load_a), _validate_int(self.head, "population head", 0)
+        object.__setattr__(self, "head", head)
+        if head > n:
+            raise ValueError(f"population head must be <= {n} nodes, got {head}")
+        if (len(self.load_b), len(self.free_a), len(self.free_b)) != (n, n - head, n - head):
+            raise ValueError("population arrays must have equal length" if not head else
+                             f"population free arrays must hold the {n - head} nodes "
+                             f"after the head of {head}")
         if n < 1:
             raise ValueError("population must contain at least one node")
 
@@ -102,17 +127,20 @@ class Population:
     @functools.cached_property
     def free_order(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """Per layer: node indices in ascending free space, and the free
-        spaces in that order.
+        spaces in that order; the head's nodes have none, so they are left out.
 
         Sorted on first use and kept, so a population reused across a p grid
-        is sorted once.  ``sort_order`` gives ``np.argsort``'s order index for
-        index, from one SIMD sort of packed keys.  The arrays must not be
-        modified after that.
+        is sorted once.  ``sort_order`` gives ``np.argsort(free)``'s order
+        index for index, from one SIMD sort of packed keys, and the head is
+        added to it.  The arrays must not be modified after that.
         """
         orders = []
         for free in (self.free_a, self.free_b):
             order = sort_order(free)
-            orders.append((order, free[order]))
+            ordered = free[order]
+            if self.head:
+                order += self.head
+            orders.append((order, ordered))
         return tuple(orders)
 
 
@@ -152,11 +180,19 @@ class CascadeOutcome:
     state: SweepState | None = None
 
 
-def build_population(cfg: SystemConfig, n: int, seed) -> Population:
-    """Sample n i.i.d. nodes from the config's joint; bit-identical per seed."""
+def build_population(cfg: SystemConfig, n: int, seed, attacked: int = 0) -> Population:
+    """Sample n i.i.d. nodes from the config's joint; bit-identical per seed.
+
+    The first ``attacked`` nodes form the population's attacked head: their
+    loads are drawn, but their free spaces, which no cascade attacking them
+    reads, are not.  The stream steps past them instead, so every value
+    drawn has the bits of the full population's (``attacked=0``), and a
+    cascade that attacks at least that prefix fails the same nodes.
+    """
     n = _validate_int(n, "population size n", 1)
+    attacked = _validate_int(attacked, "attacked", 0)
     rng = np.random.default_rng(seed)
-    return Population(*cfg.joint.sample_population(n, rng))
+    return Population(*cfg.joint.sample_population(n, rng, attacked), head=attacked)
 
 
 def _attack_count(p: float, n: int) -> int:
@@ -183,7 +219,8 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     ``Population`` object and factors, whose attack was no larger: only the
     next nodes are attacked, and the cascade starts from the earlier final
     state.  Failures only grow with the attacked set, so the failed set is
-    the one a call from scratch gives.
+    the one a call from scratch gives.  A population with an attacked head
+    takes only an identity prefix that covers the head.
 
     From scratch, the first ``MASKED_ROUNDS`` rounds compare the free
     spaces of every node outside an identity prefix with the thresholds
@@ -195,8 +232,12 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     """
     p = _validate_p(p)
     _validate_int(max_trajectory, "max_trajectory", 0)
-    n = pop.size
+    n, head = pop.size, pop.head
     k = _attack_count(p, n)
+    if head and (attack_seed is not None or k < head):
+        raise ValueError(f"a population with an attacked head of {head} nodes takes only an "
+                         f"identity-prefix attack of at least {head} nodes, got "
+                         + ("a seeded attack" if attack_seed is not None else f"{k}"))
     if resume is None:
         attacked = _attacked_nodes(n, k, attack_seed)
         count = k
@@ -250,8 +291,8 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
         thresholds = (q_a + factors.beta_b * q_b, q_b + factors.beta_a * q_a)
         # free space strictly below the threshold fails (ties survive)
         if rounds <= masked_rounds:
-            hit = pop.free_a[skip:] < thresholds[0]
-            hit |= pop.free_b[skip:] < thresholds[1]
+            hit = pop.free_a[skip - head:] < thresholds[0]
+            hit |= pop.free_b[skip - head:] < thresholds[1]
             hit &= ~failed[skip:]
             newly = np.flatnonzero(hit)
             if skip:
@@ -308,6 +349,9 @@ def run_cascade_naive(pop: Population, p: float, factors: CrossLayerFactors,
     n = pop.size
     if n > MAX_NAIVE_NODES:
         raise ValueError(f"naive cascade is limited to n <= {MAX_NAIVE_NODES}, got {n}")
+    if pop.head:
+        raise ValueError(f"naive cascade needs every node's free space; the population "
+                         f"has an attacked head of {pop.head} nodes")
     k = _attack_count(p, n)
     attacked = _attacked_nodes(n, k, attack_seed)
     failed = np.zeros(n, dtype=bool)
@@ -367,6 +411,11 @@ class RobustnessCurve:
     mean: np.ndarray
     std: np.ndarray
     samples: np.ndarray  # shape (len(p), runs)
+    # Per cascade, shape (len(p), runs): its rounds, which in reuse mode
+    # count only the continuation from the previous p, and whether its
+    # trajectory was cut at max_trajectory rounds.
+    rounds: np.ndarray
+    truncated: np.ndarray
     n: int
     runs: int
     seed_base: int
@@ -374,29 +423,34 @@ class RobustnessCurve:
 
 
 def _curve_task(cfg: SystemConfig, n: int, p_grid: Sequence[float], seed_base: int,
-                resample_population: bool, task: tuple[int, Sequence[int]]) -> list[float]:
-    """Surviving fractions of one run index at the given p indices.
+                resample_population: bool,
+                task: tuple[int, Sequence[int]]) -> list[tuple[float, int, bool]]:
+    """Surviving fraction, rounds and truncation of one run index at the
+    given p indices.
 
-    Every cascade attacks a prefix of the identity order, by slice.  In
+    Every cascade attacks a prefix of the identity order, by slice, and
+    each population is built with that prefix as its attacked head.  In
     reuse mode the run draws one population, and each p resumes the
-    previous p's cascade, so the indices must come in ascending p.
+    previous p's cascade, so the indices must come in ascending p; the
+    head is then the first p's attack, the smallest.
     """
     run_index, p_indices = task
     pop = outcome = None
-    fractions = []
+    results = []
     for ip in p_indices:
         try:
             if resample_population or pop is None:
                 key = (ip, run_index) if resample_population else (run_index,)
                 # an outcome holds its population, and none resumes on a new one
                 outcome = None
-                pop = build_population(cfg, n, np.random.SeedSequence(seed_base, spawn_key=key))
+                pop = build_population(cfg, n, np.random.SeedSequence(seed_base, spawn_key=key),
+                                       attacked=_attack_count(p_grid[ip], n))
             outcome = run_cascade(pop, p_grid[ip], cfg.factors, resume=outcome)
         except Exception as exc:
             raise RuntimeError(
                 f"Monte Carlo task (p_index={ip}, run_index={run_index}) failed: {exc!r}") from exc
-        fractions.append(outcome.surviving_fraction)
-    return fractions
+        results.append((outcome.surviving_fraction, outcome.rounds, outcome.truncated))
+    return results
 
 
 def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: int,
@@ -422,6 +476,10 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
     order, so every (p, run) result keeps its distribution; the runs share
     their attacks across p (common random numbers).
 
+    Each population is built with the head of its smallest attack (see
+    ``build_population``).  Each cascade's ``rounds`` and ``truncated``
+    are kept beside its surviving fraction.
+
     ``workers`` is capped at the task count; with one worker no process
     pool is started.
     """
@@ -443,10 +501,12 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
                                     chunksize=max(1, len(tasks) // (8 * workers))))
     else:
         results = [run_tasks(task) for task in tasks]
-    fractions = np.empty((len(p_grid), runs))
+    shape = (len(p_grid), runs)
+    fractions, rounds, truncated = np.empty(shape), np.empty(shape, int), np.empty(shape, bool)
     for (ir, p_indices), values in zip(tasks, results):
-        fractions[list(p_indices), ir] = values
+        rows = list(p_indices)
+        fractions[rows, ir], rounds[rows, ir], truncated[rows, ir] = zip(*values)
     return RobustnessCurve(
         p=np.asarray(p_grid), mean=fractions.mean(axis=1), std=fractions.std(axis=1),
-        samples=fractions, n=n, runs=runs, seed_base=seed_base,
-        resample_population=resample_population)
+        samples=fractions, rounds=rounds, truncated=truncated, n=n, runs=runs,
+        seed_base=seed_base, resample_population=resample_population)

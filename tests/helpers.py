@@ -88,7 +88,11 @@ def relabelled(pop: Population, order: np.ndarray) -> Population:
     """``pop`` with its rows taken in ``order``: row i is node order[i].
 
     The identity prefix of the result attacks ``pop`` along ``order``, and a
-    failure mask m over ``pop``'s nodes reads m[order] over the result's."""
+    failure mask m over ``pop``'s nodes reads m[order] over the result's.  A
+    population with an attacked head has no free space for its head's nodes,
+    so it is refused."""
+    if pop.head:
+        raise ValueError(f"cannot relabel a population with an attacked head of {pop.head} nodes")
     return Population(*(c[order] for c in (pop.load_a, pop.free_a, pop.load_b, pop.free_b)))
 
 

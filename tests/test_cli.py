@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multiflow import cli
+from multiflow import cli, simulate
 from multiflow.config import ConfigError, load_experiment, parse_experiment
 
 SMALL_SPEC = {
@@ -594,6 +595,33 @@ class TestSimulateCommand:
         _, raw_header, raw_rows = read_table(out / "simulate_demo_runs.csv")
         assert raw_header == ["p", "run", "n_inf"]
         assert len(raw_rows) == 6
+
+    def test_truncated_cascades_are_counted_on_stderr(self, tmp_path, capsys, monkeypatch):
+        document = dict(SMALL_SPEC, mode="both", p_grid=[0.25, 0.5, 0.6],
+                        sim={"n": 1000, "runs": 3, "seed_base": 7})
+        spec = write_spec(tmp_path, document)
+        runs = {}
+        for cap in (None, 0):
+            if cap is not None:
+                capped = functools.partial(simulate.run_cascade, max_trajectory=cap)
+                monkeypatch.setattr(simulate, "run_cascade", capped)
+            for command in ("curve", "simulate"):
+                out = tmp_path / f"{command}_{cap}"
+                raw = ["--raw"] if command == "simulate" else []
+                assert cli.main([command, "--config", spec, "--out", str(out), "--threads", "1",
+                                 *raw]) == 0
+                runs[command, cap] = (capsys.readouterr(),
+                                      {path.name: path.read_bytes() for path in out.iterdir()})
+        cfg = load_experiment(Path(spec)).systems["demo"]
+        truncated = int(simulate.monte_carlo_curve(cfg, 1000, [0.25, 0.5, 0.6], 3, 7)
+                        .truncated.sum())
+        assert 0 < truncated < 9
+        for command in ("curve", "simulate"):
+            (clean, clean_tables), (warned, tables) = runs[command, None], runs[command, 0]
+            assert clean.err == "" and warned.out == clean.out
+            assert warned.err == (f"warning: demo: {truncated} of 9 Monte Carlo cascades "
+                                  "truncated their trajectory\n")
+            assert tables == clean_tables
 
     def test_raw_runs_follow_the_format(self, tmp_path):
         document = dict(SMALL_SPEC, mode="simulate", p_grid=[0.25, 0.5],

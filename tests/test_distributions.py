@@ -273,11 +273,14 @@ class TestFloatSurvival:
         assert dist._survival_float(37.5) == 0.0
         assert dist._survival_float(float(np.nextafter(37.5, 0.0))) == 1.0
 
-    def test_only_a_python_float_takes_the_float_path(self, monkeypatch):
+    def test_python_and_numpy_doubles_take_the_float_path(self, monkeypatch):
         dist = Pareto(5, 2.5)
-        monkeypatch.setattr(Pareto, "_survival_float", lambda self, x: -1.0)
-        assert dist.survival(7.0) == -1.0
-        for x in (7, np.float64(7.0), np.float32(7.0), np.asarray(7.0)):
+        # a float64 reaches the float path as a Python float
+        monkeypatch.setattr(Pareto, "_survival_float",
+                            lambda self, x: -1.0 if type(x) is float else -2.0)
+        for x in (7.0, np.float64(7.0)):
+            assert dist.survival(x) == -1.0, repr(x)
+        for x in (7, np.float32(7.0), np.asarray(7.0)):
             assert dist.survival(x) == float(dist._survival(np.asarray(7.0))), repr(x)
 
 
@@ -424,12 +427,35 @@ class TestFloatPartialMean:
             want = distributions._upper_gamma(a, np.asarray(x))
             assert _bits(distributions._upper_gamma_float(a, x)) == _bits(want), (a, x)
 
-    def test_only_a_python_float_takes_the_float_path(self, monkeypatch):
+    def test_python_and_numpy_doubles_take_the_float_path(self, monkeypatch):
         dist = Weibull(10, 30, 2)
-        monkeypatch.setattr(Weibull, "_partial_mean_float", lambda self, t: -1.0)
-        assert dist.partial_mean(40.0) == -1.0
-        for t in (40, np.float64(40.0), np.float32(40.0), np.asarray(40.0)):
+        monkeypatch.setattr(Weibull, "_partial_mean_float",
+                            lambda self, t: -1.0 if type(t) is float else -2.0)
+        for t in (40.0, np.float64(40.0)):
+            assert dist.partial_mean(t) == -1.0, repr(t)
+        for t in (40, np.float32(40.0), np.asarray(40.0)):
             assert dist.partial_mean(t) == float(dist._partial_mean(np.asarray(40.0))), repr(t)
+
+    @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac"])
+    def test_a_float64_gives_the_python_float_bits(self, family, monkeypatch):
+        rng = np.random.default_rng(30 + ["uniform", "pareto", "weibull", "dirac"].index(family))
+        dists = [random_marginal(rng, scale=float(rng.uniform(0.5, 200.0)), families=(family,))
+                 for _ in range(10)] + TestFloatSurvival.FIXED[family]
+        points = [(dist, float(t)) for dist in dists
+                  for t in [*rng.uniform(0.0, 2.0 * dist.support_cap(), 20),
+                            dist.quantile(0.0), *TestFloatSurvival.EDGES]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [(dist.survival(t), dist.partial_mean(t)) for dist, t in points]
+
+        def refuse(self, x):
+            raise AssertionError("a float64 left the float path")
+        monkeypatch.setattr(type(dists[0]), "_survival", refuse)
+        monkeypatch.setattr(type(dists[0]), "_partial_mean", refuse)
+        for (dist, t), (survival, partial) in zip(points, want):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = dist.survival(np.float64(t)), dist.partial_mean(np.float64(t))
+            assert type(got[0]) is float and type(got[1]) is float
+            assert (_bits(got[0]), _bits(got[1])) == (_bits(survival), _bits(partial)), (dist, t)
 
 
 class TestSampling:
@@ -495,6 +521,67 @@ class TestSampling:
         assert np.all(Uniform(20, 40).sample(rng, 10_000) >= 20)
         assert np.all(Pareto(5, 2).sample(rng, 10_000) >= 5)
         assert np.all(Weibull(10, 30, 2).sample(rng, 10_000) >= 10)
+
+
+class TestAttackedHeadDraws:
+    """``sample_population(n, rng, attacked=m)`` draws every load and the
+    free spaces of nodes m.. with the bits of the full draw, and leaves the
+    generator where the full draw does."""
+
+    JOINTS = {
+        # each family as a load and as a free space, for every joint type
+        "independent_uniform_pareto": lambda: IndependentJoint(
+            Pareto(5, 2), Uniform(10, 200), Uniform(20, 40), Pareto(50, 3)),
+        "independent_weibull_dirac": lambda: IndependentJoint(
+            Dirac(30), Weibull(10, 30, 2), Weibull(5, 40, 6), Dirac(136)),
+        "proportional_uniform_weibull": lambda: ProportionalJoint(
+            Uniform(20, 40), Weibull(10, 30, 2), 2.4),
+        "proportional_pareto_dirac": lambda: ProportionalJoint(Pareto(5, 5), Dirac(30), 1.7),
+        "empirical": lambda: _golden_empirical_joint(),
+    }
+    GENERATORS = {
+        "pcg64": lambda seed: np.random.default_rng(seed),
+        "pcg64dxsm": lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
+        # no advance: the head's values are drawn and dropped
+        "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+        # an advance that counts blocks of four words, so it is not used
+        "philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
+    }
+
+    @pytest.mark.parametrize("generator", list(GENERATORS))
+    @pytest.mark.parametrize("joint", list(JOINTS))
+    @pytest.mark.parametrize("n", [1, 1025])
+    def test_bits_match_the_full_draw(self, joint, generator, n):
+        joint, make = self.JOINTS[joint](), self.GENERATORS[generator]
+        rng = make(9)
+        full = joint.sample_population(n, rng)
+        after = rng.random(8)  # where the stream goes on
+        for m in sorted({0, 1, n // 3, n}):
+            rng = make(9)
+            rows = joint.sample_population(n, rng, attacked=m)
+            assert [row.size for row in rows] == [n, n - m, n, n - m]
+            for row, whole, head in zip(rows, full, (0, m, 0, m)):
+                assert row.dtype == np.float64 and row.tobytes() == whole[head:].tobytes()
+            assert rng.random(8).tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("joint", list(JOINTS))
+    def test_rejects_a_head_outside_the_population(self, joint):
+        joint = self.JOINTS[joint]()
+        for attacked in (-1, 11):
+            with pytest.raises(DistributionError, match=rf"attacked must lie in \[0, n = 10\], "
+                                                        rf"got {attacked}"):
+                joint.sample_population(10, np.random.default_rng(0), attacked=attacked)
+
+    def test_a_buffered_half_word_survives_the_skip(self):
+        joint = self.JOINTS["independent_uniform_pareto"]()
+        states = []
+        for m in (0, 500):
+            rng = np.random.default_rng(4)
+            rng.integers(0, 10, dtype=np.uint32)  # keeps the other 32 bits in a buffer
+            assert rng.bit_generator.state["has_uint32"]
+            joint.sample_population(1000, rng, attacked=m)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
 
 
 class TestValidation:

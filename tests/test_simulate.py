@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from multiflow import (
     run_cascade_naive,
     simulate,
 )
-from multiflow.simulate import MASKED_ROUNDS, Population
+from multiflow.simulate import MASKED_ROUNDS, MAX_TRAJECTORY_ROUNDS, Population
 from helpers import random_marginal, random_system, relabelled
 
 
@@ -566,6 +567,115 @@ class TestIdentityPrefix:
                 run_cascade(pop, 0.4, self.CFG.factors, attack_seed, resume=resume)
 
 
+def assert_same_outcome(got, want):
+    assert np.array_equal(got.failed, want.failed)
+    assert (got.rounds, got.trajectory, got.truncated, got.surviving_fraction) == (
+        want.rounds, want.trajectory, want.truncated, want.surviving_fraction)
+
+
+class TestAttackedHead:
+    """A population built with an attacked head of m nodes keeps no free
+    space for them; every cascade that attacks at least them is the full
+    population's, bit for bit."""
+
+    CFG = TestIdentityPrefix.CFG
+
+    @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac", "coupled"])
+    def test_cascades_match_the_full_population(self, family):
+        rng = np.random.default_rng(50 + ["uniform", "pareto", "weibull", "dirac",
+                                          "coupled"].index(family))
+        seen = set()
+        for draw in range(4):
+            if family == "coupled":
+                cfg = SystemConfig(ProportionalJoint(random_marginal(rng), random_marginal(rng),
+                                                     float(rng.uniform(1.2, 3.0))),
+                                   CrossLayerFactors(*rng.uniform(0.0, 0.6, 2)))
+            else:
+                cfg = random_system(rng, free_families=(family,))
+            n, seed = (3000, 1500, 1025, 7)[draw], int(rng.integers(2 ** 31))
+            full = build_population(cfg, n, seed)
+            for p in [*rng.uniform(0.02, 0.95, 4), 0.999]:
+                want = run_cascade(full, p, cfg.factors, max_trajectory=4)
+                k = math.floor(p * n + 0.5)
+                for m in sorted({0, 1, k // 3, k} & set(range(k + 1))):
+                    pop = build_population(cfg, n, seed, attacked=m)
+                    assert pop.head == m and pop.free_a.size == n - m
+                    assert_same_outcome(run_cascade(pop, p, cfg.factors, max_trajectory=4), want)
+                seen.add("collapse" if want.surviving_fraction == 0.0 else
+                         "one round" if want.rounds <= 1 else "longer")
+        assert {"collapse", "one round"} <= seen
+
+    def test_sorted_sweep_and_resume_chain_match_the_full_population(self):
+        n = 3000
+        full = build_population(self.CFG, n, seed=11)
+        grid = [0.21, 0.25, 0.25, 0.29, 0.3, 0.31, 0.32, 0.33, 0.6]
+        wanted = sweep(full, grid, self.CFG.factors)
+        assert sum(out.rounds > MASKED_ROUNDS for out in wanted) >= 2
+        assert wanted[-1].surviving_fraction == 0.0
+        for p in (0.25, 0.32):
+            # from scratch past the masked rounds, on the head-offset free order
+            pop = build_population(self.CFG, n, seed=11, attacked=math.floor(p * n + 0.5))
+            for cap in (MAX_TRAJECTORY_ROUNDS, 5):
+                want = run_cascade(full, p, self.CFG.factors, max_trajectory=cap)
+                assert want.rounds > MASKED_ROUNDS and want.truncated == (cap == 5)
+                assert_same_outcome(run_cascade(pop, p, self.CFG.factors, max_trajectory=cap),
+                                    want)
+        # a resumed cascade sweeps from its first round, here also over a
+        # layer of equal (Dirac) free spaces with unequal loads
+        dirac = SystemConfig.from_marginals(Uniform(20, 40), Dirac(60), Uniform(20, 40),
+                                            Uniform(10, 200), beta_a=0.3, beta_b=0.3)
+        for cfg in (self.CFG, dirac):
+            full = build_population(cfg, n, seed=11)
+            pop = build_population(cfg, n, seed=11, attacked=math.floor(0.21 * n + 0.5))
+            for got, want in zip(sweep(pop, grid, cfg.factors), sweep(full, grid, cfg.factors)):
+                assert_same_outcome(got, want)
+                assert got.state.thresholds == want.state.thresholds
+                assert got.state.shed == want.state.shed
+
+    def test_free_order_holds_node_indices(self):
+        full = build_population(self.CFG, 2000, seed=3)
+        pop = build_population(self.CFG, 2000, seed=3, attacked=700)
+        for (order, ordered), (full_order, full_ordered) in zip(pop.free_order,
+                                                                full.free_order):
+            assert order.dtype == np.intp
+            assert np.array_equal(order, full_order[full_order >= 700])
+            assert ordered.tobytes() == full_ordered[full_order >= 700].tobytes()
+
+    def test_refuses_an_attack_that_misses_the_head(self):
+        pop = build_population(self.CFG, 100, seed=1, attacked=30)
+        with pytest.raises(ValueError, match="attacked head of 30 nodes .* got 20$"):
+            run_cascade(pop, 0.2, self.CFG.factors)
+        with pytest.raises(ValueError, match="attacked head of 30 nodes .* got a seeded attack"):
+            run_cascade(pop, 0.3, self.CFG.factors, attack_seed=4)
+        # the naive oracle reads every node's capacity, so it refuses
+        with pytest.raises(ValueError, match="attacked head of 30 nodes"):
+            run_cascade_naive(pop, 0.5, self.CFG.factors)
+        with pytest.raises(ValueError, match="attacked head"):
+            relabelled(pop, np.arange(100))
+        assert run_cascade(pop, 0.3, self.CFG.factors).state.attack_size == 30
+
+    def test_free_arrays_must_match_the_head(self):
+        full = build_population(self.CFG, 100, seed=1)
+        short = dict(load_a=full.load_a, free_a=full.free_a[10:], load_b=full.load_b,
+                     free_b=full.free_b[10:])
+        with pytest.raises(ValueError, match="equal length"):
+            Population(**short)
+        assert Population(**short, head=np.int64(10)).head == 10
+        with pytest.raises(ValueError, match="hold the 80 nodes after the head of 20"):
+            Population(**short, head=20)
+        with pytest.raises(ValueError, match="head must be <= 100 nodes, got 101"):
+            Population(full.load_a, full.free_a[:0], full.load_b, full.free_b[:0], head=101)
+        with pytest.raises(ValueError, match="head must be an integer"):
+            Population(**short, head=10.0)
+        with pytest.raises(ValueError, match=r"attacked must lie in \[0, n = 100\], got 101"):
+            build_population(self.CFG, 100, seed=1, attacked=101)
+        with pytest.raises(ValueError, match="attacked must be >= 0"):
+            build_population(self.CFG, 100, seed=1, attacked=-1)
+        whole = build_population(self.CFG, 100, seed=1, attacked=100)
+        assert whole.free_a.size == 0 and whole.free_order[0][0].size == 0
+        assert run_cascade(whole, 0.999, self.CFG.factors).surviving_fraction == 0.0
+
+
 class TestAgainstMeanField:
     def test_matches_analytic_prediction(self, symmetric_uniform_config):
         curve = monte_carlo_curve(symmetric_uniform_config, 100_000, [0.25], runs=20,
@@ -666,6 +776,35 @@ class TestMonteCarloCurve:
                 expected = run_cascade(pop, p, cfg.factors)
                 assert curve.samples[ip, ir] == expected.surviving_fraction
         assert len(np.unique(curve.samples)) > 3  # the populations differ
+
+    def test_keeps_each_cascades_rounds_and_truncation(self, monkeypatch):
+        cfg, n, grid = TestIdentityPrefix.CFG, 3000, [0.3, 0.25, 0.32]
+        curves = {}
+        for resample in (True, False):
+            curve = curves[resample] = monte_carlo_curve(cfg, n, grid, runs=2, seed_base=13,
+                                                         resample_population=resample)
+            for ir in range(2):
+                if resample:
+                    outcomes = [run_cascade(build_population(
+                        cfg, n, np.random.SeedSequence(13, spawn_key=(ip, ir))), p, cfg.factors)
+                        for ip, p in enumerate(grid)]
+                else:
+                    # a resumed cascade counts the rounds of its continuation
+                    pop = build_population(cfg, n, np.random.SeedSequence(13, spawn_key=(ir,)))
+                    outcomes = sweep(pop, grid, cfg.factors)
+                assert curve.rounds[:, ir].tolist() == [out.rounds for out in outcomes]
+            assert curve.rounds.shape == curve.truncated.shape == (3, 2)
+            assert curve.rounds.max() > MASKED_ROUNDS and not curve.truncated.any()
+        # a trajectory cap truncates, and nothing else moves
+        capped_cascade = functools.partial(simulate.run_cascade, max_trajectory=12)
+        monkeypatch.setattr(simulate, "run_cascade", capped_cascade)
+        for resample, curve in curves.items():
+            capped = monte_carlo_curve(cfg, n, grid, runs=2, seed_base=13,
+                                       resample_population=resample)
+            assert capped.truncated.any() and not capped.truncated.all()
+            assert np.array_equal(capped.truncated, capped.rounds > 13)
+            assert np.array_equal(capped.samples, curve.samples)
+            assert np.array_equal(capped.rounds, curve.rounds)
 
     def test_workers_capped_at_task_count(self, monkeypatch, symmetric_uniform_config):
         def no_pool(*args, **kwargs):
