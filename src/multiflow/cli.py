@@ -301,12 +301,7 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
     if s_total is not None and not (math.isfinite(s_total) and s_total > 0):
         raise ConfigError(f"--budget: expected a positive finite number, got {s_total:g}")
     if s_total is None:
-        resolved = spec.resolved["systems"][name]
-        if "allocation" in resolved:
-            # per-layer or alpha-only allocations carry no total budget
-            s_total = resolved["allocation"].get("s_total")
-        elif "free_a" in resolved:
-            s_total = sum(cfg.joint.mean_frees)
+        s_total = spec.budget(name)
     if s_total is None:
         raise ConfigError("free-space budget missing (give --budget or an allocation "
                           "with s_total)")

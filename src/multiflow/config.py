@@ -85,6 +85,18 @@ class ExperimentSpec:
             resolved["sim"] = asdict(self.sim)
         return resolved
 
+    def budget(self, name: str) -> float | None:
+        """System ``name``'s total free-space budget: an allocation's
+        ``s_total``, or the sum of its free-space means for four marginals.
+        None for a sample file, and for an allocation given per layer or by
+        alpha alone."""
+        resolved = self.resolved_systems[name]
+        if "allocation" in resolved:
+            return resolved["allocation"].get("s_total")
+        if "free_a" in resolved:
+            return sum(self.systems[name].joint.mean_frees)
+        return None
+
     @property
     def canonical(self) -> str:
         return json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))

@@ -142,8 +142,8 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     max_iter = _validate_int(max_iter, "max_iter", 1)
-    cursor = cfg.joint.cascade_cursor()
-    advance, (mean_a, mean_b) = cursor.advance, cursor.mean_loads
+    advance = cfg.joint.cascade_cursor().advance
+    mean_a, mean_b = cfg.joint.mean_loads
     beta_a, beta_b = cfg.factors.beta_a, cfg.factors.beta_b
     scale = p / (1.0 - p)
     q_a, q_b = scale * mean_a, scale * mean_b

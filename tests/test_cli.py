@@ -11,6 +11,7 @@ import pytest
 
 from multiflow import cli, simulate
 from multiflow.config import ConfigError, load_experiment, parse_experiment
+from multiflow.distributions import Weibull
 
 SMALL_SPEC = {
     "systems": {
@@ -534,6 +535,30 @@ class TestOptimizeCommand:
         table = {row[0]: dict(zip(header, row)) for row in rows}
         assert table["equal_tolerance_factor"]["alpha"] == repr(alpha)
 
+    def test_budget_of_each_record_kind(self, tmp_path):
+        np.save(tmp_path / "samples.npy", np.full((10_000, 4), 30.0))
+        loads = {"load_a": {"kind": "uniform", "min": 20, "max": 40},
+                 "load_b": {"kind": "pareto", "min": 5, "b": 2}}
+        document = {"systems": {
+            "s_total": {**loads, "allocation": {"strategy": "equal_free_space",
+                                                "s_total": 720}},
+            "alpha_s_total": {**loads, "allocation": {"strategy": "equal_tolerance_factor",
+                                                      "s_total": np.int64(300)}},
+            "marginals": {**loads, "free_a": {"kind": "uniform", "min": 25, "max": 75},
+                          "free_b": {"kind": "weibull", "min": 10, "lambda": 30, "k": 2}},
+            "per_layer": {**loads, "allocation": {"strategy": "per_layer_equal",
+                                                  "mu_a": 50, "mu_b": 60}},
+            "alpha_only": {**loads, "allocation": {"strategy": "equal_tolerance_factor",
+                                                   "alpha": 2.4}},
+            "samples": {"samples": "samples.npy"},
+        }}
+        spec = parse_experiment(document, base_dir=tmp_path)
+        budgets = {name: spec.budget(name) for name in spec.systems}
+        assert budgets == {"s_total": 720.0, "alpha_s_total": 300.0,
+                           "marginals": 50.0 + Weibull(10, 30, 2).mean(),
+                           "per_layer": None, "alpha_only": None, "samples": None}
+        assert all(type(budgets[name]) is float for name in ("s_total", "marginals"))
+
     def test_missing_budget_is_usage_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, SMALL_SPEC)
         # explicit marginals give a budget via their means, so strip them
@@ -1036,6 +1061,18 @@ class TestColumnWriter:
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _correlated_samples(m: int, seed: int) -> np.ndarray:
+    """m rows (L_A, S_A, L_B, S_B) whose free spaces grow with their own
+    layer's load and whose loads share a common factor, which no closed-form
+    joint expresses."""
+    rng = np.random.default_rng(seed)
+    common = rng.uniform(0.0, 10.0, m)
+    load_a, load_b = common + rng.uniform(20.0, 30.0, (2, m))
+    free_a = load_a * rng.uniform(1.0, 2.5, m)
+    free_b = load_b * rng.uniform(1.0, 2.5, m)
+    return np.column_stack([load_a, free_a, load_b, free_b])
+
+
 def _digests(out: Path) -> dict[str, str]:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
@@ -1135,10 +1172,30 @@ class TestArtifactDigests:
           "0e1a36b9f2933654b39c5c7fe45868492ad6a54e2633b85fbe227099b6a9bfd6",
           "simulate_demo_runs.csv":
           "9c5ab27e7653117b2c86fc3ca2cc0dabf73a9ae5e08c6f2efcf4b332be39ec9f"}),
+        (["critical", "--config", "alloc_uniform_weibull"],
+         "7ba967baaf5a513e9acfcd842354ede27e3a9a4709c8fc56d2e342397591157e",
+         {"critical.csv":
+          "9aae8d8356879b3a143df25ce5960c08309643440088f4df32e65456abd1aa4e"}),
+        (["curve", "--config", "alloc_uniform_weibull"],
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         {"curve_equal_free_space.csv":
+          "8ca7a74b8e04334dc1f68bff01e400ac46d24ebe4bf4ee594d1c9a5152e13079",
+          "curve_equal_tolerance_factor.csv":
+          "93a6d7d7b566de8360c103fba2b7d064f44a4f3005a05dbe61e0cc322c4aba99",
+          "curve_layer_weighted_equal.csv":
+          "223b17511f8dc071e83d9e8b6091f6582ecb845f86baebab35ceecaae552a53c"}),
+        (["critical", "--config", "SAMPLES"],
+         "401431d5da43fb443aa55cfe3fc07906b53cb9aa30eb0cb69f1b96b167343237",
+         {"critical.csv":
+          "82d5c6c72328569df66167efa7c7701732e804eaf471c7c3e6867cd0d8b4805a"}),
     ], ids=["stable_set", "stable_set_json", "stable_set_sample_backed", "curve",
             "critical", "critical_sample_backed", "curve_sample_backed", "optimize",
-            "optimize_asymmetric_beta", "simulate_raw", "simulate_raw_reuse"])
+            "optimize_asymmetric_beta", "simulate_raw", "simulate_raw_reuse",
+            "critical_weibull_tolerance_factor", "curve_weibull_tolerance_factor",
+            "critical_samples"])
     def test_digest(self, tmp_path, capsys, argv, stdout, files):
+        if "SAMPLES" in argv:
+            np.save(tmp_path / "samples.npy", _correlated_samples(20_000, seed=23))
         documents = {
             "SMALL_SIMULATE": dict(SMALL_SPEC, mode="simulate",
                                    sim={"n": 1000, "runs": 2, "seed_base": 7}),
@@ -1146,6 +1203,10 @@ class TestArtifactDigests:
             "SMALL_SIMULATE_REUSE": dict(
                 SMALL_SPEC, mode="simulate", p_grid=[0.1, 0.25, 0.38, 0.4, 0.42, 0.5],
                 sim={"n": 1000, "runs": 3, "seed_base": 7, "resample_population": False}),
+            # a relative sample path, so the header's config_sha256 does not
+            # depend on where the test runs
+            "SAMPLES": {"systems": {"measured": {"beta_a": 0.2, "beta_b": 0.1,
+                                                 "samples": "samples.npy"}}},
         }
         argv = [write_spec(tmp_path, documents[a]) if a in documents else a for a in argv]
         out = tmp_path / "out"

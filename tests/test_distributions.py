@@ -794,15 +794,33 @@ class TestJointContract:
             assert getattr(clone, name) == pair, name
 
     @pytest.mark.parametrize("kind", sorted(JOINTS))
-    def test_cursor_moments_match_its_measure(self, kind):
-        # The solver takes its moments from the cursor.  They must be the
-        # load means of the measure the cursor answers from (the sample's
-        # for an empirical joint, the exact ones for a closed form), or the
-        # recursion loses its monotone trajectory.
+    def test_joint_moments_match_its_cursor(self, kind):
+        # The solver takes its moments from the joint and its rounds from the
+        # cursor.  The moments must be the load means of the measure the
+        # cursor answers from (the sample's for an empirical joint, the exact
+        # ones for a closed form), or the recursion loses its monotone
+        # trajectory.
         joint = self.JOINTS[kind]()
         stats = joint.survival_stats(0.0, 0.0)
         assert stats.probability == 1.0
-        assert joint.cascade_cursor().mean_loads == (stats.load_a, stats.load_b)
+        assert joint.mean_loads == stats[1:]
+
+    @pytest.mark.parametrize("kind", sorted(JOINTS))
+    def test_every_cursor_class_defines_its_own_advance(self, kind):
+        # perfbench wraps ``advance`` on the class of each cursor it sees, and
+        # refuses a class that only inherits it.
+        joint = self.JOINTS[kind]()
+        cursor = joint.cascade_cursor()
+        assert "advance" in vars(type(cursor)), type(cursor).__name__
+        # the moments are the joint's alone: a cursor that is not the joint
+        # carries none
+        assert cursor is joint or not hasattr(cursor, "mean_loads")
+
+    @pytest.mark.parametrize("kind", ["independent", "proportional"])
+    def test_a_closed_form_joint_is_its_own_cursor(self, kind):
+        joint = self.JOINTS[kind]()
+        assert joint.cascade_cursor() is joint
+        assert joint.advance(40.0, 13.0) == joint.survival_stats(40.0, 13.0)
 
     def test_layer_moments_are_defined_once_as_pairs(self):
         scalars = {"mean_load_a", "mean_load_b", "mean_free_a", "mean_free_b"}
@@ -1422,7 +1440,7 @@ class TestProportionalJoint:
         load_a, load_b = Weibull(10, 5, 2), Pareto(5, 2)
         joint = ProportionalJoint(load_a, load_b, 2.4)
         cursor = joint.cascade_cursor()
-        assert cursor.mean_loads == joint.mean_loads
+        assert cursor is joint
         # stateless: thresholds may move back, and a fresh cursor agrees
         for x, y in ((40.0, 13.0), (30.0, 20.0), (0.0, 0.0), (40.0, 13.0)):
             u, v = x / 2.4, y / 2.4

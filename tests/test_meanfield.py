@@ -495,7 +495,6 @@ class TestToleranceFactorSides:
         xs = np.linspace(0.0, joint.alpha * joint.load_a.quantile(0.99), 12)
         ys = np.linspace(0.0, joint.alpha * joint.load_b.quantile(0.99), 12)
         exact = joint.cascade_cursor()
-        assert exact.mean_loads == joint.mean_loads
         for y in map(float, ys):
             # one sweep of nondecreasing x per row, as in a solve
             sampled = reference.cascade_cursor()
