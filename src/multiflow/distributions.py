@@ -442,13 +442,15 @@ class JointLoadSpace:
     those two override.  Per-layer moments are pairs of floats, layer A
     first: ``mean_loads`` is (E[L_A], E[L_B]) and ``mean_frees`` is
     (E[S_A], E[S_B]), the exact moments of the joint's measure; the solver
-    and the stability sides read them here, and no cursor restates them.  A
-    pickle carries the dataclass fields only; cached derived values are
-    rebuilt on demand.
+    and the stability sides read them here, and no cursor restates them.
+    ``free_floor`` is (min S_A, min S_B), the least free space each layer can
+    draw: no sampled free space lies below it.  A pickle carries the
+    dataclass fields only; cached derived values are rebuilt on demand.
     """
 
     mean_loads: tuple[float, float]
     mean_frees: tuple[float, float]
+    free_floor: tuple[float, float]
 
     def survival_stats(self, x: float, y: float) -> SurvivalStats:
         """Survival and partial load means at (x, y): one fresh cursor advance."""
@@ -501,6 +503,20 @@ class JointLoadSpace:
         head whose free spaces no cascade reads; every value returned has
         the bits of the ``attacked=0`` draw.
         """
+        rows, fill = self.sample_head(n, rng, attacked)
+        fill()
+        return rows
+
+    def sample_head(self, n: int, rng: np.random.Generator, attacked: int = 0):
+        """The rows of ``sample_population(n, rng, attacked)``, of which only
+        the head's loads, the first ``attacked`` of each load row, are drawn;
+        returns them with ``fill``, which draws the rest in place.
+
+        ``rng`` is left where the whole draw leaves it, and ``fill`` never
+        reads it: it draws from a copy taken before (a sample-backed joint
+        picks every row at once and gathers the rest), so each value has the
+        bits of the whole draw and none is drawn twice.
+        """
         raise NotImplementedError
 
     def free_space_cap(self) -> float:
@@ -523,6 +539,29 @@ def _rows(n: int, attacked: int) -> tuple[np.ndarray, np.ndarray]:
     _check_head(n, attacked)
     block = np.empty(4 * n - 2 * attacked)
     return block[:2 * n].reshape(2, n), block[2 * n:].reshape(2, n - attacked)
+
+
+def _sample_blocks(rng: np.random.Generator, n: int, attacked: int, blocks):
+    """``sample_head`` for rows drawn by inverse CDF, one block of n uniforms
+    per (marginal, row) of ``blocks``, in stream order.  A load row holds
+    its whole block, a free row the n - attacked values after the head.
+    Returns ``fill``.
+    """
+    bits = rng.bit_generator
+    kind, start = type(bits), bits.state
+    for dist, row in blocks:
+        if row.size == n:
+            dist.sample(rng, out=row[:attacked])
+        _skip(rng, n - attacked if row.size == n else n)
+
+    def fill() -> None:
+        stream = kind()
+        stream.state = start
+        stream = np.random.Generator(stream)
+        for dist, row in blocks:
+            _skip(stream, attacked)
+            dist.sample(stream, out=row[row.size - (n - attacked):])
+    return fill
 
 
 def _skip(rng: np.random.Generator, count: int) -> None:
@@ -566,6 +605,10 @@ class IndependentJoint(JointLoadSpace):
     def mean_frees(self) -> tuple[float, float]:
         return self.free_a.mean(), self.free_b.mean()
 
+    @property
+    def free_floor(self) -> tuple[float, float]:
+        return self.free_a.quantile(0.0), self.free_b.quantile(0.0)
+
     def cascade_cursor(self) -> "IndependentJoint":
         return self
 
@@ -583,15 +626,12 @@ class IndependentJoint(JointLoadSpace):
         mean_a, mean_b = self.mean_loads
         return prob * (x + mean_a) / mean_a, prob * (y + mean_b) / mean_b
 
-    def sample_population(self, n: int, rng: np.random.Generator,
-                          attacked: int = 0) -> tuple[np.ndarray, ...]:
+    def sample_head(self, n: int, rng: np.random.Generator, attacked: int = 0):
+        # per layer, n loads and then n free spaces
         loads, frees = _rows(n, attacked)
-        layers = ((self.load_a, self.free_a), (self.load_b, self.free_b))
-        for (load_dist, free_dist), load, free in zip(layers, loads, frees):
-            load_dist.sample(rng, out=load)
-            _skip(rng, attacked)  # where the head's free spaces would be drawn
-            free_dist.sample(rng, out=free)
-        return loads[0], frees[0], loads[1], frees[1]
+        fill = _sample_blocks(rng, n, attacked, ((self.load_a, loads[0]), (self.free_a, frees[0]),
+                                                 (self.load_b, loads[1]), (self.free_b, frees[1])))
+        return (loads[0], frees[0], loads[1], frees[1]), fill
 
     def free_space_cap(self) -> float:
         return max(self.free_a.support_cap(), self.free_b.support_cap())
@@ -704,7 +744,7 @@ class _EmpiricalCursor:
 
     def __init__(self, joint: "EmpiricalJoint"):
         self._joint = joint
-        self._lowest = joint._lowest_free
+        self._lowest = joint.free_floor
         self._m = joint.sample_count
         self._alive = self._m
         self._sums = list(joint._load_totals)
@@ -802,7 +842,7 @@ class EmpiricalJoint(JointLoadSpace):
         return float(self.samples[:, 0].sum()), float(self.samples[:, 2].sum())
 
     @cached_property
-    def _lowest_free(self) -> tuple[float, float]:
+    def free_floor(self) -> tuple[float, float]:
         return float(self.samples[:, 1].min()), float(self.samples[:, 3].min())
 
     def _sorted_by(self, free: int, other: int) -> _Slab:
@@ -835,12 +875,16 @@ class EmpiricalJoint(JointLoadSpace):
     def cascade_cursor(self) -> _EmpiricalCursor:
         return _EmpiricalCursor(self)
 
-    def sample_population(self, n: int, rng: np.random.Generator,
-                          attacked: int = 0) -> tuple[np.ndarray, ...]:
+    def sample_head(self, n: int, rng: np.random.Generator, attacked: int = 0):
+        # every pick is drawn now, and only the gather of the others waits
         _check_head(n, attacked)
         block = np.empty((4, n))
-        self.samples.take(rng.integers(0, self.sample_count, size=n), axis=0, out=block.T)
-        return block[0], block[1, attacked:], block[2], block[3, attacked:]
+        picks = rng.integers(0, self.sample_count, size=n)
+        self.samples.take(picks[:attacked], axis=0, out=block.T[:attacked])
+
+        def fill() -> None:
+            self.samples.take(picks[attacked:], axis=0, out=block.T[attacked:])
+        return (block[0], block[1, attacked:], block[2], block[3, attacked:]), fill
 
     def free_space_cap(self) -> float:
         return float(max(self.samples[:, 1].max(), self.samples[:, 3].max()))
@@ -898,6 +942,11 @@ class ProportionalJoint(JointLoadSpace):
     def mean_frees(self) -> tuple[float, float]:
         return self.alpha * self.load_a.mean(), self.alpha * self.load_b.mean()
 
+    @property
+    def free_floor(self) -> tuple[float, float]:
+        # rounding is monotone, so alpha * L is never below alpha * min L
+        return self.alpha * self.load_a.quantile(0.0), self.alpha * self.load_b.quantile(0.0)
+
     def _closed_form(self, x, y) -> SurvivalStats:
         """The survival stats at free-space thresholds (x, y), floats or arrays.
 
@@ -925,13 +974,15 @@ class ProportionalJoint(JointLoadSpace):
         mean_a, mean_b = self.mean_loads
         return (prob * x + load_a) / mean_a, (prob * y + load_b) / mean_b
 
-    def sample_population(self, n: int, rng: np.random.Generator,
-                          attacked: int = 0) -> tuple[np.ndarray, ...]:
+    def sample_head(self, n: int, rng: np.random.Generator, attacked: int = 0):
         loads, frees = _rows(n, attacked)
-        for dist, load, free in zip((self.load_a, self.load_b), loads, frees):
-            dist.sample(rng, out=load)
-            np.multiply(load[attacked:], self.alpha, out=free)
-        return loads[0], frees[0], loads[1], frees[1]
+        fill_loads = _sample_blocks(rng, n, attacked, ((self.load_a, loads[0]),
+                                                       (self.load_b, loads[1])))
+
+        def fill() -> None:
+            fill_loads()
+            np.multiply(loads[:, attacked:], self.alpha, out=frees)
+        return (loads[0], frees[0], loads[1], frees[1]), fill
 
     def free_space_cap(self) -> float:
         return self.alpha * max(self.load_a.support_cap(), self.load_b.support_cap())

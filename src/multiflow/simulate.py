@@ -48,6 +48,17 @@ tail's own sort, so where two unattacked nodes tie exactly but carry
 unequal loads (not in a Dirac layer, which sorts in index order either
 way), a round's shed load can move in its last bits.
 
+``build_population`` draws only what every cascade on it reads: the head's
+loads, at their places in the seed's stream.  The other loads and the free
+spaces are drawn in place on the first read of any row, from a copy of the
+stream taken before, so every value keeps its bits and none is drawn twice.
+Each round first compares its thresholds with the population's
+``free_floor``, the joint's least free space per layer: no free space lies
+below its floor and ties survive, so a round whose two thresholds are at or
+below the floors fails no node, and the cascade ends there, exactly as a
+scan would end it, without reading a free row.  A cascade that fails no
+node beyond its head then draws nothing more.
+
 All randomness flows through explicit seeds.  ``monte_carlo_curve`` derives
 one population stream per (p-index, run-index) pair, or in reuse mode one
 per run index, which makes results independent of worker scheduling.
@@ -78,6 +89,21 @@ MAX_TRAJECTORY_ROUNDS = 10_000
 MASKED_ROUNDS = 12
 
 
+_ROWS = ("load_a", "free_a", "load_b", "free_b")
+
+
+def _lowest(name: str, row: np.ndarray) -> float:
+    """The least value of a population row, which must be finite and
+    strictly positive; an empty row's is inf."""
+    if not row.size:
+        return math.inf
+    lowest = row.min()
+    # NaN fails the min test
+    if not (lowest > 0.0 and row.max() < math.inf):
+        raise ValueError(f"population {name} must be finite and strictly positive")
+    return float(lowest)
+
+
 @dataclass(frozen=True, eq=False)
 class Population:
     """Per-node loads and free spaces for a finite network.
@@ -86,7 +112,11 @@ class Population:
     population attacks them, so their free spaces are never read and not
     kept.  ``free_a`` and ``free_b`` hold the free spaces of the other
     n - head nodes, node i's at index i - head; head = 0 is a full
-    population.
+    population.  ``free_floor`` bounds each layer's free spaces from below:
+    here their least values (inf for none).
+
+    A population from ``build_population`` holds only its head's loads at
+    first; its rows are drawn in place on the first read of any of them.
     """
 
     load_a: np.ndarray
@@ -94,10 +124,12 @@ class Population:
     load_b: np.ndarray
     free_b: np.ndarray
     head: int = field(default=0, kw_only=True)
+    size: int = field(init=False, repr=False)
+    free_floor: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        names = ("load_a", "free_a", "load_b", "free_b")
-        for name in names:
+        lowest = []
+        for name in _ROWS:
             # a float64 array passes through without a copy
             try:
                 a = np.asarray(getattr(self, name), dtype=float)
@@ -105,12 +137,9 @@ class Population:
                 raise ValueError(f"population {name} must be numeric") from None
             if a.ndim != 1:
                 raise ValueError(f"population {name} must be 1-D, got shape {a.shape}")
-            # NaN fails the min test; an empty column fails the size test below
-            if a.size and not (a.min() > 0.0 and a.max() < math.inf):
-                raise ValueError(f"population {name} must be finite and strictly positive")
+            lowest.append(_lowest(name, a))
             object.__setattr__(self, name, a)
         n, head = len(self.load_a), _validate_int(self.head, "population head", 0)
-        object.__setattr__(self, "head", head)
         if head > n:
             raise ValueError(f"population head must be <= {n} nodes, got {head}")
         if (len(self.load_b), len(self.free_a), len(self.free_b)) != (n, n - head, n - head):
@@ -119,10 +148,45 @@ class Population:
                              f"after the head of {head}")
         if n < 1:
             raise ValueError("population must contain at least one node")
+        self._set(head=head, size=n, free_floor=(lowest[1], lowest[3]),
+                  _head_loads=(self.load_a[:head], self.load_b[:head]))
 
-    @property
-    def size(self) -> int:
-        return len(self.load_a)
+    @classmethod
+    def _drawn(cls, rows, fill, head: int, free_floor: tuple[float, float]) -> "Population":
+        """The population of ``rows`` (load_a, free_a, load_b, free_b), in
+        which only the head's loads are drawn; ``fill()`` draws the rest."""
+        head_loads = rows[0][:head], rows[2][:head]
+        for name, row in zip(("load_a", "load_b"), head_loads):
+            _lowest(name, row)
+        pop = cls.__new__(cls)
+        pop._set(head=head, size=len(rows[0]), free_floor=free_floor, _head_loads=head_loads,
+                 _pending=(rows, fill))
+        return pop
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # only a drawn population's rows are missing, until their first read
+        if name not in _ROWS or "_pending" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._fill()
+        return self.__dict__[name]
+
+    def _fill(self) -> None:
+        rows, fill = self._pending
+        fill()
+        for name, row in zip(_ROWS, rows):
+            _lowest(name, row)
+        self._set(**dict(zip(_ROWS, rows)))
+        object.__delattr__(self, "_pending")
+
+    def __getstate__(self):
+        # a copy or a pickle carries the rows, not the draw that fills them
+        if "_pending" in self.__dict__:
+            self._fill()
+        return self.__dict__
 
     @functools.cached_property
     def free_order(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -187,12 +251,15 @@ def build_population(cfg: SystemConfig, n: int, seed, attacked: int = 0) -> Popu
     loads are drawn, but their free spaces, which no cascade attacking them
     reads, are not.  The stream steps past them instead, so every value
     drawn has the bits of the full population's (``attacked=0``), and a
-    cascade that attacks at least that prefix fails the same nodes.
+    cascade that attacks at least that prefix fails the same nodes.  Only
+    the head's loads are drawn here, and the rows on their first read
+    (``JointLoadSpace.sample_head``); a generator given as ``seed`` is left
+    where the whole draw leaves it.
     """
     n = _validate_int(n, "population size n", 1)
     attacked = _validate_int(attacked, "attacked", 0)
-    rng = np.random.default_rng(seed)
-    return Population(*cfg.joint.sample_population(n, rng, attacked), head=attacked)
+    rows, fill = cfg.joint.sample_head(n, np.random.default_rng(seed), attacked)
+    return Population._drawn(rows, fill, attacked, cfg.joint.free_floor)
 
 
 def _attack_count(p: float, n: int) -> int:
@@ -267,8 +334,11 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
 
     failed[attacked] = True
     alive -= count
-    shed_a += float(pop.load_a[attacked].sum())
-    shed_b += float(pop.load_b[attacked].sum())
+    # an attack of exactly the head reads no row but the head's loads
+    loads = (pop._head_loads if isinstance(attacked, slice) and k == head
+             else (pop.load_a, pop.load_b))
+    shed_a += float(loads[0][attacked].sum())
+    shed_b += float(loads[1][attacked].sum())
 
     def outcome(rounds, trajectory, truncated=False):
         sweep = (None if attack_seed is not None
@@ -286,10 +356,15 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     positions = None  # per layer, how far the sorted sweep has scanned
     truncated = False
     rounds = 0
+    floor_a, floor_b = pop.free_floor
     while True:
         rounds += 1
         thresholds = (q_a + factors.beta_b * q_b, q_b + factors.beta_a * q_a)
         # free space strictly below the threshold fails (ties survive)
+        if thresholds[0] <= floor_a and thresholds[1] <= floor_b:
+            # none lies below its floor, so no node fails, and no free row is read
+            previous = thresholds
+            break
         if rounds <= masked_rounds:
             hit = pop.free_a[skip - head:] < thresholds[0]
             hit |= pop.free_b[skip - head:] < thresholds[1]

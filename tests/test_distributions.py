@@ -24,6 +24,7 @@ from multiflow import (
     EmpiricalJoint,
     IndependentJoint,
     Pareto,
+    Population,
     ProportionalJoint,
     Uniform,
     Weibull,
@@ -516,11 +517,35 @@ class TestSampling:
         assert not block[0].any()
         assert block[1].tobytes() == dist.sample(np.random.default_rng(4), 1000).tobytes()
 
-    def test_samples_within_support(self):
+    @pytest.mark.parametrize("dist, minimum", [
+        (Uniform(20, 40), 20.0), (Pareto(5, 2), 5.0), (Pareto(5, 5), 5.0),
+        (Weibull(10, 30, 2), 10.0), (Weibull(10, 10.78, 6), 10.0), (Dirac(136), 136.0),
+    ], ids=["uniform", "pareto2", "pareto5", "weibull2", "weibull6", "dirac"])
+    def test_samples_within_support(self, dist, minimum):
+        # ``free_floor`` bounds every free space a joint draws from below; a
+        # cascade whose thresholds do not pass it reads no free space
         rng = np.random.default_rng(3)
-        assert np.all(Uniform(20, 40).sample(rng, 10_000) >= 20)
-        assert np.all(Pareto(5, 2).sample(rng, 10_000) >= 5)
-        assert np.all(Weibull(10, 30, 2).sample(rng, 10_000) >= 10)
+        assert dist.quantile(0.0) == minimum
+        assert dist.sample(rng, 10_000).min() >= minimum
+        joints = {
+            "independent": IndependentJoint(Uniform(20, 40), dist, Pareto(5, 2), dist),
+            "proportional": ProportionalJoint(dist, Uniform(10, 30), 1.7),
+            "empirical": EmpiricalJoint(np.column_stack([
+                Uniform(20, 40).sample(rng, 20_000), dist.sample(rng, 20_000),
+                Pareto(5, 2).sample(rng, 20_000), 2.0 * dist.sample(rng, 20_000)])),
+        }
+        floors = {"independent": (minimum, minimum),
+                  "proportional": (1.7 * minimum, 1.7 * 10.0),
+                  "empirical": (float(joints["empirical"].samples[:, 1].min()),
+                                float(joints["empirical"].samples[:, 3].min()))}
+        for kind, joint in joints.items():
+            assert joint.free_floor == floors[kind], kind
+            load_a, free_a, load_b, free_b = joint.sample_population(10_000, rng, attacked=50)
+            assert free_a.min() >= joint.free_floor[0] and free_b.min() >= joint.free_floor[1]
+            # given as arrays, a population's floor is its least free space
+            pop = Population(load_a, free_a, load_b, free_b, head=50)
+            assert pop.free_floor == (free_a.min(), free_b.min())
+        assert Population([1.0], [], [1.0], [], head=1).free_floor == (math.inf, math.inf)
 
 
 class TestAttackedHeadDraws:
@@ -563,6 +588,27 @@ class TestAttackedHeadDraws:
             for row, whole, head in zip(rows, full, (0, m, 0, m)):
                 assert row.dtype == np.float64 and row.tobytes() == whole[head:].tobytes()
             assert rng.random(8).tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("generator", list(GENERATORS))
+    @pytest.mark.parametrize("joint", list(JOINTS))
+    def test_a_built_population_draws_its_rows_on_first_read(self, joint, generator):
+        # build_population draws the head's loads and leaves the generator
+        # where the full draw does; the rows are drawn later from a copy
+        from multiflow import CrossLayerFactors, SystemConfig, build_population
+
+        joint, make, n = self.JOINTS[joint](), self.GENERATORS[generator], 1025
+        rng = make(9)
+        full = joint.sample_population(n, rng)
+        after = rng.random(8)
+        for m in (0, 1, n // 3, n):
+            rng = make(9)
+            pop = build_population(SystemConfig(joint, CrossLayerFactors(0.3, 0.1)), n, rng,
+                                   attacked=m)
+            assert rng.random(8).tobytes() == after.tobytes()
+            assert "_pending" in vars(pop)
+            rows = (pop.load_a, pop.free_a, pop.load_b, pop.free_b)
+            for row, whole, head in zip(rows, full, (0, m, 0, m)):
+                assert row.tobytes() == whole[head:].tobytes()
 
     @pytest.mark.parametrize("joint", list(JOINTS))
     def test_rejects_a_head_outside_the_population(self, joint):

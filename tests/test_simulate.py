@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from multiflow import (
     simulate,
 )
 from multiflow.simulate import MASKED_ROUNDS, MAX_TRAJECTORY_ROUNDS, Population
-from helpers import random_marginal, random_system, relabelled
+from helpers import random_marginal, random_system, relabelled, sampled_copy
 
 
 def assert_matches_naive(pop, p, factors, attack_seed):
@@ -573,6 +575,24 @@ def assert_same_outcome(got, want):
         want.rounds, want.trajectory, want.truncated, want.surviving_fraction)
 
 
+def drew_rows(pop: Population) -> bool:
+    """Whether a population from ``build_population`` has drawn its rows."""
+    return "_pending" not in vars(pop)
+
+
+def quiet_edge(cfg: SystemConfig, pop: Population) -> list[float]:
+    """Attacks on both sides of the largest whose round-1 thresholds stay at
+    or below the joint's free floor (from cumulative sums, so near it)."""
+    n = pop.size
+    alive = n - np.arange(1, n)
+    q_a, q_b = (np.cumsum(load)[:-1] / alive for load in (pop.load_a, pop.load_b))
+    floor_a, floor_b = cfg.joint.free_floor
+    quiet = ((q_a + cfg.factors.beta_b * q_b <= floor_a)
+             & (q_b + cfg.factors.beta_a * q_a <= floor_b))
+    last = int(np.flatnonzero(quiet)[-1]) + 1 if quiet.any() else 0
+    return [(last + step) / n for step in (-1, 0, 1, 2) if 0 < last + step < n]
+
+
 class TestAttackedHead:
     """A population built with an attacked head of m nodes keeps no free
     space for them; every cascade that attacks at least them is the full
@@ -582,6 +602,9 @@ class TestAttackedHead:
 
     @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac", "coupled"])
     def test_cascades_match_the_full_population(self, family):
+        # Also at attacks on both sides of the quiet edge: a cascade whose
+        # round-1 thresholds stay at the free floor attacking just the head
+        # draws no row beyond the head's loads.
         rng = np.random.default_rng(50 + ["uniform", "pareto", "weibull", "dirac",
                                           "coupled"].index(family))
         seen = set()
@@ -594,16 +617,42 @@ class TestAttackedHead:
                 cfg = random_system(rng, free_families=(family,))
             n, seed = (3000, 1500, 1025, 7)[draw], int(rng.integers(2 ** 31))
             full = build_population(cfg, n, seed)
-            for p in [*rng.uniform(0.02, 0.95, 4), 0.999]:
+            floor_a, floor_b = cfg.joint.free_floor
+            for p in [*rng.uniform(0.02, 0.95, 4), 0.999, *quiet_edge(cfg, full)]:
                 want = run_cascade(full, p, cfg.factors, max_trajectory=4)
                 k = math.floor(p * n + 0.5)
+                _, _, q_a, q_b = want.trajectory[0]
+                quiet = (q_a + cfg.factors.beta_b * q_b <= floor_a
+                         and q_b + cfg.factors.beta_a * q_a <= floor_b)
                 for m in sorted({0, 1, k // 3, k} & set(range(k + 1))):
                     pop = build_population(cfg, n, seed, attacked=m)
-                    assert pop.head == m and pop.free_a.size == n - m
                     assert_same_outcome(run_cascade(pop, p, cfg.factors, max_trajectory=4), want)
+                    if m == k:
+                        assert drew_rows(pop) == (not quiet and k < n)
+                    assert pop.head == m and pop.free_a.size == n - m
                 seen.add("collapse" if want.surviving_fraction == 0.0 else
                          "one round" if want.rounds <= 1 else "longer")
-        assert {"collapse", "one round"} <= seen
+                seen.add("quiet" if quiet else "not quiet")
+        assert {"collapse", "one round", "quiet", "not quiet"} <= seen
+
+    @pytest.mark.parametrize("ulps, surviving", [(0, 0.2), (1, 0.0)])
+    def test_a_threshold_on_a_dirac_free_space_is_quiet(self, ulps, surviving):
+        # Unit loads and beta = 1/2 make round 1's threshold exactly 6 per
+        # layer, in both kernels.  Free space on it survives (ties survive),
+        # so that round is quiet and draws no row; a threshold one ulp above
+        # it fails layer A.
+        n, p = 10, 0.8
+        free = round_one_threshold(p, n)
+        for _ in range(ulps):
+            free = np.nextafter(free, 0.0)
+        cfg = SystemConfig.from_marginals(Dirac(1), Dirac(free), Dirac(1), Dirac(100),
+                                          beta_a=0.5, beta_b=0.5)
+        pop = build_population(cfg, n, seed=1, attacked=8)
+        out = run_cascade(pop, p, cfg.factors)
+        assert drew_rows(pop) == bool(ulps)
+        assert (out.surviving_fraction, out.rounds) == (surviving, 1)
+        assert_same_outcome(out, run_cascade_naive(build_population(cfg, n, seed=1), p,
+                                                   cfg.factors))
 
     def test_sorted_sweep_and_resume_chain_match_the_full_population(self):
         n = 3000
@@ -674,6 +723,84 @@ class TestAttackedHead:
         whole = build_population(self.CFG, 100, seed=1, attacked=100)
         assert whole.free_a.size == 0 and whole.free_order[0][0].size == 0
         assert run_cascade(whole, 0.999, self.CFG.factors).surviving_fraction == 0.0
+
+
+class TestDrawOnRead:
+    """A population from ``build_population`` draws its rows on their first
+    read, however they are read, with the bits of the eager draw."""
+
+    JOINTS = {
+        "independent": TestIdentityPrefix.CFG,
+        "proportional": SystemConfig(ProportionalJoint(Uniform(20, 40), Pareto(5, 2), 2.4),
+                                     CrossLayerFactors(0.3, 0.3)),
+        "empirical": sampled_copy(TestIdentityPrefix.CFG, m=20_000),
+    }
+
+    @staticmethod
+    def eager(cfg, n, seed, attacked=0):
+        rows = cfg.joint.sample_population(n, np.random.default_rng(seed), attacked)
+        return Population(*rows, head=attacked)
+
+    @staticmethod
+    def assert_rows(pop, want):
+        for name in ("load_a", "free_a", "load_b", "free_b"):
+            assert getattr(pop, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("read", ["naive", "attack_seed", "free_order", "relabelled",
+                                      "pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("joint", list(JOINTS))
+    def test_every_read_fills_in_the_eager_rows(self, joint, read):
+        cfg, n = self.JOINTS[joint], 1000
+        pop, want = build_population(cfg, n, seed=5), self.eager(cfg, n, 5)
+        assert not drew_rows(pop) and pop.size == n
+        if read in ("naive", "attack_seed"):
+            args = (0.3, cfg.factors, 9 if read == "attack_seed" else None)
+            cascade = run_cascade_naive if read == "naive" else run_cascade
+            assert_same_outcome(cascade(pop, *args), cascade(want, *args))
+        elif read == "free_order":
+            for got, expected in zip(pop.free_order, want.free_order):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+        elif read == "relabelled":
+            order = np.random.default_rng(2).permutation(n)
+            self.assert_rows(relabelled(pop, order), relabelled(want, order))
+        else:
+            dump = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                    "copy": copy.copy, "deepcopy": copy.deepcopy}[read]
+            copied = dump(pop)
+            assert drew_rows(copied) and copied.free_floor == pop.free_floor
+            self.assert_rows(copied, want)
+            assert_same_outcome(run_cascade(copied, 0.3, cfg.factors),
+                                run_cascade(want, 0.3, cfg.factors))
+        assert drew_rows(pop)
+        self.assert_rows(pop, want)
+
+    @pytest.mark.parametrize("joint", list(JOINTS))
+    def test_a_resume_after_a_quiet_first_p(self, joint):
+        cfg, n, grid = self.JOINTS[joint], 3000, [0.02, 0.03, 0.25, 0.3]
+        k = math.floor(grid[0] * n + 0.5)
+        pop, want = build_population(cfg, n, 8, attacked=k), self.eager(cfg, n, 8, k)
+        got, wanted = [run_cascade(pop, grid[0], cfg.factors)], [run_cascade(want, grid[0],
+                                                                             cfg.factors)]
+        assert got[0].rounds == 1 and not drew_rows(pop)
+        for p in grid[1:]:
+            got.append(run_cascade(pop, p, cfg.factors, resume=got[-1]))
+            wanted.append(run_cascade(want, p, cfg.factors, resume=wanted[-1]))
+        for a, b in zip(got, wanted):
+            assert_same_outcome(a, b)
+            assert a.state.thresholds == b.state.thresholds and a.state.shed == b.state.shed
+        self.assert_rows(pop, want)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    def test_a_row_is_checked_when_it_is_drawn(self):
+        # Weibull shape 1e-3 at minimum 0 draws zeros and infs
+        wild, tame = Weibull(0, 1, 1e-3), Uniform(20, 40)
+        cfg = SystemConfig.from_marginals(tame, wild, tame, tame)
+        pop = build_population(cfg, 100, seed=3, attacked=10)
+        message = "^population {} must be finite and strictly positive$"
+        for _ in range(2):  # the rows stay undrawn, and every read fails alike
+            with pytest.raises(ValueError, match=message.format("free_a")):
+                run_cascade(pop, 0.1, cfg.factors)
+        assert not drew_rows(pop)
 
 
 class TestAgainstMeanField:
