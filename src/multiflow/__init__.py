@@ -40,7 +40,6 @@ from .meanfield import (
     SystemConfig,
     critical_attack_size,
     final_size,
-    is_stable_point,
     iterate_to_steady_state,
     stable_set_grid,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "build_population",
     "critical_attack_size",
     "final_size",
-    "is_stable_point",
     "iterate_to_steady_state",
     "layer_weighted_split",
     "load_experiment",

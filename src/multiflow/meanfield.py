@@ -20,10 +20,9 @@ which makes the surviving fraction at the limit the final system size.
 The two sides of those inequalities do not depend on p: the joint's
 ``stability_sides`` evaluates them on a grid, and a point is stable at p
 iff both reach 1/(1-p).  ``stable_set_grid`` scans that region explicitly
-for visual checks, and ``is_stable_point`` tests one point.  Since that
-threshold rises with p, a positive final size switches off only once as p
-grows, so ``critical_attack_size`` finds the largest attack the system
-absorbs by plain bisection.
+for visual checks.  Since that threshold rises with p, a positive final
+size switches off only once as p grows, so ``critical_attack_size`` finds
+the largest attack the system absorbs by plain bisection.
 """
 
 from __future__ import annotations
@@ -178,31 +177,6 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
 def final_size(p: float, cfg: SystemConfig) -> float:
     """Final surviving fraction n_inf(p); 0 on total collapse."""
     return iterate_to_steady_state(p, cfg).n_inf
-
-
-def is_stable_point(x: float, y: float, p: float, cfg: SystemConfig,
-                    rel_tol: float = 1e-9) -> bool:
-    """Whether excess loads (x, y) trigger no further failures at attack p.
-
-    The recursion converges to the minimum stable point from below, so its
-    limit can undershoot the sharp boundary by roughly the solver tolerance;
-    ``rel_tol`` loosens the threshold accordingly (0 gives the sharp test).
-    The test reads the joint's ``stability_sides``.  For the closed-form
-    joints these and the solver's cursor evaluate the same formulas, which
-    may differ in the last bit (vectorised against scalar powers), well
-    within ``rel_tol``.
-    """
-    p = _validate_p(p)
-    x, y = _validate_real(x, "x"), _validate_real(y, "y")
-    if not (x >= 0 and y >= 0):
-        raise ValueError(f"excess loads must be >= 0, got ({x}, {y})")
-    rel_tol = _validate_real(rel_tol, "rel_tol")
-    if not 0.0 <= rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol}")
-    lhs_a, lhs_b = cfg.joint.stability_sides([x], [y],
-                                             cfg.factors.beta_a, cfg.factors.beta_b)
-    threshold = (1.0 / (1.0 - p)) * (1.0 - rel_tol)
-    return bool(lhs_a[0, 0] >= threshold and lhs_b[0, 0] >= threshold)
 
 
 @dataclass(frozen=True)

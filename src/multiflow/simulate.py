@@ -567,7 +567,7 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
         tasks = [(ir, [ip]) for ip in range(len(p_grid)) for ir in range(runs)]
     else:
         ascending = sorted(range(len(p_grid)), key=p_grid.__getitem__)
-        tasks = [(ir, ascending) for ir in range(runs)]
+        tasks = [(ir, ascending) for ir in range(runs)] if ascending else []
     workers = min(workers, len(tasks))
     run_tasks = functools.partial(_curve_task, cfg, n, p_grid, seed_base, resample_population)
     if workers > 1:

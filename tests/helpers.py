@@ -96,6 +96,23 @@ def relabelled(pop: Population, order: np.ndarray) -> Population:
     return Population(*(c[order] for c in (pop.load_a, pop.free_a, pop.load_b, pop.free_b)))
 
 
+def dispatch_note() -> str:
+    """The failure message of a test that pins bits of numpy float kernels.
+
+    numpy picks its SIMD loops for the CPU at import time, and its AVX-512
+    and AVX2 loops of ``**``, ``np.log1p`` and ``np.exp`` can round the last
+    bit apart, so such pins hold per numpy version and CPU dispatch.  The
+    note names the one the pins were captured on and the running one.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    enabled = [name for name, on in __cpu_features__.items() if on and name.startswith("AVX512")]
+    return ("captured on numpy 2.4.6 with the AVX-512 dispatch; running numpy "
+            f"{np.__version__} with AVX-512 features: {' '.join(enabled) or 'none'}")
+
+
 def detect_discontinuities(cfg, p_grid, values, jump: float = 0.03,
                            refine: int = 30) -> list[float]:
     """Locate jump points of the analytic robustness curve.

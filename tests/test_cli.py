@@ -12,6 +12,7 @@ import pytest
 from multiflow import cli, simulate
 from multiflow.config import ConfigError, load_experiment, parse_experiment
 from multiflow.distributions import Weibull
+from helpers import dispatch_note
 
 SMALL_SPEC = {
     "systems": {
@@ -1211,6 +1212,7 @@ class TestArtifactDigests:
         argv = [write_spec(tmp_path, documents[a]) if a in documents else a for a in argv]
         out = tmp_path / "out"
         capsys.readouterr()
-        assert cli.main(argv + ["--out", str(out), "--threads", "1"]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout
-        assert _digests(out) == files
+        assert cli.main(argv + ["--out", str(out), "--threads", "1"]) == 0, dispatch_note()
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout, \
+            dispatch_note()
+        assert _digests(out) == files, dispatch_note()

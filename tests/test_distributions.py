@@ -30,7 +30,7 @@ from multiflow import (
     Weibull,
 )
 from multiflow.config import ConfigError, parse_experiment
-from helpers import kolmogorov_statistic, random_marginal
+from helpers import dispatch_note, kolmogorov_statistic, random_marginal
 
 
 # Densities written out independently of the library, for quadrature oracles.
@@ -499,7 +499,8 @@ class TestSampling:
         joint = IndependentJoint(Uniform(20, 40), Pareto(5, 2), Weibull(10, 30, 2), Dirac(136))
         columns = joint.sample_population(1000, np.random.default_rng(5))
         digest = hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest()
-        assert digest == "69067164e164075a2154bfbffd04fb88009c7421ff7ad255382d9ff15fbe6305"
+        assert digest == "69067164e164075a2154bfbffd04fb88009c7421ff7ad255382d9ff15fbe6305", \
+            dispatch_note()
 
     @pytest.mark.parametrize("dist", TestMarginalBaseRules.FAMILIES, ids=_call)
     def test_quantile_leaves_its_input_alone(self, dist):
@@ -1585,4 +1586,10 @@ class TestPopulationGolden:
 
         pop = build_population(SystemConfig(joint(), CrossLayerFactors(0.3, 0.1)), 2000, 7)
         columns = (pop.load_a, pop.free_a, pop.load_b, pop.free_b)
-        assert hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest() == digest
+        assert hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest() == digest, \
+            dispatch_note()
+
+    def test_failure_message_names_both_dispatches(self):
+        note = dispatch_note()
+        assert note.startswith("captured on numpy 2.4.6 with the AVX-512 dispatch; ")
+        assert f"running numpy {np.__version__} with AVX-512 features: " in note

@@ -825,6 +825,34 @@ class TestAgainstMeanField:
         assert errors[2] < 0.01
         assert errors[2] <= errors[0] + 0.005
 
+    @pytest.mark.parametrize("share", [0.5, 0.8])
+    def test_tolerance_factor_matches_analytic_prediction(self, share):
+        import json
+        from pathlib import Path
+
+        from multiflow import cli
+        from multiflow.config import load_experiment
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        critical = json.loads(path.read_text(encoding="utf-8"))["critical"][
+            "alloc_uniform_weibull/equal_tolerance_factor"]
+        cfg = load_experiment(cli._resolve_config_path("alloc_uniform_weibull")).systems[
+            "equal_tolerance_factor"]
+        p = share * critical
+        curve = monte_carlo_curve(cfg, 100_000, [p], runs=5, seed_base=37)
+        assert curve.mean[0] == pytest.approx(final_size(p, cfg), abs=0.005)
+
+    def test_empirical_joint_matches_analytic_prediction(self):
+        # test_error_shrinks_with_system_size's system, answered from a sample
+        cfg = sampled_copy(SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                                       Uniform(20, 40), Uniform(10, 200),
+                                                       beta_a=0.3, beta_b=0.3))
+        p = 0.25
+        reference = final_size(p, cfg)
+        assert 0 < reference < 1 - p
+        curve = monte_carlo_curve(cfg, 100_000, [p], runs=10, seed_base=41)
+        assert abs(curve.mean[0] - reference) < 0.01
+
     def test_sharp_threshold_of_optimal_dirac_allocation(self):
         # All-Dirac population: the layer-weighted optimum survives intact
         # just below its critical attack size and collapses just above.
@@ -944,6 +972,14 @@ class TestMonteCarloCurve:
         curve = monte_carlo_curve(symmetric_uniform_config, 500, [0.2, 0.3], runs=1,
                                   seed_base=3, workers=8, resample_population=False)
         assert curve.samples.shape == (2, 1)
+
+    @pytest.mark.parametrize("resample_population", [True, False], ids=["resample", "reuse"])
+    def test_empty_grid_gives_an_empty_curve(self, symmetric_uniform_config,
+                                             resample_population):
+        curve = monte_carlo_curve(symmetric_uniform_config, 1000, [], 2, 1,
+                                  resample_population=resample_population)
+        assert curve.samples.shape == curve.rounds.shape == curve.truncated.shape == (0, 2)
+        assert curve.p.shape == curve.mean.shape == curve.std.shape == (0,)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_rejects_workers_below_one(self, monkeypatch, symmetric_uniform_config, workers):
