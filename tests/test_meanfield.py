@@ -246,6 +246,17 @@ class TestIterate:
         with pytest.raises(ValueError, match=rf"^{field}\b"):
             iterate_to_steady_state(0.3, symmetric_uniform_config, **{field: value})
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0), "3"])
+    def test_non_integer_max_iter_is_rejected(self, symmetric_uniform_config, max_iter):
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got "):
+            iterate_to_steady_state(0.3, symmetric_uniform_config, max_iter=max_iter)
+
+    def test_numpy_integer_max_iter(self):
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Dirac(1e9))
+        assert iterate_to_steady_state(0.3, cfg, max_iter=np.int64(2)) == \
+            iterate_to_steady_state(0.3, cfg, max_iter=2)
+
     def test_monotone_trajectory(self):
         rng = np.random.default_rng(21)
         checked = 0
@@ -386,6 +397,14 @@ class TestStableSetGrid:
         joint = sampled_copy(symmetric_uniform_config).joint
         with pytest.raises(ValueError, match="nondecreasing"):
             joint.stability_sides([30.0, 20.0], [10.0], 0.25, 0.25)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_rejects_bad_attack_fraction(self, monkeypatch, symmetric_uniform_config, p):
+        def no_sides(*args, **kwargs):
+            raise AssertionError("no side may be evaluated before p is checked")
+        monkeypatch.setattr(IndependentJoint, "stability_sides", no_sides)
+        with pytest.raises(ValueError, match="^attack fraction p must lie strictly in"):
+            stable_set_grid(p, symmetric_uniform_config, resolution=4)
 
     def test_invalid_arguments(self, symmetric_uniform_config):
         with pytest.raises(ValueError):
@@ -853,6 +872,8 @@ class TestRealArguments:
     anything is solved, and a numpy float counts as the equal Python float."""
 
     CALLS = {
+        "attack fraction p": lambda cfg, value: stable_set_grid(
+            value, cfg, resolution=4).threshold,
         "beta_a": lambda cfg, value: CrossLayerFactors(value, 0.0),
         "beta_b": lambda cfg, value: CrossLayerFactors(0.0, value),
         "tol": lambda cfg, value: iterate_to_steady_state(0.3, cfg, tol=value),
