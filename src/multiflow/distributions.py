@@ -555,7 +555,7 @@ def _sample_blocks(rng: np.random.Generator, n: int, attacked: int, blocks):
         _skip(rng, n - attacked if row.size == n else n)
 
     def fill() -> None:
-        stream = kind()
+        stream = kind(0)  # seeded only to be overwritten, so no OS entropy is read
         stream.state = start
         stream = np.random.Generator(stream)
         for dist, row in blocks:

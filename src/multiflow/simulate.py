@@ -274,8 +274,7 @@ def _attacked_nodes(n: int, k: int, attack_seed) -> slice | np.ndarray:
     return np.random.default_rng(attack_seed).choice(n, k, replace=False)
 
 
-def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
-                attack_seed=None, max_trajectory: int = MAX_TRAJECTORY_ROUNDS, *,
+def run_cascade(pop: Population, p: float, factors: CrossLayerFactors, attack_seed=None, *,
                 resume: CascadeOutcome | None = None) -> CascadeOutcome:
     """Cascade via per-layer aggregate excess loads.
 
@@ -295,10 +294,10 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
     is all most cascades need.  A cascade that runs longer, or is resumed,
     sweeps in free-space order (``Population.free_order``, sorted once per
     population), so each node is touched at most once per layer however
-    many rounds remain.
+    many rounds remain.  The trajectory keeps ``MAX_TRAJECTORY_ROUNDS``
+    rounds after round 0; a cascade that runs longer sets ``truncated``.
     """
     p = _validate_p(p)
-    _validate_int(max_trajectory, "max_trajectory", 0)
     n, head = pop.size, pop.head
     k = _attack_count(p, n)
     if head and (attack_seed is not None or k < head):
@@ -401,7 +400,7 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
             break
         q_a = shed_a / alive
         q_b = shed_b / alive
-        if len(trajectory) <= max_trajectory:
+        if len(trajectory) <= MAX_TRAJECTORY_ROUNDS:
             trajectory.append(TrajectoryPoint(rounds, alive / n, q_a, q_b))
         else:
             truncated = True
@@ -409,18 +408,17 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors,
 
 
 def run_cascade_naive(pop: Population, p: float, factors: CrossLayerFactors,
-                      attack_seed=None,
-                      max_trajectory: int = MAX_TRAJECTORY_ROUNDS) -> CascadeOutcome:
+                      attack_seed=None) -> CascadeOutcome:
     """Literal per-node bookkeeping oracle (quadratic work, n <= 10^4).
 
     The attack is drawn as in ``run_cascade``, from ``attack_seed`` or as
     the identity prefix; it always starts from scratch.  Each failed
     node's current loads are split equally over the survivors, per-node
     load vectors are updated, and the overload conditions are re-tested
-    against the fixed capacities.
+    against the fixed capacities.  The trajectory records every round, at
+    most n - 1 after round 0, and ``truncated`` is never set.
     """
     p = _validate_p(p)
-    _validate_int(max_trajectory, "max_trajectory", 0)
     n = pop.size
     if n > MAX_NAIVE_NODES:
         raise ValueError(f"naive cascade is limited to n <= {MAX_NAIVE_NODES}, got {n}")
@@ -449,7 +447,6 @@ def run_cascade_naive(pop: Population, p: float, factors: CrossLayerFactors,
     cur_a[survivors] += inc_a
     cur_b[survivors] += inc_b
     trajectory = [TrajectoryPoint(0, survivors.size / n, inc_a, inc_b)]
-    truncated = False
     rounds = 0
     while True:
         rounds += 1
@@ -471,11 +468,8 @@ def run_cascade_naive(pop: Population, p: float, factors: CrossLayerFactors,
         cur_b[survivors] += add_b
         inc_a += add_a
         inc_b += add_b
-        if len(trajectory) <= max_trajectory:
-            trajectory.append(TrajectoryPoint(rounds, survivors.size / n, inc_a, inc_b))
-        else:
-            truncated = True
-    return CascadeOutcome(survivors.size / n, rounds, tuple(trajectory), failed, truncated)
+        trajectory.append(TrajectoryPoint(rounds, survivors.size / n, inc_a, inc_b))
+    return CascadeOutcome(survivors.size / n, rounds, tuple(trajectory), failed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,7 +482,7 @@ class RobustnessCurve:
     samples: np.ndarray  # shape (len(p), runs)
     # Per cascade, shape (len(p), runs): its rounds, which in reuse mode
     # count only the continuation from the previous p, and whether its
-    # trajectory was cut at max_trajectory rounds.
+    # trajectory was cut at MAX_TRAJECTORY_ROUNDS recorded rounds.
     rounds: np.ndarray
     truncated: np.ndarray
     n: int

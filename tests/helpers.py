@@ -16,6 +16,7 @@ from multiflow import (
     SystemConfig,
     Uniform,
     Weibull,
+    run_cascade,
 )
 
 
@@ -94,6 +95,22 @@ def relabelled(pop: Population, order: np.ndarray) -> Population:
     if pop.head:
         raise ValueError(f"cannot relabel a population with an attacked head of {pop.head} nodes")
     return Population(*(c[order] for c in (pop.load_a, pop.free_a, pop.load_b, pop.free_b)))
+
+
+def collapse_point(pop: Population, factors: CrossLayerFactors) -> float:
+    """The least k/n whose identity-prefix attack of k nodes leaves no survivor.
+
+    Failures only grow along nested prefixes, so a bisection over k in
+    [1, n - 1] finds it in ceil(log2 n) cascades; 1.0 if none collapses."""
+    n = pop.size
+    survives, collapses = 0, n
+    while collapses - survives > 1:
+        k = (survives + collapses) // 2
+        if run_cascade(pop, k / n, factors).surviving_fraction == 0.0:
+            collapses = k
+        else:
+            survives = k
+    return collapses / n
 
 
 def dispatch_note() -> str:

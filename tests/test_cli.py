@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import re
@@ -629,8 +628,7 @@ class TestSimulateCommand:
         runs = {}
         for cap in (None, 0):
             if cap is not None:
-                capped = functools.partial(simulate.run_cascade, max_trajectory=cap)
-                monkeypatch.setattr(simulate, "run_cascade", capped)
+                monkeypatch.setattr(simulate, "MAX_TRAJECTORY_ROUNDS", cap)
             for command in ("curve", "simulate"):
                 out = tmp_path / f"{command}_{cap}"
                 raw = ["--raw"] if command == "simulate" else []
@@ -1124,13 +1122,15 @@ class TestArtifactDigests:
          "b48b9ec994061893b49e92187d693c4dc7f0563b5e5046087f44c411fd486478",
          {"stable_set_uniform_uniform.json":
           "bc35970b853d7aae8b48763028951cac19e8ae3015753e84cf49e5fe09ab3d78"}),
-        (["stable-set", "--config", "alloc_pareto_uniform", "--system",
-          "equal_tolerance_factor", "--p", "0.2", "--resolution", "16"],
-         "dabe6aedf31ffcf4e7c4a10c4061fe47f35456094c7bb606a53644fa2110d120",
-         {"stable_set_equal_tolerance_factor.csv":
-          "cd0eb7316f0bb7a543115695a73ea46ddea890b1b80e935412676040075caf59",
-          "stable_set_equal_tolerance_factor.json":
-          "a2cd1a232e645b7784bee76833e3f744d434caec3c999b9356a73b828d8d53e0"}),
+        pytest.param(
+            ["stable-set", "--config", "alloc_pareto_uniform", "--system",
+             "equal_tolerance_factor", "--p", "0.2", "--resolution", "16"],
+            "dabe6aedf31ffcf4e7c4a10c4061fe47f35456094c7bb606a53644fa2110d120",
+            {"stable_set_equal_tolerance_factor.csv":
+             "cd0eb7316f0bb7a543115695a73ea46ddea890b1b80e935412676040075caf59",
+             "stable_set_equal_tolerance_factor.json":
+             "a2cd1a232e645b7784bee76833e3f744d434caec3c999b9356a73b828d8d53e0"},
+            marks=pytest.mark.dispatch_bound),
         (["curve", "--config", "uniform_symmetric"],
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          {"curve_uniform_symmetric.csv":

@@ -493,6 +493,7 @@ class TestSampling:
         stat = kolmogorov_statistic(samples, lambda x: 1.0 - dist.survival(x))
         assert stat < 0.005
 
+    @pytest.mark.dispatch_bound
     def test_population_draws_are_pinned(self):
         # sha256 of the four columns, captured while each family still had
         # its own ``sample``; the draws must not move
@@ -1581,6 +1582,7 @@ class TestPopulationGolden:
          "abcf3ff02f2da2115f9ace2008453fd639173a9834696d917016cc839dce690b"),
     ], ids=["uniform_pareto2", "pareto5_weibull2", "weibull6_dirac",
             "proportional_uniform_weibull", "proportional_pareto_dirac", "empirical"])
+    @pytest.mark.dispatch_bound
     def test_digest(self, joint, digest):
         from multiflow import CrossLayerFactors, SystemConfig, build_population
 

@@ -445,8 +445,9 @@ class TestStabilitySidesGolden:
     @pytest.mark.parametrize("config, system, resolution, digest", [
         ("uniform_symmetric", "uniform_symmetric", 40,
          "021a8a7ae4f4a4ed9093b329669a2fe600d79a5897822bd3d61084f6f5ec5f50"),
-        ("alloc_pareto_uniform", "equal_tolerance_factor", 8,
-         "78284bb454365cdee2811799b77a27997f225656e88d000800d2764d5fffc7fc"),
+        pytest.param("alloc_pareto_uniform", "equal_tolerance_factor", 8,
+                     "78284bb454365cdee2811799b77a27997f225656e88d000800d2764d5fffc7fc",
+                     marks=pytest.mark.dispatch_bound),
     ], ids=["uniform_symmetric", "equal_tolerance_factor"])
     def test_digest(self, config, system, resolution, digest):
         from multiflow import cli

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import copy
-import functools
+import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from multiflow import (
     run_cascade_naive,
     simulate,
 )
+from multiflow.cli import _resolve_config_path
+from multiflow.config import load_experiment
 from multiflow.simulate import MASKED_ROUNDS, MAX_TRAJECTORY_ROUNDS, Population
-from helpers import random_marginal, random_system, relabelled, sampled_copy
+from helpers import collapse_point, random_marginal, random_system, relabelled, sampled_copy
 
 
 def assert_matches_naive(pop, p, factors, attack_seed):
@@ -205,7 +208,7 @@ class TestRunCascade:
             held_b = survivors.sum() * q_b + float(pop.load_b[survivors].sum())
             assert held_b == pytest.approx(total_b, rel=1e-9)
 
-    def test_trajectory_cap_sets_overflow_flag(self):
+    def test_trajectory_cap_sets_overflow_flag(self, monkeypatch):
         # long dribbling cascade; the cap only limits recording, not the run
         cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
                                           Uniform(20, 40), Uniform(10, 200),
@@ -213,7 +216,8 @@ class TestRunCascade:
         pop = build_population(cfg, 3000, seed=11)
         full = run_cascade(pop, 0.3, cfg.factors, attack_seed=12)
         assert full.rounds > 8 and not full.truncated
-        capped = run_cascade(pop, 0.3, cfg.factors, attack_seed=12, max_trajectory=5)
+        monkeypatch.setattr(simulate, "MAX_TRAJECTORY_ROUNDS", 5)
+        capped = run_cascade(pop, 0.3, cfg.factors, attack_seed=12)
         assert capped.truncated
         assert capped.rounds == full.rounds
         assert capped.surviving_fraction == full.surviving_fraction
@@ -601,12 +605,13 @@ class TestAttackedHead:
     CFG = TestIdentityPrefix.CFG
 
     @pytest.mark.parametrize("family", ["uniform", "pareto", "weibull", "dirac", "coupled"])
-    def test_cascades_match_the_full_population(self, family):
+    def test_cascades_match_the_full_population(self, monkeypatch, family):
         # Also at attacks on both sides of the quiet edge: a cascade whose
         # round-1 thresholds stay at the free floor attacking just the head
         # draws no row beyond the head's loads.
         rng = np.random.default_rng(50 + ["uniform", "pareto", "weibull", "dirac",
                                           "coupled"].index(family))
+        monkeypatch.setattr(simulate, "MAX_TRAJECTORY_ROUNDS", 4)
         seen = set()
         for draw in range(4):
             if family == "coupled":
@@ -619,14 +624,14 @@ class TestAttackedHead:
             full = build_population(cfg, n, seed)
             floor_a, floor_b = cfg.joint.free_floor
             for p in [*rng.uniform(0.02, 0.95, 4), 0.999, *quiet_edge(cfg, full)]:
-                want = run_cascade(full, p, cfg.factors, max_trajectory=4)
+                want = run_cascade(full, p, cfg.factors)
                 k = math.floor(p * n + 0.5)
                 _, _, q_a, q_b = want.trajectory[0]
                 quiet = (q_a + cfg.factors.beta_b * q_b <= floor_a
                          and q_b + cfg.factors.beta_a * q_a <= floor_b)
                 for m in sorted({0, 1, k // 3, k} & set(range(k + 1))):
                     pop = build_population(cfg, n, seed, attacked=m)
-                    assert_same_outcome(run_cascade(pop, p, cfg.factors, max_trajectory=4), want)
+                    assert_same_outcome(run_cascade(pop, p, cfg.factors), want)
                     if m == k:
                         assert drew_rows(pop) == (not quiet and k < n)
                     assert pop.head == m and pop.free_a.size == n - m
@@ -665,10 +670,11 @@ class TestAttackedHead:
             # from scratch past the masked rounds, on the head-offset free order
             pop = build_population(self.CFG, n, seed=11, attacked=math.floor(p * n + 0.5))
             for cap in (MAX_TRAJECTORY_ROUNDS, 5):
-                want = run_cascade(full, p, self.CFG.factors, max_trajectory=cap)
-                assert want.rounds > MASKED_ROUNDS and want.truncated == (cap == 5)
-                assert_same_outcome(run_cascade(pop, p, self.CFG.factors, max_trajectory=cap),
-                                    want)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(simulate, "MAX_TRAJECTORY_ROUNDS", cap)
+                    want = run_cascade(full, p, self.CFG.factors)
+                    assert want.rounds > MASKED_ROUNDS and want.truncated == (cap == 5)
+                    assert_same_outcome(run_cascade(pop, p, self.CFG.factors), want)
         # a resumed cascade sweeps from its first round, here also over a
         # layer of equal (Dirac) free spaces with unequal loads
         dirac = SystemConfig.from_marginals(Uniform(20, 40), Dirac(60), Uniform(20, 40),
@@ -803,6 +809,13 @@ class TestDrawOnRead:
         assert not drew_rows(pop)
 
 
+def bundled_system(config: str, name: str) -> tuple[SystemConfig, float]:
+    """A bundled system and its critical attack size from perfbench's reference."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    critical = json.loads(path.read_text(encoding="utf-8"))["critical"][f"{config}/{name}"]
+    return load_experiment(_resolve_config_path(config)).systems[name], critical
+
+
 class TestAgainstMeanField:
     def test_matches_analytic_prediction(self, symmetric_uniform_config):
         curve = monte_carlo_curve(symmetric_uniform_config, 100_000, [0.25], runs=20,
@@ -827,17 +840,7 @@ class TestAgainstMeanField:
 
     @pytest.mark.parametrize("share", [0.5, 0.8])
     def test_tolerance_factor_matches_analytic_prediction(self, share):
-        import json
-        from pathlib import Path
-
-        from multiflow import cli
-        from multiflow.config import load_experiment
-
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-        critical = json.loads(path.read_text(encoding="utf-8"))["critical"][
-            "alloc_uniform_weibull/equal_tolerance_factor"]
-        cfg = load_experiment(cli._resolve_config_path("alloc_uniform_weibull")).systems[
-            "equal_tolerance_factor"]
+        cfg, critical = bundled_system("alloc_uniform_weibull", "equal_tolerance_factor")
         p = share * critical
         curve = monte_carlo_curve(cfg, 100_000, [p], runs=5, seed_base=37)
         assert curve.mean[0] == pytest.approx(final_size(p, cfg), abs=0.005)
@@ -866,6 +869,45 @@ class TestAgainstMeanField:
         assert below.rounds == 1
         above = run_cascade(pop, 0.68, factors, attack_seed=5)
         assert above.surviving_fraction == 0.0
+
+
+class TestCollapsePoint:
+    """The finite-N critical attack size: each population's least identity
+    prefix that fails every node, k*/N, against mean field's p*."""
+
+    def test_is_the_least_collapsing_prefix(self, symmetric_uniform_config):
+        pop = build_population(symmetric_uniform_config, 400, seed=3)
+        factors = symmetric_uniform_config.factors
+        collapsed = [run_cascade(pop, k / 400, factors).surviving_fraction == 0.0
+                     for k in range(1, 400)]
+        assert collapse_point(pop, factors) == (collapsed.index(True) + 1) / 400
+        assert all(collapsed[collapsed.index(True):])
+
+    @pytest.mark.parametrize("system", ["independent", "tolerance factor", "empirical"])
+    def test_concentrates_on_the_critical_attack_size(self, system):
+        # Light tails: Daniels' law for fibre bundles puts sqrt(N)*std flat in N
+        # and the bias below 1/sqrt(N).  The band is 4 standard errors plus a
+        # 0.5/sqrt(N) bias allowance; both come from measured spreads (bias at
+        # most +0.0034 at 10^4, sqrt(N)*std 0.23 to 0.70), not from this test.
+        if system == "independent":
+            cfg, critical = bundled_system("beta_sweep", "beta_0.50")
+        elif system == "tolerance factor":
+            cfg, critical = bundled_system("alloc_uniform_weibull", "equal_tolerance_factor")
+        else:
+            cfg = sampled_copy(SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                                           Uniform(20, 40), Uniform(10, 200),
+                                                           beta_a=0.3, beta_b=0.3))
+            critical = critical_attack_size(cfg).p_hat
+        spreads = []
+        for size, (n, runs) in enumerate([(10_000, 40), (100_000, 12)]):
+            points = np.array([collapse_point(build_population(
+                cfg, n, np.random.SeedSequence(43, spawn_key=(size, r))), cfg.factors)
+                for r in range(runs)])
+            mean, std = points.mean(), points.std(ddof=1)
+            assert abs(mean - critical) <= 4 * std / math.sqrt(runs) + 0.5 / math.sqrt(n), \
+                (n, mean - critical, math.sqrt(n) * std)
+            spreads.append(math.sqrt(n) * std)
+        assert 0.5 <= spreads[1] / spreads[0] <= 2, spreads
 
 
 class TestMonteCarloCurve:
@@ -951,8 +993,7 @@ class TestMonteCarloCurve:
             assert curve.rounds.shape == curve.truncated.shape == (3, 2)
             assert curve.rounds.max() > MASKED_ROUNDS and not curve.truncated.any()
         # a trajectory cap truncates, and nothing else moves
-        capped_cascade = functools.partial(simulate.run_cascade, max_trajectory=12)
-        monkeypatch.setattr(simulate, "run_cascade", capped_cascade)
+        monkeypatch.setattr(simulate, "MAX_TRAJECTORY_ROUNDS", 12)
         for resample, curve in curves.items():
             capped = monte_carlo_curve(cfg, n, grid, runs=2, seed_base=13,
                                        resample_population=resample)
@@ -1078,25 +1119,3 @@ class TestIntegerArguments:
         numpy = build_population(symmetric_uniform_config, np.int64(50), seed=1)
         for name in ("load_a", "free_a", "load_b", "free_b"):
             assert np.array_equal(getattr(numpy, name), getattr(plain, name))
-
-    @pytest.mark.parametrize("value, message", [
-        (-1, "must be >= 0, got -1"), (np.int64(-1), "must be >= 0, got -1"),
-        *((value, "must be an integer, got") for value in NOT_INTEGERS)])
-    @pytest.mark.parametrize("cascade", [run_cascade, run_cascade_naive])
-    def test_cascade_rejects_max_trajectory(self, monkeypatch, symmetric_uniform_config,
-                                            cascade, value, message):
-        pop = build_population(symmetric_uniform_config, 200, seed=1)
-        _forbid(monkeypatch, simulate, "_attacked_nodes")
-        with pytest.raises(ValueError, match=rf"^max_trajectory {message}"):
-            cascade(pop, 0.3, symmetric_uniform_config.factors, attack_seed=1,
-                    max_trajectory=value)
-
-    @pytest.mark.parametrize("cascade", [run_cascade, run_cascade_naive])
-    def test_cascade_accepts_numpy_max_trajectory(self, cascade):
-        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
-                                          Uniform(20, 40), Uniform(10, 200))
-        pop = build_population(cfg, 2000, seed=5)
-        plain = cascade(pop, 0.3, cfg.factors, attack_seed=12, max_trajectory=2)
-        numpy = cascade(pop, 0.3, cfg.factors, attack_seed=12, max_trajectory=np.int64(2))
-        assert plain.truncated and numpy.truncated
-        assert numpy.trajectory == plain.trajectory
