@@ -223,6 +223,35 @@ class TestRunCascade:
         assert capped.surviving_fraction == full.surviving_fraction
         assert len(capped.trajectory) <= 7
 
+    # a cap of 0, 1, or one below, at and above the m capped rounds of the full run
+    CAPS = {"zero": lambda m: 0, "one": lambda m: 1, "one_short": lambda m: m - 1,
+            "exact": lambda m: m, "one_over": lambda m: m + 1}
+
+    @pytest.mark.parametrize("cap", sorted(CAPS))
+    @pytest.mark.parametrize("p, collapse", [(0.3, False), (0.32, True)],
+                             ids=["survivors", "collapse"])
+    def test_trajectory_cap_boundary(self, monkeypatch, p, collapse, cap):
+        # rounds 1..rounds-1 count against the cap; a final collapse point is always kept
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200),
+                                          beta_a=0.3, beta_b=0.3)
+        pop = build_population(cfg, 3000, seed=11)
+        full = run_cascade(pop, p, cfg.factors, attack_seed=12)
+        m = full.rounds - 1
+        assert m > 8 and (full.surviving_fraction == 0.0) == collapse
+        assert len(full.trajectory) == full.rounds + collapse
+        limit = self.CAPS[cap](m)
+        monkeypatch.setattr(simulate, "MAX_TRAJECTORY_ROUNDS", limit)
+        capped = run_cascade(pop, p, cfg.factors, attack_seed=12)
+        assert capped.truncated == (limit < m)
+        kept = full.trajectory[:limit + 1]
+        if limit < m and collapse:
+            kept += full.trajectory[-1:]
+        assert capped.trajectory == (kept if limit < m else full.trajectory)
+        assert capped.rounds == full.rounds
+        assert capped.surviving_fraction == full.surviving_fraction
+        assert np.array_equal(capped.failed, full.failed)
+
     def test_sole_survivor_carries_all_excess(self):
         cfg = SystemConfig.from_marginals(Dirac(10), Dirac(1e6), Dirac(5), Dirac(1e6))
         pop = build_population(cfg, 2, seed=1)
@@ -324,6 +353,26 @@ class TestOracleEquivalence:
         pop = build_population(symmetric_uniform_config, 10_001, seed=1)
         with pytest.raises(ValueError, match="naive"):
             run_cascade_naive(pop, 0.3, symmetric_uniform_config.factors, 1)
+
+    @pytest.mark.parametrize("p, collapse", [(0.3, False), (0.32, True)],
+                             ids=["survivors", "collapse"])
+    def test_naive_records_every_round(self, monkeypatch, p, collapse):
+        # the oracle has no cap: under a cap of 0 it still keeps what
+        # run_cascade keeps at the default cap, and is never truncated
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200),
+                                          beta_a=0.3, beta_b=0.3)
+        pop = build_population(cfg, 3000, seed=11)
+        fast = run_cascade(pop, p, cfg.factors, attack_seed=12)
+        monkeypatch.setattr(simulate, "MAX_TRAJECTORY_ROUNDS", 0)
+        slow = run_cascade_naive(pop, p, cfg.factors, attack_seed=12)
+        assert not slow.truncated and not fast.truncated
+        assert (slow.surviving_fraction == 0.0) == collapse
+        assert slow.rounds == fast.rounds > 8
+        assert len(slow.trajectory) == slow.rounds + collapse
+        assert ([(t.round, t.surviving_fraction) for t in slow.trajectory]
+                == [(t.round, t.surviving_fraction) for t in fast.trajectory])
+        assert np.array_equal(slow.failed, fast.failed)
 
     def test_tie_survives_in_simulation(self):
         # Free space exactly equal to the effective excess: the node holds.
