@@ -39,8 +39,9 @@ from .distributions import IndependentJoint, JointLoadSpace
 # any realistic N; the cascade is declared a total collapse.
 COLLAPSE_EPS = 1e-15
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10 ** 6
+# The solve's relative tolerance and round budget (>= 1), read at call time.
+TOL = 1e-10
+MAX_ITER = 10 ** 6
 DEFAULT_TOL_P = 1e-4
 DEFAULT_GRID_RESOLUTION = 400
 
@@ -124,23 +125,18 @@ def _validate_int(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def iterate_to_steady_state(p: float, cfg: SystemConfig,
-                            tol: float = DEFAULT_TOL,
-                            max_iter: int = DEFAULT_MAX_ITER) -> SteadyState:
+def iterate_to_steady_state(p: float, cfg: SystemConfig) -> SteadyState:
     """Run the recursion until the effective excess loads stop moving.
 
     Convergence is relative on the effective excess loads:
-    max(|delta_A|, |delta_B|) < tol * (1 + max effective load).  Total
+    max(|delta_A|, |delta_B|) < TOL * (1 + max effective load).  Total
     collapse counts as converged.  The limit point is the element-wise
-    minimum of the stable set.  A solve cut at ``max_iter=t`` reads round
-    t: ``n_inf`` is n_{t+1} and, unless that is a collapse,
-    ``x_star``/``y_star`` are q_t.
+    minimum of the stable set.  A solve that runs ``MAX_ITER`` rounds
+    without converging is cut there with ``converged=False``; cut at
+    ``MAX_ITER = t`` it reads round t: ``n_inf`` is n_{t+1} and, unless
+    that is a collapse, ``x_star``/``y_star`` are q_t.
     """
     p = _validate_p(p)
-    tol = _validate_real(tol, "tol")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    max_iter = _validate_int(max_iter, "max_iter", 1)
     advance = cfg.joint.cascade_cursor().advance
     mean_a, mean_b = cfg.joint.mean_loads
     beta_a, beta_b = cfg.factors.beta_a, cfg.factors.beta_b
@@ -149,7 +145,7 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
     eff_a, eff_b = q_a + beta_b * q_b, q_b + beta_a * q_a
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         # One round: the survivors n and the excess loads they carry.
         probability, load_a, load_b = advance(eff_a, eff_b)
         if probability < COLLAPSE_EPS:
@@ -163,7 +159,7 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig,
         # the cursor against last-bit rounding regressions.
         eff_a = max(eff_a, new_a)
         eff_b = max(eff_b, new_b)
-        if delta < tol * (1.0 + max(eff_a, eff_b)):
+        if delta < TOL * (1.0 + max(eff_a, eff_b)):
             converged = True
             break
     # Final size evaluated at the limit point itself, so the identity
@@ -249,7 +245,7 @@ class CriticalAttackResult:
     the threshold 1/(1-p) rises with it, so the system survives exactly the
     attacks below p*, which lies in [lower, upper].  ``degenerate`` marks
     systems that collapse even at the smallest probed attack.
-    ``nonconverged`` counts the solves that hit ``max_iter``; each still
+    ``nonconverged`` counts the solves cut at ``MAX_ITER``; each still
     decided its step, so a nonzero count means the bracket may be wrong.  It
     is kept out of the repr, which shows the bracket alone.
     """

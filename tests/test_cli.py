@@ -29,6 +29,18 @@ SMALL_SPEC = {
 }
 
 
+# Solves on this system take up to a few hundred rounds near its critical
+# attack size, 0.3039; on the SMALL_SPEC system they take at most 12.
+SLOW_SYSTEM = {
+    "beta_a": 0.3,
+    "beta_b": 0.3,
+    "load_a": {"kind": "uniform", "min": 20, "max": 40},
+    "load_b": {"kind": "uniform", "min": 20, "max": 40},
+    "free_a": {"kind": "uniform", "min": 10, "max": 200},
+    "free_b": {"kind": "uniform", "min": 10, "max": 200},
+}
+
+
 def write_spec(tmp_path: Path, document: dict, name: str = "spec.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(document))
@@ -129,6 +141,34 @@ class TestCurveCommand:
         comments, _, _ = read_table(out / "curve_demo.csv")
         assert comments[-1] == "# nonconverged_p=[0.25]"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_solve_cut_at_max_iter_is_noted(self, tmp_path, monkeypatch, fmt):
+        # At full budget p = 0.1 takes 1 round, 0.25 takes 44 and 0.3 takes 150.
+        spec = write_spec(tmp_path, {"systems": {"slow": SLOW_SYSTEM},
+                                     "p_grid": [0.1, 0.25, 0.3]})
+        out = tmp_path / "out"
+        argv = ["curve", "--config", spec, "--out", str(out), "--format", fmt]
+        table = out / f"curve_slow.{fmt}"
+
+        def read():
+            """The table's rows, and its notes: the JSON keys or the CSV comments."""
+            if fmt == "json":
+                payload = json.loads(table.read_text())
+                return payload.pop("rows"), payload
+            comments, _, rows = read_table(table)
+            return rows, comments
+
+        assert cli.main(argv) == 0
+        clean_rows, clean_notes = read()
+        monkeypatch.setattr(cli.meanfield, "MAX_ITER", 40)
+        assert cli.main(argv) == 3
+        rows, notes = read()
+        if fmt == "json":
+            assert notes == {**clean_notes, "nonconverged_p": [0.25, 0.3]}
+        else:
+            assert notes == clean_notes + ["# nonconverged_p=[0.25, 0.3]"]
+        assert rows[0] == clean_rows[0] and rows[1:] != clean_rows[1:]
+
 
 class TestConfigErrors:
     def test_invalid_distribution_names_field(self, tmp_path, capsys):
@@ -185,6 +225,52 @@ class TestConfigErrors:
 
     def test_usage_error_exit_code(self):
         assert cli.main(["curve"]) == 2  # --config is required
+
+    # One rejection per path: the command line, the edits to SMALL_SPEC (a
+    # value of None deletes the key) and the message on stderr.
+    REJECTIONS = [
+        ("unknown-system", ["stable-set", "--p", "0.25", "--system", "other"], [],
+         "error: --system: unknown system 'other'; spec defines ['demo']"),
+        ("simulate-without-p_grid", ["simulate"],
+         [((), "p_grid", None), ((), "sim", {"n": 100, "runs": 1, "seed_base": 1})],
+         "error: spec.p_grid: required for the simulate command"),
+        ("simulate-without-sim", ["simulate"], [],
+         "error: spec.sim: required for the simulate command"),
+        ("threads-not-an-integer", ["curve", "--threads", "abc"], [],
+         "argument --threads: expected an integer, got 'abc'"),
+        ("samples-not-an-array", ["curve"],
+         [(("systems",), "demo", {"samples": "samples.npy"})],
+         "error: spec.systems.demo: could not read samples: "),
+        ("negative-beta_a", ["curve"], [(("systems", "demo"), "beta_a", -0.1)],
+         "error: spec.systems.demo: beta_a must be finite and >= 0, got -0.1"),
+        ("p_grid-count-0", ["curve"],
+         [((), "p_grid", {"min": 0.1, "max": 0.5, "count": 0})],
+         "error: spec.p_grid.count: must be >= 1, got 0"),
+        ("p_grid-value-1.5", ["curve"], [((), "p_grid", [0.25, 1.5])],
+         "error: spec.p_grid: values must lie strictly in (0, 1), got 1.5"),
+        ("no-systems", ["curve"], [((), "systems", {})],
+         "error: spec.systems: expected a non-empty object of named systems"),
+    ]
+
+    @pytest.mark.parametrize("argv, edits, message", [r[1:] for r in REJECTIONS],
+                             ids=[r[0] for r in REJECTIONS])
+    def test_rejection_exits_2_naming_the_field(self, tmp_path, capsys, argv, edits,
+                                                message):
+        (tmp_path / "samples.npy").write_text("30,30,30,30\n")  # text, not an array
+        document = json.loads(json.dumps(SMALL_SPEC))
+        for path, key, value in edits:
+            record = document
+            for name in path:
+                record = record[name]
+            if value is None:
+                del record[key]
+            else:
+                record[key] = value
+        spec = write_spec(tmp_path, document)
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", spec, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     TYPOS = [
         ((), {"p_grd": [0.2]}, "spec.p_grd"),
@@ -377,6 +463,24 @@ class TestCriticalCommand:
         assert cli.main(argv) == 3
         stdout = capsys.readouterr().out
         assert stdout == clean_stdout.replace("\n", " [1 nonconverged solves]\n")
+        assert (out / "critical.csv").read_bytes() == clean_table
+
+    @pytest.mark.parametrize("max_iter, cut", [(150, 2), (200, 1)])
+    def test_solves_cut_at_max_iter_are_counted(self, tmp_path, capsys, monkeypatch,
+                                                max_iter, cut):
+        # At full budget the bisection's solves take at most 129 rounds but
+        # two, which take 187 and 398.  Both survive, and so do their cut
+        # solves, so the bracket does not move.
+        spec = write_spec(tmp_path, {"systems": {"slow": SLOW_SYSTEM}})
+        out = tmp_path / "out"
+        argv = ["critical", "--config", spec, "--out", str(out), "--tol-p", "1e-3"]
+        assert cli.main(argv) == 0
+        clean_stdout, clean_table = capsys.readouterr().out, (out / "critical.csv").read_bytes()
+        assert "nonconverged" not in clean_stdout
+        monkeypatch.setattr(cli.meanfield, "MAX_ITER", max_iter)
+        assert cli.main(argv) == 3
+        stdout = capsys.readouterr().out
+        assert stdout == clean_stdout.replace("\n", f" [{cut} nonconverged solves]\n")
         assert (out / "critical.csv").read_bytes() == clean_table
 
     def test_non_finite_tol_p_names_the_field(self, tmp_path, capsys):

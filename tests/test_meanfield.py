@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -25,7 +26,8 @@ from multiflow import (
     iterate_to_steady_state,
     stable_set_grid,
 )
-from multiflow.meanfield import COLLAPSE_EPS, DEFAULT_MAX_ITER, DEFAULT_TOL, SteadyState
+from multiflow import meanfield
+from multiflow.meanfield import COLLAPSE_EPS, SteadyState
 from helpers import dispatch_note, random_system, sampled_copy, single_layer_recursion
 
 
@@ -46,8 +48,11 @@ def solve_rounds(p, cfg, t):
     """The solve cut after round t, which reads that round: q_t as
     ``x_star``/``y_star`` and n_{t+1} as ``n_inf``, or a collapse when
     n_{t+1} is one.  A tolerance far below any rounding step lets only
-    ``max_iter`` end it early."""
-    return iterate_to_steady_state(p, cfg, tol=1e-300, max_iter=t)
+    ``MAX_ITER`` end it early."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(meanfield, "MAX_ITER", t)
+        patch.setattr(meanfield, "TOL", 1e-300)
+        return iterate_to_steady_state(p, cfg)
 
 
 class TestInitialState:
@@ -96,7 +101,7 @@ class TestInitialState:
 
 
 class TestStep:
-    """Single rounds of the recursion, read from solves cut by ``max_iter``."""
+    """Single rounds of the recursion, read from solves cut by ``MAX_ITER``."""
 
     def test_fixed_point_when_no_failures(self, symmetric_uniform_config):
         for t in (1, 2):
@@ -135,10 +140,11 @@ class TestStep:
         assert compared > 10
 
 
-def _reference_steady_state(p, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def _reference_steady_state(p, cfg):
     """The closed-form solve as it was written before the float path: each
     survival through the family's array formula on a 0-d array, the moments
-    read from the joint, and an (n, q_a, q_b) state per round."""
+    read from the joint, and an (n, q_a, q_b) state per round, under the
+    solver's ``TOL`` and ``MAX_ITER`` as they read at call time."""
     joint = cfg.joint
     mean_a, mean_b = joint.mean_loads
 
@@ -158,7 +164,7 @@ def _reference_steady_state(p, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     q_a, q_b = scale * mean_a, scale * mean_b
     eff_a, eff_b = effective(cfg, q_a, q_b)
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, meanfield.MAX_ITER + 1):
         n, q_a, q_b = next_state(advance(eff_a, eff_b))
         if n == 0.0:
             return SteadyState(0.0, math.inf, math.inf, iterations, True)
@@ -166,7 +172,7 @@ def _reference_steady_state(p, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         delta = max(abs(new_a - eff_a), abs(new_b - eff_b))
         eff_a = max(eff_a, new_a)
         eff_b = max(eff_b, new_b)
-        if delta < tol * (1.0 + max(eff_a, eff_b)):
+        if delta < meanfield.TOL * (1.0 + max(eff_a, eff_b)):
             converged = True
             break
     prob = advance(*effective(cfg, q_a, q_b))[0]
@@ -176,7 +182,7 @@ def _reference_steady_state(p, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
 
 class TestIterate:
-    def test_float_loop_reproduces_the_array_loop(self):
+    def test_float_loop_reproduces_the_array_loop(self, monkeypatch):
         rng = np.random.default_rng(41)
         cases = []
         for _ in range(40):
@@ -203,8 +209,9 @@ class TestIterate:
                 solves += 1
         cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
                                           Uniform(20, 40), Dirac(1e9))
-        assert repr(iterate_to_steady_state(0.3, cfg, max_iter=2)) == \
-            repr(_reference_steady_state(0.3, cfg, max_iter=2))
+        monkeypatch.setattr(meanfield, "MAX_ITER", 2)
+        assert repr(iterate_to_steady_state(0.3, cfg)) == \
+            repr(_reference_steady_state(0.3, cfg))
         assert solves >= 200
 
     def test_no_cascade_point(self, symmetric_uniform_config):
@@ -228,34 +235,42 @@ class TestIterate:
         assert steady.iterations == 1
         assert steady.converged
 
-    def test_nonconvergence_flag_propagates(self):
+    def test_nonconvergence_flag_propagates(self, monkeypatch):
         # a surviving multi-round cascade (15 iterations at full budget)
         cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
                                           Uniform(20, 40), Dirac(1e9))
         full = iterate_to_steady_state(0.3, cfg)
         assert full.converged and full.iterations > 5
-        steady = iterate_to_steady_state(0.3, cfg, max_iter=2)
+        monkeypatch.setattr(meanfield, "MAX_ITER", 2)
+        steady = iterate_to_steady_state(0.3, cfg)
         assert not steady.converged
 
-    @pytest.mark.parametrize("field, value", [
-        ("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1e-10), ("tol", True),
-        ("max_iter", 0), ("max_iter", -5),
-    ])
-    def test_invalid_solver_arguments_name_the_field(self, symmetric_uniform_config,
-                                                     field, value):
-        with pytest.raises(ValueError, match=rf"^{field}\b"):
-            iterate_to_steady_state(0.3, symmetric_uniform_config, **{field: value})
+    def test_takes_no_tuning_arguments(self, symmetric_uniform_config):
+        # TOL and MAX_ITER are module constants, read at call time
+        for name, value in (("tol", 1e-6), ("max_iter", 10)):
+            with pytest.raises(TypeError, match=name):
+                iterate_to_steady_state(0.3, symmetric_uniform_config, **{name: value})
 
-    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0), "3"])
-    def test_non_integer_max_iter_is_rejected(self, symmetric_uniform_config, max_iter):
-        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got "):
-            iterate_to_steady_state(0.3, symmetric_uniform_config, max_iter=max_iter)
-
-    def test_numpy_integer_max_iter(self):
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7, 1e-10, 1e-13])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["inert_b", "coupled"])
+    def test_stops_at_the_first_step_below_tol(self, monkeypatch, coupled, tol):
+        # 6 to 20 rounds on the inert layer, 44 to 203 coupled, as tol falls
+        free_b, beta = (Uniform(10, 200), 0.3) if coupled else (Dirac(1e9), 0.0)
         cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
-                                          Uniform(20, 40), Dirac(1e9))
-        assert iterate_to_steady_state(0.3, cfg, max_iter=np.int64(2)) == \
-            iterate_to_steady_state(0.3, cfg, max_iter=2)
+                                          Uniform(20, 40), free_b, beta, beta)
+        p = 0.3
+        monkeypatch.setattr(meanfield, "TOL", tol)
+        steady = iterate_to_steady_state(p, cfg)
+        assert steady.converged and not steady.collapsed and steady.iterations > 5
+        mean_a, mean_b = cfg.joint.mean_loads
+        eff = effective(cfg, p * mean_a / (1 - p), p * mean_b / (1 - p))
+        for t in range(1, steady.iterations + 1):
+            cut = solve_rounds(p, cfg, t)
+            new = effective(cfg, cut.x_star, cut.y_star)
+            delta = max(abs(new[0] - eff[0]), abs(new[1] - eff[1]))
+            eff = (max(eff[0], new[0]), max(eff[1], new[1]))
+            assert (delta < tol * (1.0 + max(eff))) == (t == steady.iterations), t
+        assert cut == dataclasses.replace(steady, converged=False)
 
     def test_monotone_trajectory(self):
         rng = np.random.default_rng(21)
@@ -649,8 +664,6 @@ class TestCriticalAttackSize:
     @pytest.mark.parametrize("tol_p", [1e-4, 1e-3, 0.3])
     def test_the_smallest_attack_is_solved_once(self, symmetric_uniform_config,
                                                 monkeypatch, tol_p):
-        import multiflow.meanfield as meanfield
-
         solved = []
         solve = meanfield.iterate_to_steady_state
         monkeypatch.setattr(meanfield, "iterate_to_steady_state",
@@ -664,11 +677,7 @@ class TestCriticalAttackSize:
     def test_a_nonconverged_solve_is_counted(self, symmetric_uniform_config,
                                              monkeypatch, failing):
         # the solve still decides its step, so the bracket is the same; only
-        # the count tells that one solve hit max_iter
-        import dataclasses
-
-        import multiflow.meanfield as meanfield
-
+        # the count tells that one solve was cut at MAX_ITER
         expected = critical_attack_size(symmetric_uniform_config)
         solves = []
         solve = meanfield.iterate_to_steady_state
@@ -685,6 +694,19 @@ class TestCriticalAttackSize:
         assert (result.p_hat, result.lower, result.upper) == \
             (expected.p_hat, expected.lower, expected.upper)
         assert "nonconverged" not in repr(result)
+
+    def test_a_cut_collapse_can_move_the_bracket(self, monkeypatch):
+        # At full budget the bisection's last solve, p = 0.30441, collapses in
+        # round 129.  Cut at round 100 it still reads survivors, so the
+        # bracket moves past the critical size; only the count flags it.
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 200),
+                                          Uniform(20, 40), Uniform(10, 200), 0.3, 0.3)
+        full = critical_attack_size(cfg, tol_p=1e-3)
+        assert full.nonconverged == 0
+        monkeypatch.setattr(meanfield, "MAX_ITER", 100)
+        cut = critical_attack_size(cfg, tol_p=1e-3)
+        assert cut.nonconverged == 4
+        assert cut.lower == full.upper
 
     def test_survival_switches_off_once(self):
         # The stability sides do not depend on p and the threshold 1/(1-p)
@@ -841,12 +863,11 @@ class TestValidation:
 
 
 class TestIntegerArguments:
-    """``max_iter`` and ``resolution`` follow the one integer rule: a bool or a
-    non-integral value fails with a ValueError that names the argument,
-    before anything is solved, and a numpy integer counts as the int."""
+    """``resolution`` follows the one integer rule: a bool or a non-integral
+    value fails with a ValueError that names the argument, before anything
+    is solved, and a numpy integer counts as the int."""
 
     CALLS = {
-        "max_iter": lambda cfg, value: iterate_to_steady_state(0.3, cfg, max_iter=value),
         "resolution": lambda cfg, value: stable_set_grid(
             0.25, cfg, x_max=90.0, resolution=value).lhs_a.tolist(),
     }
@@ -877,7 +898,6 @@ class TestRealArguments:
             value, cfg, resolution=4).threshold,
         "beta_a": lambda cfg, value: CrossLayerFactors(value, 0.0),
         "beta_b": lambda cfg, value: CrossLayerFactors(0.0, value),
-        "tol": lambda cfg, value: iterate_to_steady_state(0.3, cfg, tol=value),
         "tol_p": lambda cfg, value: critical_attack_size(cfg, tol_p=value),
         "x_max": lambda cfg, value: stable_set_grid(
             0.25, cfg, x_max=value, resolution=4).lhs_a.tolist(),
