@@ -415,9 +415,6 @@ class Dirac(_Marginal):
         # the value broadcast over every entry of u
         return np.positive(self.value, out=_out(u))
 
-    def support_cap(self) -> float:
-        return self.value
-
 
 MarginalDistribution = Union[Uniform, Pareto, Weibull, Dirac]
 
@@ -495,27 +492,23 @@ class JointLoadSpace:
                 lhs_b[ix, iy] = (stats.probability * y + stats.load_b) / mean_b
         return lhs_a, lhs_b
 
-    def sample_population(self, n: int, rng: np.random.Generator,
-                          attacked: int = 0) -> tuple[np.ndarray, ...]:
-        """Draw n i.i.d. nodes as the rows (load_a, free_a, load_b, free_b).
-
-        The free rows leave out the first ``attacked`` nodes, an attacked
-        head whose free spaces no cascade reads; every value returned has
-        the bits of the ``attacked=0`` draw.
-        """
-        rows, fill = self.sample_head(n, rng, attacked)
+    def sample_population(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        """Draw n i.i.d. nodes as the rows (load_a, free_a, load_b, free_b)."""
+        rows, fill = self.sample_head(n, rng, 0)
         fill()
         return rows
 
-    def sample_head(self, n: int, rng: np.random.Generator, attacked: int = 0):
-        """The rows of ``sample_population(n, rng, attacked)``, of which only
-        the head's loads, the first ``attacked`` of each load row, are drawn;
-        returns them with ``fill``, which draws the rest in place.
+    def sample_head(self, n: int, rng: np.random.Generator, attacked: int):
+        """The rows of ``sample_population(n, rng)`` whose free rows leave out
+        the first ``attacked`` nodes, an attacked head whose free spaces no
+        cascade reads.  Only the head's loads, the first ``attacked`` of each
+        load row, are drawn; returns the rows with ``fill``, which draws the
+        rest in place.
 
-        ``rng`` is left where the whole draw leaves it, and ``fill`` never
-        reads it: it draws from a copy taken before (a sample-backed joint
-        picks every row at once and gathers the rest), so each value has the
-        bits of the whole draw and none is drawn twice.
+        Every value has the bits of the ``attacked=0`` draw at its node, and
+        ``rng`` is left where that whole draw leaves it.  ``fill`` never reads
+        ``rng``: it draws from a copy taken before (a sample-backed joint
+        picks every row at once and gathers the rest), so none is drawn twice.
         """
         raise NotImplementedError
 
@@ -626,7 +619,7 @@ class IndependentJoint(JointLoadSpace):
         mean_a, mean_b = self.mean_loads
         return prob * (x + mean_a) / mean_a, prob * (y + mean_b) / mean_b
 
-    def sample_head(self, n: int, rng: np.random.Generator, attacked: int = 0):
+    def sample_head(self, n: int, rng: np.random.Generator, attacked: int):
         # per layer, n loads and then n free spaces
         loads, frees = _rows(n, attacked)
         fill = _sample_blocks(rng, n, attacked, ((self.load_a, loads[0]), (self.free_a, frees[0]),
@@ -875,7 +868,7 @@ class EmpiricalJoint(JointLoadSpace):
     def cascade_cursor(self) -> _EmpiricalCursor:
         return _EmpiricalCursor(self)
 
-    def sample_head(self, n: int, rng: np.random.Generator, attacked: int = 0):
+    def sample_head(self, n: int, rng: np.random.Generator, attacked: int):
         # every pick is drawn now, and only the gather of the others waits
         _check_head(n, attacked)
         block = np.empty((4, n))
@@ -974,7 +967,7 @@ class ProportionalJoint(JointLoadSpace):
         mean_a, mean_b = self.mean_loads
         return (prob * x + load_a) / mean_a, (prob * y + load_b) / mean_b
 
-    def sample_head(self, n: int, rng: np.random.Generator, attacked: int = 0):
+    def sample_head(self, n: int, rng: np.random.Generator, attacked: int):
         loads, frees = _rows(n, attacked)
         fill_loads = _sample_blocks(rng, n, attacked, ((self.load_a, loads[0]),
                                                        (self.load_b, loads[1])))

@@ -39,7 +39,7 @@ from .distributions import IndependentJoint, JointLoadSpace
 # any realistic N; the cascade is declared a total collapse.
 COLLAPSE_EPS = 1e-15
 
-# The solve's relative tolerance and round budget (>= 1), read at call time.
+# The solve's relative tolerance and round budget (>= 0), read at call time.
 TOL = 1e-10
 MAX_ITER = 10 ** 6
 DEFAULT_TOL_P = 1e-4
@@ -143,6 +143,7 @@ def iterate_to_steady_state(p: float, cfg: SystemConfig) -> SteadyState:
     scale = p / (1.0 - p)
     q_a, q_b = scale * mean_a, scale * mean_b
     eff_a, eff_b = q_a + beta_b * q_b, q_b + beta_a * q_a
+    new_a, new_b = eff_a, eff_b
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITER + 1):

@@ -37,16 +37,17 @@ attack, so relabelling the nodes leaves its law unchanged.  Hence the
 first k nodes are, in law, a uniform random k-subset, and the nested
 prefixes of the identity order are those of a uniformly random order.
 
-No cascade reads an attacked node's free space, so a population may leave
-out those of an *attacked head*, its first ``head`` nodes, which every
-cascade on it must then attack (an identity prefix of at least ``head``
-nodes).  ``monte_carlo_curve`` gives each population the head of its
-smallest attack.  The sampler steps its stream past the head's free
-spaces, so every drawn value keeps its bits, and so does each outcome,
-with one exception: the sorted sweep orders tied free spaces by the
-tail's own sort, so where two unattacked nodes tie exactly but carry
-unequal loads (not in a Dirac layer, which sorts in index order either
-way), a round's shed load can move in its last bits.
+No cascade reads an attacked node's free space, so
+``build_population(..., attacked=m)`` leaves out those of an *attacked
+head*, the first m nodes, which every cascade on the population must then
+attack (an identity prefix of at least m nodes).  ``monte_carlo_curve``
+gives each population the head of its smallest attack.  The sampler steps
+its stream past the head's free spaces, so every drawn value keeps its
+bits, and so does each outcome, with one exception: the sorted sweep
+orders tied free spaces by the tail's own sort, so where two unattacked
+nodes tie exactly but carry unequal loads (not in a Dirac layer, which
+sorts in index order either way), a round's shed load can move in its
+last bits.
 
 ``build_population`` draws only what every cascade on it reads: the head's
 loads, at their places in the seed's stream.  The other loads and the free
@@ -108,22 +109,24 @@ def _lowest(name: str, row: np.ndarray) -> float:
 class Population:
     """Per-node loads and free spaces for a finite network.
 
-    The first ``head`` nodes form an attacked head: every cascade on the
-    population attacks them, so their free spaces are never read and not
-    kept.  ``free_a`` and ``free_b`` hold the free spaces of the other
-    n - head nodes, node i's at index i - head; head = 0 is a full
-    population.  ``free_floor`` bounds each layer's free spaces from below:
-    here their least values (inf for none).
+    Given as four equal-length rows, a population is full: ``head`` is 0,
+    and ``free_floor``, which bounds each layer's free spaces from below, is
+    their least values.
 
-    A population from ``build_population`` holds only its head's loads at
-    first; its rows are drawn in place on the first read of any of them.
+    A population from ``build_population(..., attacked=m)`` has an attacked
+    head of ``head = m`` nodes: every cascade on it attacks them, so their
+    free spaces are never read and not kept.  ``free_a`` and ``free_b`` hold
+    the free spaces of the other n - head nodes, node i's at index
+    i - head, and ``free_floor`` is the joint's.  It holds only its head's
+    loads at first; its rows are drawn in place on the first read of any of
+    them.
     """
 
     load_a: np.ndarray
     free_a: np.ndarray
     load_b: np.ndarray
     free_b: np.ndarray
-    head: int = field(default=0, kw_only=True)
+    head: int = field(init=False, repr=False)
     size: int = field(init=False, repr=False)
     free_floor: tuple[float, float] = field(init=False, repr=False)
 
@@ -139,17 +142,13 @@ class Population:
                 raise ValueError(f"population {name} must be 1-D, got shape {a.shape}")
             lowest.append(_lowest(name, a))
             object.__setattr__(self, name, a)
-        n, head = len(self.load_a), _validate_int(self.head, "population head", 0)
-        if head > n:
-            raise ValueError(f"population head must be <= {n} nodes, got {head}")
-        if (len(self.load_b), len(self.free_a), len(self.free_b)) != (n, n - head, n - head):
-            raise ValueError("population arrays must have equal length" if not head else
-                             f"population free arrays must hold the {n - head} nodes "
-                             f"after the head of {head}")
+        n = len(self.load_a)
+        if (len(self.free_a), len(self.load_b), len(self.free_b)) != (n, n, n):
+            raise ValueError("population arrays must have equal length")
         if n < 1:
             raise ValueError("population must contain at least one node")
-        self._set(head=head, size=n, free_floor=(lowest[1], lowest[3]),
-                  _head_loads=(self.load_a[:head], self.load_b[:head]))
+        self._set(head=0, size=n, free_floor=(lowest[1], lowest[3]),
+                  _head_loads=(self.load_a[:0], self.load_b[:0]))
 
     @classmethod
     def _drawn(cls, rows, fill, head: int, free_floor: tuple[float, float]) -> "Population":
@@ -317,11 +316,8 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors, attack_se
         if state is None or attack_seed is not None:
             raise ValueError("resume continues an identity-prefix outcome of run_cascade, "
                              "with no attack_seed")
-        if resume.failed.shape != (n,):
-            raise ValueError(f"resume comes from a population of {resume.failed.size} "
-                             f"nodes, not {n}")
         if state.population is not pop:
-            raise ValueError("resume comes from another population of the same size")
+            raise ValueError("resume comes from another population")
         if k < state.attack_size:
             raise ValueError(f"resume cannot shrink the attack from {state.attack_size} "
                              f"to {k} nodes")
@@ -495,30 +491,28 @@ def _curve_task(cfg: SystemConfig, n: int, p_grid: Sequence[float], seed_base: i
                 resample_population: bool,
                 task: tuple[int, Sequence[int]]) -> list[tuple[float, int, bool]]:
     """Surviving fraction, rounds and truncation of one run index at the
-    given p indices.
+    given p indices, which come in ascending p.
 
-    Every cascade attacks a prefix of the identity order, by slice, and
-    each population is built with that prefix as its attacked head.  In
-    reuse mode the run draws one population, and each p resumes the
-    previous p's cascade, so the indices must come in ascending p; the
-    head is then the first p's attack, the smallest.
+    The task builds one population, from the stream of its first index in
+    resample mode or of its run index in reuse mode, with the first p's
+    attack, the smallest, as its attacked head.  Every cascade attacks a
+    prefix of the identity order, by slice, and each p resumes the previous
+    p's cascade.  A resample task holds one index.
     """
     run_index, p_indices = task
-    pop = outcome = None
+    ip = p_indices[0]
+    key = (ip, run_index) if resample_population else (run_index,)
     results = []
-    for ip in p_indices:
-        try:
-            if resample_population or pop is None:
-                key = (ip, run_index) if resample_population else (run_index,)
-                # an outcome holds its population, and none resumes on a new one
-                outcome = None
-                pop = build_population(cfg, n, np.random.SeedSequence(seed_base, spawn_key=key),
-                                       attacked=_attack_count(p_grid[ip], n))
+    try:
+        pop = build_population(cfg, n, np.random.SeedSequence(seed_base, spawn_key=key),
+                               attacked=_attack_count(p_grid[ip], n))
+        outcome = None
+        for ip in p_indices:
             outcome = run_cascade(pop, p_grid[ip], cfg.factors, resume=outcome)
-        except Exception as exc:
-            raise RuntimeError(
-                f"Monte Carlo task (p_index={ip}, run_index={run_index}) failed: {exc!r}") from exc
-        results.append((outcome.surviving_fraction, outcome.rounds, outcome.truncated))
+            results.append((outcome.surviving_fraction, outcome.rounds, outcome.truncated))
+    except Exception as exc:
+        raise RuntimeError(
+            f"Monte Carlo task (p_index={ip}, run_index={run_index}) failed: {exc!r}") from exc
     return results
 
 

@@ -542,18 +542,24 @@ class TestSampling:
                                 float(joints["empirical"].samples[:, 3].min()))}
         for kind, joint in joints.items():
             assert joint.free_floor == floors[kind], kind
-            load_a, free_a, load_b, free_b = joint.sample_population(10_000, rng, attacked=50)
+            load_a, free_a, load_b, free_b = joint.sample_population(10_000, rng)
             assert free_a.min() >= joint.free_floor[0] and free_b.min() >= joint.free_floor[1]
             # given as arrays, a population's floor is its least free space
-            pop = Population(load_a, free_a, load_b, free_b, head=50)
+            pop = Population(load_a, free_a, load_b, free_b)
             assert pop.free_floor == (free_a.min(), free_b.min())
-        assert Population([1.0], [], [1.0], [], head=1).free_floor == (math.inf, math.inf)
+
+
+def _sample_head(joint, n, rng, attacked):
+    """The rows of ``joint.sample_head(n, rng, attacked)``, filled."""
+    rows, fill = joint.sample_head(n, rng, attacked)
+    fill()
+    return rows
 
 
 class TestAttackedHeadDraws:
-    """``sample_population(n, rng, attacked=m)`` draws every load and the
-    free spaces of nodes m.. with the bits of the full draw, and leaves the
-    generator where the full draw does."""
+    """``sample_head(n, rng, m)`` draws every load and the free spaces of
+    nodes m.. with the bits of the full draw, and leaves the generator where
+    the full draw does."""
 
     JOINTS = {
         # each family as a load and as a free space, for every joint type
@@ -585,7 +591,7 @@ class TestAttackedHeadDraws:
         after = rng.random(8)  # where the stream goes on
         for m in sorted({0, 1, n // 3, n}):
             rng = make(9)
-            rows = joint.sample_population(n, rng, attacked=m)
+            rows = _sample_head(joint, n, rng, m)
             assert [row.size for row in rows] == [n, n - m, n, n - m]
             for row, whole, head in zip(rows, full, (0, m, 0, m)):
                 assert row.dtype == np.float64 and row.tobytes() == whole[head:].tobytes()
@@ -618,7 +624,7 @@ class TestAttackedHeadDraws:
         for attacked in (-1, 11):
             with pytest.raises(DistributionError, match=rf"attacked must lie in \[0, n = 10\], "
                                                         rf"got {attacked}"):
-                joint.sample_population(10, np.random.default_rng(0), attacked=attacked)
+                _sample_head(joint, 10, np.random.default_rng(0), attacked)
 
     def test_a_buffered_half_word_survives_the_skip(self):
         joint = self.JOINTS["independent_uniform_pareto"]()
@@ -627,7 +633,7 @@ class TestAttackedHeadDraws:
             rng = np.random.default_rng(4)
             rng.integers(0, 10, dtype=np.uint32)  # keeps the other 32 bits in a buffer
             assert rng.bit_generator.state["has_uint32"]
-            joint.sample_population(1000, rng, attacked=m)
+            _sample_head(joint, 1000, rng, m)
             states.append(rng.bit_generator.state)
         assert states[0] == states[1]
 

@@ -110,6 +110,14 @@ class TestStep:
             assert (steady.x_star, steady.y_star) == (10.0, 10.0)
             assert steady.iterations == 1 and steady.converged  # round 1 moved nothing
 
+    @pytest.mark.parametrize("p, n_inf", [(0.3, 0.7), (0.5, 0.28125)])
+    def test_zero_rounds_read_round_zero(self, symmetric_uniform_config, p, n_inf):
+        # n_inf = (1-p) P[S_A > eff_0a, S_B > eff_0b], here (1-p) min(1, 1.5 - eff_0 / 50)^2
+        # with eff_0 = 1.25 q_0; at p = 0.5, q_0 = 30 and eff_0 = 37.5
+        q_0 = p / (1.0 - p) * 30.0
+        assert solve_rounds(p, symmetric_uniform_config, 0) == SteadyState(n_inf, q_0, q_0,
+                                                                            0, False)
+
     def test_collapse_is_absorbing(self, symmetric_uniform_config):
         for t in (1, 2, 5):
             steady = solve_rounds(0.9, symmetric_uniform_config, t)

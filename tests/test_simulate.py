@@ -526,17 +526,7 @@ class TestNestedSweep:
         with pytest.raises(ValueError, match="resume continues an identity-prefix outcome"):
             run_cascade(pop, 0.4, cfg.factors, resume=seeded)
 
-    def test_rejects_a_resume_from_another_population_size(self, symmetric_uniform_config):
-        cfg = symmetric_uniform_config
-        small = build_population(cfg, 100, 1)
-        large = build_population(cfg, 1000, 2)
-        for earlier, later, p in ((small, large, 0.4), (large, small, 0.2)):
-            outcome = run_cascade(earlier, 0.3, cfg.factors)
-            with pytest.raises(ValueError, match=f"^resume comes from a population of "
-                                                 f"{earlier.size} nodes, not {later.size}$"):
-                run_cascade(later, p, cfg.factors, resume=outcome)
-
-    def test_rejects_a_resume_from_another_population_of_the_same_size(self):
+    def test_rejects_a_resume_from_another_population(self):
         # Continued on another population, the earlier failure flags and
         # shed loads belong to other nodes: resumed on the seed-12 draw, the
         # surviving fraction read 0.654 against 0.6573 from scratch, with
@@ -546,11 +536,14 @@ class TestNestedSweep:
                                           beta_a=0.3, beta_b=0.3)
         pop = build_population(cfg, 3000, seed=11)
         outcome = run_cascade(pop, 0.22, cfg.factors)
-        # an equal copy is another object, whose arrays may change apart
-        for later in (build_population(cfg, 3000, seed=12), copy_of(pop)):
-            with pytest.raises(ValueError, match="^resume comes from another population "
-                                                 "of the same size$"):
+        # an equal copy is another object, whose arrays may change apart;
+        # a population of another size is refused alike, either way round
+        small, large = build_population(cfg, 100, 1), build_population(cfg, 5000, 2)
+        for later in (build_population(cfg, 3000, seed=12), copy_of(pop), small, large):
+            with pytest.raises(ValueError, match="^resume comes from another population$"):
                 run_cascade(later, 0.27, cfg.factors, resume=outcome)
+        with pytest.raises(ValueError, match="^resume comes from another population$"):
+            run_cascade(pop, 0.27, cfg.factors, resume=run_cascade(small, 0.2, cfg.factors))
         resumed = run_cascade(pop, 0.27, cfg.factors, resume=outcome)
         assert np.array_equal(resumed.failed, run_cascade(pop, 0.27, cfg.factors).failed)
 
@@ -764,13 +757,6 @@ class TestAttackedHead:
                      free_b=full.free_b[10:])
         with pytest.raises(ValueError, match="equal length"):
             Population(**short)
-        assert Population(**short, head=np.int64(10)).head == 10
-        with pytest.raises(ValueError, match="hold the 80 nodes after the head of 20"):
-            Population(**short, head=20)
-        with pytest.raises(ValueError, match="head must be <= 100 nodes, got 101"):
-            Population(full.load_a, full.free_a[:0], full.load_b, full.free_b[:0], head=101)
-        with pytest.raises(ValueError, match="head must be an integer"):
-            Population(**short, head=10.0)
         with pytest.raises(ValueError, match=r"attacked must lie in \[0, n = 100\], got 101"):
             build_population(self.CFG, 100, seed=1, attacked=101)
         with pytest.raises(ValueError, match="attacked must be >= 0"):
@@ -782,7 +768,9 @@ class TestAttackedHead:
 
 class TestDrawOnRead:
     """A population from ``build_population`` draws its rows on their first
-    read, however they are read, with the bits of the eager draw."""
+    read, however they are read, with the bits of the eager draw: the full
+    population given as arrays, whose free rows past an attacked head are
+    the lazy population's."""
 
     JOINTS = {
         "independent": TestIdentityPrefix.CFG,
@@ -792,14 +780,15 @@ class TestDrawOnRead:
     }
 
     @staticmethod
-    def eager(cfg, n, seed, attacked=0):
-        rows = cfg.joint.sample_population(n, np.random.default_rng(seed), attacked)
-        return Population(*rows, head=attacked)
+    def eager(cfg, n, seed):
+        return Population(*cfg.joint.sample_population(n, np.random.default_rng(seed)))
 
     @staticmethod
     def assert_rows(pop, want):
         for name in ("load_a", "free_a", "load_b", "free_b"):
-            assert getattr(pop, name).tobytes() == getattr(want, name).tobytes(), name
+            tail = getattr(want, name)[pop.head:] if name.startswith("free") else \
+                getattr(want, name)
+            assert getattr(pop, name).tobytes() == tail.tobytes(), name
 
     @pytest.mark.parametrize("read", ["naive", "attack_seed", "free_order", "relabelled",
                                       "pickle", "copy", "deepcopy"])
@@ -833,7 +822,7 @@ class TestDrawOnRead:
     def test_a_resume_after_a_quiet_first_p(self, joint):
         cfg, n, grid = self.JOINTS[joint], 3000, [0.02, 0.03, 0.25, 0.3]
         k = math.floor(grid[0] * n + 0.5)
-        pop, want = build_population(cfg, n, 8, attacked=k), self.eager(cfg, n, 8, k)
+        pop, want = build_population(cfg, n, 8, attacked=k), self.eager(cfg, n, 8)
         got, wanted = [run_cascade(pop, grid[0], cfg.factors)], [run_cascade(want, grid[0],
                                                                              cfg.factors)]
         assert got[0].rounds == 1 and not drew_rows(pop)
@@ -1094,6 +1083,17 @@ class TestMonteCarloCurve:
                 monte_carlo_curve(symmetric_uniform_config, 200, [0.2, 0.4, 0.3], runs=2,
                                   seed_base=3, resample_population=resample)
             assert isinstance(info.value.__cause__, FloatingPointError)
+
+        # a failed build is named by the task's first index, in either mode
+        def failing_build(*args, **kwargs):
+            raise MemoryError("no room")
+        monkeypatch.setattr(simulate, "build_population", failing_build)
+        for resample in (True, False):
+            with pytest.raises(RuntimeError,
+                               match=r"p_index=0, run_index=0\).*no room") as info:
+                monte_carlo_curve(symmetric_uniform_config, 200, [0.2, 0.4, 0.3], runs=2,
+                                  seed_base=3, resample_population=resample)
+            assert isinstance(info.value.__cause__, MemoryError)
 
     def test_population_reuse_mode(self):
         # interior fixed point: the outcome depends on the sampled population
