@@ -21,7 +21,6 @@ from .allocate import (
 from .config import ConfigError, ExperimentSpec, SimParams, load_experiment, parse_experiment
 from .distributions import (
     Dirac,
-    DistributionError,
     EmpiricalJoint,
     IndependentJoint,
     JointLoadSpace,
@@ -63,7 +62,6 @@ __all__ = [
     "CriticalAttackResult",
     "CrossLayerFactors",
     "Dirac",
-    "DistributionError",
     "EmpiricalJoint",
     "EqualFreeSpace",
     "EqualToleranceFactor",

@@ -17,12 +17,14 @@ each strategy produces a full system configuration:
 Dirac allocations sit exactly at the survival boundary at their critical
 attack size, so they are meant to be evaluated strictly below it (the
 strict-survival convention drops the mass at equality).
+
+Every number a strategy or formula takes must be finite and positive, and it
+is used as the Python float that check returns: a numpy scalar computes in
+double precision as the equal float does, and each result is a float.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -31,24 +33,9 @@ from .distributions import (
     IndependentJoint,
     MarginalDistribution,
     ProportionalJoint,
+    _positive,
 )
 from .meanfield import CrossLayerFactors, SystemConfig
-
-
-def _require_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a positive finite number, got {value}")
-
-
-def _store_positive(strategy, *names: str) -> None:
-    """Check the named fields of a frozen strategy and store them as floats,
-    so a numpy scalar budget computes in double precision as a float does."""
-    values = {name: getattr(strategy, name) for name in names}
-    _require_positive(**values)
-    for name, value in values.items():
-        object.__setattr__(strategy, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -58,7 +45,7 @@ class LayerWeightedEqual:
     s_total: float
 
     def __post_init__(self) -> None:
-        _store_positive(self, "s_total")
+        object.__setattr__(self, "s_total", _positive(self.s_total, "s_total"))
 
 
 @dataclass(frozen=True)
@@ -68,7 +55,7 @@ class EqualFreeSpace:
     s_total: float
 
     def __post_init__(self) -> None:
-        _store_positive(self, "s_total")
+        object.__setattr__(self, "s_total", _positive(self.s_total, "s_total"))
 
 
 @dataclass(frozen=True)
@@ -85,12 +72,12 @@ class EqualToleranceFactor:
     def __post_init__(self) -> None:
         if (self.alpha is None) == (self.s_total is None):
             raise ValueError("specify exactly one of alpha or s_total")
-        _store_positive(self, "alpha" if self.alpha is not None else "s_total")
+        name = "alpha" if self.alpha is not None else "s_total"
+        object.__setattr__(self, name, _positive(getattr(self, name), name))
 
     def resolve_alpha(self, mean_load_a: float, mean_load_b: float) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return self.s_total / (mean_load_a + mean_load_b)
+        total = _positive(mean_load_a, "mean_load_a") + _positive(mean_load_b, "mean_load_b")
+        return self.alpha if self.alpha is not None else self.s_total / total
 
 
 @dataclass(frozen=True)
@@ -101,7 +88,8 @@ class PerLayerEqual:
     mu_b: float
 
     def __post_init__(self) -> None:
-        _store_positive(self, "mu_a", "mu_b")
+        object.__setattr__(self, "mu_a", _positive(self.mu_a, "mu_a"))
+        object.__setattr__(self, "mu_b", _positive(self.mu_b, "mu_b"))
 
 
 AllocationStrategy = Union[LayerWeightedEqual, EqualFreeSpace, EqualToleranceFactor, PerLayerEqual]
@@ -114,7 +102,9 @@ def layer_weighted_split(mean_load_a: float, mean_load_b: float,
     Layer A receives s_total * (E[L_A] + beta_b E[L_B]) /
     ((1 + beta_a) E[L_A] + (1 + beta_b) E[L_B]); layer B the remainder.
     """
-    _require_positive(mean_load_a=mean_load_a, mean_load_b=mean_load_b, s_total=s_total)
+    mean_load_a = _positive(mean_load_a, "mean_load_a")
+    mean_load_b = _positive(mean_load_b, "mean_load_b")
+    s_total = _positive(s_total, "s_total")
     weight_a = mean_load_a + factors.beta_b * mean_load_b
     total = (1.0 + factors.beta_a) * mean_load_a + (1.0 + factors.beta_b) * mean_load_b
     s_a = s_total * weight_a / total
@@ -124,7 +114,9 @@ def layer_weighted_split(mean_load_a: float, mean_load_b: float,
 def optimal_critical_attack(mean_load_a: float, mean_load_b: float,
                             factors: CrossLayerFactors, s_total: float) -> float:
     """Largest critical attack size attainable under a total free-space budget."""
-    _require_positive(mean_load_a=mean_load_a, mean_load_b=mean_load_b, s_total=s_total)
+    mean_load_a = _positive(mean_load_a, "mean_load_a")
+    mean_load_b = _positive(mean_load_b, "mean_load_b")
+    s_total = _positive(s_total, "s_total")
     effective_load = ((1.0 + factors.beta_a) * mean_load_a
                       + (1.0 + factors.beta_b) * mean_load_b)
     return s_total / (s_total + effective_load)
@@ -145,8 +137,9 @@ def per_layer_critical(mu_a: float, mu_b: float, mean_load_a: float, mean_load_b
     p_A = mu_A / (mu_A + E[L_A] + beta_b E[L_B]) and symmetrically for B;
     the multiplex system is capped by its weaker layer.
     """
-    _require_positive(mu_a=mu_a, mu_b=mu_b,
-                      mean_load_a=mean_load_a, mean_load_b=mean_load_b)
+    mu_a, mu_b = _positive(mu_a, "mu_a"), _positive(mu_b, "mu_b")
+    mean_load_a = _positive(mean_load_a, "mean_load_a")
+    mean_load_b = _positive(mean_load_b, "mean_load_b")
     p_a = mu_a / (mu_a + mean_load_a + factors.beta_b * mean_load_b)
     p_b = mu_b / (mu_b + mean_load_b + factors.beta_a * mean_load_a)
     return PerLayerBounds(p_a, p_b, min(p_a, p_b))

@@ -36,7 +36,6 @@ from .allocate import (
 )
 from .distributions import (
     Dirac,
-    DistributionError,
     EmpiricalJoint,
     IndependentJoint,
     Pareto,
@@ -213,7 +212,7 @@ def _load_samples(path_value: str, base_dir: Path, where: str) -> EmpiricalJoint
         # No caller holds the loaded matrix, so the joint keeps it uncopied.
         samples = np.asarray(samples, dtype=float, order="C")
         return EmpiricalJoint._adopt(samples)
-    except DistributionError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

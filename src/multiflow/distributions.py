@@ -59,20 +59,44 @@ import numpy as np
 MIN_EMPIRICAL_SAMPLES = 10_000
 
 
-class DistributionError(ValueError):
-    """Raised for invalid distribution parameters or sample matrices."""
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DistributionError(message)
-
-
-def _number(value, what: str) -> float:
-    """A real parameter as a Python float; a bool or a non-number is refused."""
-    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
-             f"{what} must be a number, got {value!r}")
+# The package's numeric-argument checks, these four: a check that passes
+# formats no message, and one that fails raises ValueError naming the argument.
+def _real(value, name: str) -> float:
+    """A real argument as a Python float: any ``numbers.Real``, numpy scalars
+    included, so it computes as the equal float does; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
     return float(value)
+
+
+def _positive(value, name: str) -> float:
+    """A finite, strictly positive real argument as a Python float."""
+    value = _real(value, name)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
+    return value
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """An integral argument of at least ``minimum`` as a Python int; numpy
+    integers are accepted, a bool or a non-integral value is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _lowest(what: str, values: np.ndarray) -> float:
+    """The least of ``values``, which must be finite and strictly positive;
+    that of no values is inf."""
+    if not values.size:
+        return math.inf
+    lowest = values.min()
+    # NaN fails the min test
+    if not (lowest > 0.0 and values.max() < math.inf):
+        raise ValueError(f"{what} must be finite and strictly positive")
+    return float(lowest)
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -220,7 +244,7 @@ class _Marginal:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            object.__setattr__(self, field.name, _number(
+            object.__setattr__(self, field.name, _real(
                 getattr(self, field.name), f"{type(self).__name__.lower()} {field.name}"))
         self._check()
 
@@ -259,10 +283,10 @@ class Uniform(_Marginal):
     high: float
 
     def _check(self) -> None:
-        _require(math.isfinite(self.low) and math.isfinite(self.high),
-                 "uniform bounds must be finite")
-        _require(0 < self.low < self.high,
-                 f"uniform requires 0 < min < max, got ({self.low}, {self.high})")
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ValueError("uniform bounds must be finite")
+        if not 0 < self.low < self.high:
+            raise ValueError(f"uniform requires 0 < min < max, got ({self.low}, {self.high})")
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
@@ -302,10 +326,10 @@ class Pareto(_Marginal):
     shape: float
 
     def _check(self) -> None:
-        _require(math.isfinite(self.minimum) and self.minimum > 0,
-                 f"pareto requires min > 0, got {self.minimum}")
-        _require(math.isfinite(self.shape) and self.shape > 1,
-                 f"pareto requires shape b > 1 for a finite mean, got {self.shape}")
+        if not 0 < self.minimum < math.inf:
+            raise ValueError(f"pareto requires min > 0, got {self.minimum}")
+        if not 1 < self.shape < math.inf:
+            raise ValueError(f"pareto requires shape b > 1 for a finite mean, got {self.shape}")
 
     def mean(self) -> float:
         return self.minimum * self.shape / (self.shape - 1.0)
@@ -342,12 +366,12 @@ class Weibull(_Marginal):
     shape: float
 
     def _check(self) -> None:
-        _require(math.isfinite(self.minimum) and self.minimum >= 0,
-                 f"weibull requires min >= 0, got {self.minimum}")
-        _require(math.isfinite(self.scale) and self.scale > 0,
-                 f"weibull requires scale lambda > 0, got {self.scale}")
-        _require(math.isfinite(self.shape) and self.shape > 0,
-                 f"weibull requires shape k > 0, got {self.shape}")
+        if not 0 <= self.minimum < math.inf:
+            raise ValueError(f"weibull requires min >= 0, got {self.minimum}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"weibull requires scale lambda > 0, got {self.scale}")
+        if not 0 < self.shape < math.inf:
+            raise ValueError(f"weibull requires shape k > 0, got {self.shape}")
 
     def mean(self) -> float:
         return self.minimum + self.scale * math.gamma(1.0 + 1.0 / self.shape)
@@ -393,8 +417,8 @@ class Dirac(_Marginal):
     value: float
 
     def _check(self) -> None:
-        _require(math.isfinite(self.value) and self.value > 0,
-                 f"dirac requires value > 0, got {self.value}")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"dirac requires value > 0, got {self.value}")
 
     def mean(self) -> float:
         return self.value
@@ -521,7 +545,8 @@ class JointLoadSpace:
 
 
 def _check_head(n: int, attacked: int) -> None:
-    _require(0 <= attacked <= n, f"attacked must lie in [0, n = {n}], got {attacked}")
+    if not 0 <= attacked <= n:
+        raise ValueError(f"attacked must lie in [0, n = {n}], got {attacked}")
 
 
 def _rows(n: int, attacked: int) -> tuple[np.ndarray, np.ndarray]:
@@ -814,15 +839,11 @@ class EmpiricalJoint(JointLoadSpace):
     def _hold(self, samples: np.ndarray) -> None:
         """Validate the joint's own matrix and store it read-only."""
         if samples.ndim != 2 or samples.shape[1] != 4:
-            raise DistributionError(
-                f"empirical samples must have shape (m, 4), got {samples.shape}")
+            raise ValueError(f"empirical samples must have shape (m, 4), got {samples.shape}")
         if samples.shape[0] < MIN_EMPIRICAL_SAMPLES:
-            raise DistributionError(
-                f"empirical mode needs at least {MIN_EMPIRICAL_SAMPLES} samples, "
-                f"got {samples.shape[0]}")
-        # NaN fails the min test
-        if not (samples.min() > 0.0 and samples.max() < math.inf):
-            raise DistributionError("empirical samples must be finite and strictly positive")
+            raise ValueError(f"empirical mode needs at least {MIN_EMPIRICAL_SAMPLES} samples, "
+                             f"got {samples.shape[0]}")
+        _lowest("empirical samples", samples)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -910,9 +931,7 @@ class ProportionalJoint(JointLoadSpace):
     alpha: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _number(self.alpha, "tolerance factor alpha"))
-        _require(math.isfinite(self.alpha) and self.alpha > 0,
-                 f"tolerance factor alpha must be > 0, got {self.alpha}")
+        object.__setattr__(self, "alpha", _positive(self.alpha, "tolerance factor alpha"))
 
     @cached_property
     def _empirical(self) -> EmpiricalJoint:

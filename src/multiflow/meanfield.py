@@ -28,12 +28,11 @@ the largest attack the system absorbs by plain bisection.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import IndependentJoint, JointLoadSpace
+from .distributions import IndependentJoint, JointLoadSpace, _integer, _positive, _real
 
 # Below this joint survival the surviving fraction is smaller than 1/N for
 # any realistic N; the cascade is declared a total collapse.
@@ -55,8 +54,8 @@ class CrossLayerFactors:
 
     def __post_init__(self) -> None:
         for name in ("beta_a", "beta_b"):
-            value = _validate_real(getattr(self, name), name)
-            if not (math.isfinite(value) and value >= 0.0):
+            value = _real(getattr(self, name), name)
+            if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
             object.__setattr__(self, name, value)
 
@@ -94,35 +93,12 @@ class SteadyState:
         return self.n_inf == 0.0
 
 
-def _validate_real(value, name: str) -> float:
-    """Check a real argument and return it as a Python float.
-
-    Any real scalar is accepted, numpy scalars included; ``bool`` is rejected
-    as not a number.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
-    return float(value)
-
-
 def _validate_p(p: float) -> float:
     """Check an attack fraction in (0, 1) and return it as a Python float."""
-    p = _validate_real(p, "attack fraction p")
+    p = _real(p, "attack fraction p")
     if not 0.0 < p < 1.0:
         raise ValueError(f"attack fraction p must lie strictly in (0, 1), got {p}")
     return p
-
-
-def _validate_int(value, name: str, minimum: int) -> int:
-    """Check an integer argument against its lower bound and return it as an int.
-
-    numpy integers are accepted; ``bool`` and non-integral values are rejected.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def iterate_to_steady_state(p: float, cfg: SystemConfig) -> SteadyState:
@@ -219,13 +195,10 @@ def stable_set_grid(p: float, cfg: SystemConfig,
     empirical joint.
     """
     p = _validate_p(p)
-    resolution = _validate_int(resolution, "resolution", 2)
+    resolution = _integer(resolution, "resolution", 2)
     cap = 1.2 * cfg.joint.free_space_cap()
-    x_max = cap if x_max is None else _validate_real(x_max, "x_max")
-    y_max = cap if y_max is None else _validate_real(y_max, "y_max")
-    for name, extent in (("x_max", x_max), ("y_max", y_max)):
-        if not (math.isfinite(extent) and extent > 0):
-            raise ValueError(f"grid extent {name} must be finite and positive, got {extent}")
+    x_max = _positive(cap if x_max is None else x_max, "x_max")
+    y_max = _positive(cap if y_max is None else y_max, "y_max")
 
     xs = (np.arange(resolution) + 0.5) * (x_max / resolution)
     ys = (np.arange(resolution) + 0.5) * (y_max / resolution)
@@ -270,7 +243,7 @@ def critical_attack_size(cfg: SystemConfig,
     bisection of [tol_p, 1] finds the switch in 1 + ceil(log2((1-tol_p)/tol_p))
     solves.  tol_p must lie in (0, 0.5); p = 1 itself is never solved.
     """
-    tol_p = _validate_real(tol_p, "tol_p")
+    tol_p = _real(tol_p, "tol_p")
     if not 0.0 < tol_p < 0.5:
         raise ValueError(f"tol_p must lie strictly in (0, 0.5), got {tol_p}")
 

@@ -75,8 +75,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import sort_order
-from .meanfield import CrossLayerFactors, SystemConfig, _validate_int, _validate_p
+from .distributions import _integer, _lowest, sort_order
+from .meanfield import CrossLayerFactors, SystemConfig, _validate_p
 
 MAX_NAIVE_NODES = 10_000
 MAX_TRAJECTORY_ROUNDS = 10_000
@@ -91,18 +91,7 @@ MASKED_ROUNDS = 12
 
 
 _ROWS = ("load_a", "free_a", "load_b", "free_b")
-
-
-def _lowest(name: str, row: np.ndarray) -> float:
-    """The least value of a population row, which must be finite and
-    strictly positive; an empty row's is inf."""
-    if not row.size:
-        return math.inf
-    lowest = row.min()
-    # NaN fails the min test
-    if not (lowest > 0.0 and row.max() < math.inf):
-        raise ValueError(f"population {name} must be finite and strictly positive")
-    return float(lowest)
+_LABELS = {name: f"population {name}" for name in _ROWS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +129,7 @@ class Population:
                 raise ValueError(f"population {name} must be numeric") from None
             if a.ndim != 1:
                 raise ValueError(f"population {name} must be 1-D, got shape {a.shape}")
-            lowest.append(_lowest(name, a))
+            lowest.append(_lowest(_LABELS[name], a))
             object.__setattr__(self, name, a)
         n = len(self.load_a)
         if (len(self.free_a), len(self.load_b), len(self.free_b)) != (n, n, n):
@@ -156,7 +145,7 @@ class Population:
         which only the head's loads are drawn; ``fill()`` draws the rest."""
         head_loads = rows[0][:head], rows[2][:head]
         for name, row in zip(("load_a", "load_b"), head_loads):
-            _lowest(name, row)
+            _lowest(_LABELS[name], row)
         pop = cls.__new__(cls)
         pop._set(head=head, size=len(rows[0]), free_floor=free_floor, _head_loads=head_loads,
                  _pending=(rows, fill))
@@ -177,7 +166,7 @@ class Population:
         rows, fill = self._pending
         fill()
         for name, row in zip(_ROWS, rows):
-            _lowest(name, row)
+            _lowest(_LABELS[name], row)
         self._set(**dict(zip(_ROWS, rows)))
         object.__delattr__(self, "_pending")
 
@@ -255,9 +244,13 @@ def build_population(cfg: SystemConfig, n: int, seed, attacked: int = 0) -> Popu
     (``JointLoadSpace.sample_head``); a generator given as ``seed`` is left
     where the whole draw leaves it.
     """
-    n = _validate_int(n, "population size n", 1)
-    attacked = _validate_int(attacked, "attacked", 0)
-    rows, fill = cfg.joint.sample_head(n, np.random.default_rng(seed), attacked)
+    n = _integer(n, "population size n", 1)
+    attacked = _integer(attacked, "attacked", 0)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"seed must be a numpy seed, got {seed!r}: {exc}") from None
+    rows, fill = cfg.joint.sample_head(n, rng, attacked)
     return Population._drawn(rows, fill, attacked, cfg.joint.free_floor)
 
 
@@ -547,10 +540,10 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
     pool is started.
     """
     p_grid = [_validate_p(p) for p in p_grid]
-    n = _validate_int(n, "population size n", 1)
-    runs = _validate_int(runs, "runs", 1)
-    seed_base = _validate_int(seed_base, "seed_base", 0)
-    workers = _validate_int(workers, "workers", 1)
+    n = _integer(n, "population size n", 1)
+    runs = _integer(runs, "runs", 1)
+    seed_base = _integer(seed_base, "seed_base", 0)
+    workers = _integer(workers, "workers", 1)
     if resample_population:
         tasks = [(ir, [ip]) for ip in range(len(p_grid)) for ir in range(runs)]
     else:

@@ -228,8 +228,44 @@ class TestStrategyValidation:
     ], ids=["layer_weighted", "equal_free_space", "tolerance_alpha", "per_layer",
             "numpy_bool"])
     def test_bool_is_not_a_number(self, make, field):
-        with pytest.raises(ValueError, match=f"^{field} must be a positive finite number"):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got bool$"):
             make()
+
+    # Each formula with one number left open, and the name of that argument.
+    FORMULAS = {
+        "split_load": (lambda v: layer_weighted_split(v, 175.0, FACTORS, 700.0), "mean_load_a"),
+        "split_budget": (lambda v: layer_weighted_split(125.0, 175.0, FACTORS, v), "s_total"),
+        "bound_load": (lambda v: optimal_critical_attack(v, 175.0, FACTORS, 720.0), "mean_load_a"),
+        "bound_budget": (lambda v: optimal_critical_attack(125.0, 175.0, FACTORS, v), "s_total"),
+        "per_layer_mu": (lambda v: per_layer_critical(v, 360.0, 125.0, 175.0, FACTORS), "mu_a"),
+        "per_layer_load": (lambda v: per_layer_critical(360.0, 360.0, v, 175.0, FACTORS),
+                           "mean_load_a"),
+        "predicted_weighted": (lambda v: predicted_critical(LayerWeightedEqual(720.0), v, 175.0,
+                                                            FACTORS), "mean_load_a"),
+        "predicted_per_layer": (lambda v: predicted_critical(EqualFreeSpace(720.0), v, 175.0,
+                                                             FACTORS), "mean_load_a"),
+        "dirac_weighted": (lambda v: dirac_free_space(LayerWeightedEqual(720.0), v, 175.0,
+                                                      FACTORS), "mean_load_a"),
+        "resolve_alpha": (lambda v: EqualToleranceFactor(s_total=720.0).resolve_alpha(v, 175.0),
+                          "mean_load_a"),
+    }
+
+    @pytest.mark.parametrize("value", [np.float32(30.1), np.int64(30)], ids=repr)
+    @pytest.mark.parametrize("formula", sorted(FORMULAS))
+    def test_numpy_scalar_arguments_compute_as_floats(self, formula, value):
+        call, _ = self.FORMULAS[formula]
+        result = call(value)
+        assert result == call(float(value))
+        assert all(type(v) is float for v in (result if isinstance(result, tuple) else [result]))
+
+    @pytest.mark.parametrize("value", [True, 0.0, -1.0, math.nan], ids=repr)
+    @pytest.mark.parametrize("formula", sorted(FORMULAS))
+    def test_bad_arguments_are_refused_by_name(self, formula, value):
+        call, name = self.FORMULAS[formula]
+        message = ("a real number, got bool" if value is True
+                   else f"a positive finite number, got {value}")
+        with pytest.raises(ValueError, match=f"^{name} must be {message}$"):
+            call(value)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(TypeError, match="unknown allocation strategy"):

@@ -1019,6 +1019,15 @@ class TestEmpiricalSamples:
         assert err.startswith("error: spec.systems.measured: ")
         assert "shape (m, 4)" in err
 
+    def test_a_sample_file_that_does_not_convert_names_its_system(self, tmp_path, capsys):
+        np.save(tmp_path / "strings.npy", np.full((20_000, 4), "x", dtype="<U3"))
+        spec = write_spec(tmp_path, {"systems": {"s": {"samples": "strings.npy"}}})
+        assert cli.main(["critical", "--config", spec, "--out", str(tmp_path / "out")]) == 2
+        # numpy's own words follow the system's path
+        assert capsys.readouterr().err.startswith(
+            "error: spec.systems.s: could not convert string to float: ")
+        assert not (tmp_path / "out").exists()
+
     def test_resolved_source_counts_the_rows(self, tmp_path):
         samples = np.column_stack([np.full(20_000, 30.0), np.full(20_000, 50.0)] * 2)
         np.savetxt(tmp_path / "samples.csv", samples, delimiter=",")

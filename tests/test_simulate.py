@@ -1163,6 +1163,14 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match=r"^population size n must be an integer, got"):
             build_population(symmetric_uniform_config, value, seed=1)
 
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_build_population_names_a_refused_seed(self, monkeypatch, symmetric_uniform_config,
+                                                   seed):
+        # numpy refuses 1.5 with a TypeError and -1 with a ValueError of its own
+        _forbid(monkeypatch, IndependentJoint, "sample_head")
+        with pytest.raises(ValueError, match=rf"^seed must be a numpy seed, got {seed}: "):
+            build_population(symmetric_uniform_config, 50, seed=seed)
+
     def test_build_population_accepts_numpy_integers(self, symmetric_uniform_config):
         plain = build_population(symmetric_uniform_config, 50, seed=1)
         numpy = build_population(symmetric_uniform_config, np.int64(50), seed=1)
