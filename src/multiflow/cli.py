@@ -6,9 +6,10 @@ sha256 of the resolved spec, and all randomness is seed-derived, so the same
 spec and seed produce byte-identical files.
 
 Every command hands its table to one writer as columns, one sequence per
-header field.  A numeric array column is formatted once per distinct value
-and its strings repeated, so the 160,000-row stable-set grid formats each
-axis point once; JSON rows are written from the columns the same way.
+header field.  The numeric array columns of a table are formatted together,
+once per distinct value of each dtype, and the strings repeated, so the
+160,000-row stable-set grid formats each axis point once and each value its
+two stability sides share once.  CSV and JSON rows come from that one pass.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 nonconvergence.
 """
@@ -76,29 +77,44 @@ def _values(column):
     return column
 
 
-def _cells(column, text=_fmt, number=repr) -> list[str]:
-    """The text of each cell of one column: ``text`` of each value, or
-    ``number`` of each Python int or float of a numeric array.
+def _cells(columns, text=_fmt, number=repr) -> list[list[str]]:
+    """The text of each cell of a table, one list per column: ``text`` of
+    each value, or ``number`` of each Python int or float of a numeric array.
 
-    A numeric array is formatted once per distinct value, so a grid axis
-    repeated across 160,000 rows costs one ``number`` call per axis point.
-    Floats are told apart by bit pattern: by value, -0.0 would merge into 0.0.
+    The numeric arrays of one dtype are formatted together, once per
+    distinct value in the table, so a grid axis repeated across 160,000
+    rows costs one ``number`` call per axis point, and a value that two
+    columns share costs one call.  Values are told apart by bit pattern (by
+    value, -0.0 would merge into 0.0), and arrays of different dtypes share
+    no string, so an int 1 and a float 1.0 keep their own texts.
     """
-    if not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"):
-        return [text(v) for v in _values(column)]
-    keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    # repr of a Python int or float is the text _fmt gives it
-    strings = np.array([number(v) for v in _values(distinct.view(column.dtype))],
-                       dtype=object)
-    return strings[inverse].tolist()
+    cells = [None] * len(columns)
+    groups = {}
+    for i, column in enumerate(columns):
+        if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+            groups.setdefault(column.dtype, []).append(i)
+        else:
+            cells[i] = [text(v) for v in _values(column)]
+    for dtype, members in groups.items():
+        key_type = f"i{dtype.itemsize}" if dtype.kind == "f" else dtype
+        # sort each column's keys, then the union of their distinct keys: no
+        # sort longer than a column keeps the table's memory peak low
+        distincts, inverses = zip(*(np.unique(columns[i].view(key_type), return_inverse=True)
+                                    for i in members))
+        distinct, merged = np.unique(np.concatenate(distincts), return_inverse=True)
+        # repr of a Python int or float is the text _fmt gives it
+        strings = np.array([number(v) for v in _values(distinct.view(dtype))], dtype=object)
+        ends = np.cumsum([d.size for d in distincts])
+        for i, inverse, part in zip(members, inverses, np.split(merged, ends[:-1])):
+            cells[i] = strings[part][inverse].tolist()
+    return cells
 
 
 def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> None:
     """Write a table given as one sequence per header field."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*map(_cells, columns))))
+    lines.extend(map(",".join, zip(*_cells(columns))))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -111,16 +127,19 @@ def _json_value(value) -> str:
 
 
 def _json_rows(header: list[str], columns) -> str:
-    """The ``"rows"`` list of row objects, indented two levels deep, as text;
-    each key with its value is formatted once per distinct column value."""
-    texts = []
-    for name, column in sorted(zip(header, columns), key=lambda field: field[0]):
-        cell = lambda v, key=f"{json.dumps(name)}: ": key + _json_value(v)  # noqa: E731
-        texts.append(_cells(column, cell, cell))
-    rows = list(map(",\n      ".join, zip(*texts)))
+    """The ``"rows"`` list of row objects, indented two levels deep, as text.
+
+    The values are the cells of ``_cells`` with ``_json_value`` as the number
+    format; each row adds its keys, in sorted order, as it is assembled.
+    """
+    order = sorted(range(len(header)), key=header.__getitem__)
+    template = "{\n      " + ",\n      ".join(
+        json.dumps(header[i]).replace("%", "%%") + ": %s" for i in order) + "\n    }"
+    cells = _cells([columns[i] for i in order], _json_value, _json_value)
+    rows = [template % values for values in zip(*cells)]
     if not rows:
         return "[]"
-    return "[\n    {\n      " + "\n    },\n    {\n      ".join(rows) + "\n    }\n  ]"
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
 def _write_json(path: Path, payload: dict, rows=None) -> None:

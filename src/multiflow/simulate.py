@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -246,6 +245,8 @@ def build_population(cfg: SystemConfig, n: int, seed, attacked: int = 0) -> Popu
     """
     n = _integer(n, "population size n", 1)
     attacked = _integer(attacked, "attacked", 0)
+    if isinstance(seed, (bool, np.bool_)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -552,6 +553,10 @@ def monte_carlo_curve(cfg: SystemConfig, n: int, p_grid: Sequence[float], runs: 
     workers = min(workers, len(tasks))
     run_tasks = functools.partial(_curve_task, cfg, n, p_grid, seed_base, resample_population)
     if workers > 1:
+        # imported here: the pool's import loads multiprocessing, which no
+        # single-worker run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_tasks, tasks,
                                     chunksize=max(1, len(tasks) // (8 * workers))))

@@ -1172,6 +1172,72 @@ class TestColumnWriter:
         assert (tmp_path / "payload.json").read_text(encoding="utf-8") == \
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+    # two NaNs that differ only in their payload bits
+    NANS = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+    # tables whose columns hold equal values of different dtypes or bit patterns
+    SHARED = {
+        "int_and_float": ([np.array([1, 2, 1]), np.array([1.0, 2.0, 0.5])],
+                          ["1,1.0", "2,2.0", "1,0.5"]),
+        "bool_and_int": ([np.array([True, False, True]), np.array([1, 0, 2])],
+                         ["1,1", "0,0", "1,2"]),
+        "signed_zeros_and_nans": ([np.array([-0.0, NANS[0], 0.0, NANS[1]]),
+                                   np.array([0.0, NANS[1], -0.0, NANS[0]])],
+                                  ["-0.0,0.0", "nan,nan", "0.0,-0.0", "nan,nan"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHARED))
+    def test_columns_sharing_values(self, tmp_path, case):
+        columns, expected = self.SHARED[case]
+        lines = self._written(tmp_path, columns)
+        assert lines == expected
+        assert lines == self._reference(zip(*(cli._values(c) for c in columns)))
+
+    @pytest.mark.parametrize("case", sorted(SHARED))
+    def test_json_columns_sharing_values(self, tmp_path, case):
+        columns, _ = self.SHARED[case]
+        # a key's own % signs are not format directives
+        header = ["b%s", "a%"]
+        text = self._json_written(tmp_path, {}, header, columns)
+        assert text == self._json_reference({}, header, columns)
+        rows = json.loads(text)["rows"]
+        types = {name: {type(row[name]) for row in rows} for name in header}
+        assert types == {name: {float if column.dtype.kind == "f" else int}
+                         for name, column in zip(header, columns)}
+
+    def _counted_table(self):
+        """Array columns and the number of distinct bit patterns in each of
+        their dtype groups: float64 6, int64 2, int32 1 and bool 2."""
+        columns = [np.array([-0.0, self.NANS[0], 0.0, self.NANS[1], 1.0]),
+                   np.array([0.0, self.NANS[1], -0.0, 1.0, 2.5]),
+                   np.array([1, 2, 1, 1, 2]), np.array([1, 1, 1, 1, 1], dtype=np.int32),
+                   np.array([True, False, True, True, True])]
+        return columns, 6 + 2 + 1 + 2
+
+    def test_number_called_once_per_distinct_bit_pattern(self):
+        columns, distinct = self._counted_table()
+        calls = []
+
+        def number(value):
+            calls.append(value)
+            return repr(value)
+        # a list column goes through text, never number
+        assert cli._cells([*columns, [1.0] * 5], number=number) == \
+            cli._cells([*columns, [1.0] * 5])
+        assert len(calls) == distinct
+
+    def test_json_value_called_once_per_distinct_bit_pattern(self, tmp_path, monkeypatch):
+        columns, distinct = self._counted_table()
+        header = [f"c{i}" for i in range(len(columns))]
+        calls = []
+
+        def counted(value, json_value=cli._json_value):
+            calls.append(value)
+            return json_value(value)
+        monkeypatch.setattr(cli, "_json_value", counted)
+        text = self._json_written(tmp_path, {}, header, columns)
+        assert len(calls) == distinct
+        assert text == self._json_reference({}, header, columns)
+
 
 def _correlated_samples(m: int, seed: int) -> np.ndarray:
     """m rows (L_A, S_A, L_B, S_B) whose free spaces grow with their own

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import json
 import math
+import os
 import pickle
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1043,7 +1048,7 @@ class TestMonteCarloCurve:
     def test_workers_capped_at_task_count(self, monkeypatch, symmetric_uniform_config):
         def no_pool(*args, **kwargs):
             raise AssertionError("a single task must not start a process pool")
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         curve = monte_carlo_curve(symmetric_uniform_config, 500, [0.3], runs=1,
                                   seed_base=3, workers=8)
         assert curve.samples.shape == (1, 1)
@@ -1051,6 +1056,25 @@ class TestMonteCarloCurve:
         curve = monte_carlo_curve(symmetric_uniform_config, 500, [0.2, 0.3], runs=1,
                                   seed_base=3, workers=8, resample_population=False)
         assert curve.samples.shape == (2, 1)
+
+    def test_one_worker_imports_no_process_pool(self):
+        # a fresh interpreter: importing the package and running a
+        # single-worker curve leave multiprocessing unloaded
+        code = "\n".join([
+            "import sys",
+            "import multiflow, multiflow.cli",
+            "from multiflow import CrossLayerFactors, SystemConfig, Uniform, monte_carlo_curve",
+            "assert 'multiprocessing' not in sys.modules",
+            "cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(25, 75), Uniform(20, 40),",
+            "                                  Uniform(25, 75), beta_a=0.25, beta_b=0.25)",
+            "monte_carlo_curve(cfg, 200, [0.3, 0.5], runs=2, seed_base=1, workers=1)",
+            "assert 'multiprocessing' not in sys.modules",
+            "assert 'concurrent.futures.process' not in sys.modules",
+        ])
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("resample_population", [True, False], ids=["resample", "reuse"])
     def test_empty_grid_gives_an_empty_curve(self, symmetric_uniform_config,
@@ -1169,6 +1193,16 @@ class TestIntegerArguments:
         # numpy refuses 1.5 with a TypeError and -1 with a ValueError of its own
         _forbid(monkeypatch, IndependentJoint, "sample_head")
         with pytest.raises(ValueError, match=rf"^seed must be a numpy seed, got {seed}: "):
+            build_population(symmetric_uniform_config, 50, seed=seed)
+
+    @pytest.mark.parametrize("seed", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_build_population_refuses_a_bool_seed(self, monkeypatch, symmetric_uniform_config,
+                                                  seed):
+        # numpy would draw seed 1's stream for True and refuse np.True_ in
+        # its own words
+        _forbid(monkeypatch, IndependentJoint, "sample_head")
+        expected = "^seed must be an integer, got " + re.escape(repr(seed)) + "$"
+        with pytest.raises(ValueError, match=expected):
             build_population(symmetric_uniform_config, 50, seed=seed)
 
     def test_build_population_accepts_numpy_integers(self, symmetric_uniform_config):
