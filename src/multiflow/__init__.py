@@ -16,7 +16,6 @@ from .allocate import (
     layer_weighted_split,
     optimal_critical_attack,
     per_layer_critical,
-    predicted_critical,
 )
 from .config import ConfigError, ExperimentSpec, SimParams, load_experiment, parse_experiment
 from .distributions import (
@@ -95,7 +94,6 @@ __all__ = [
     "optimal_critical_attack",
     "parse_experiment",
     "per_layer_critical",
-    "predicted_critical",
     "run_cascade",
     "run_cascade_naive",
     "stable_set_grid",

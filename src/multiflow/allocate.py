@@ -14,6 +14,11 @@ each strategy produces a full system configuration:
 * per-layer equal -- fixed per-layer means, Dirac at those means; optimal
   when the per-layer budgets (rather than their sum) are the constraint.
 
+Each strategy states its rule in its ``allocation`` method: an
+``Allocation`` record of the per-layer Dirac free spaces, or the tolerance
+factor, and the closed-form critical attack size (None for the tolerance
+factor).  ``apply_strategy`` and ``cli optimize`` read only that record.
+
 Dirac allocations sit exactly at the survival boundary at their critical
 attack size, so they are meant to be evaluated strictly below it (the
 strict-survival convention drops the mass at equality).
@@ -38,24 +43,44 @@ from .distributions import (
 from .meanfield import CrossLayerFactors, SystemConfig
 
 
+class Allocation(NamedTuple):
+    """What a strategy allocates for given mean loads and factors: each
+    layer's Dirac free space, or else the tolerance factor alpha, and the
+    closed-form critical attack size (None for the tolerance factor)."""
+
+    s_a: float | None
+    s_b: float | None
+    alpha: float | None
+    critical: float | None
+
+
 @dataclass(frozen=True)
-class LayerWeightedEqual:
+class _Budget:
+    """A strategy given by its total free-space budget."""
+
+    s_total: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "s_total", _positive(self.s_total, "s_total"))
+
+
+class LayerWeightedEqual(_Budget):
     """Budget split by mean effective load, uniform within each layer."""
 
-    s_total: float
+    def allocation(self, mean_load_a: float, mean_load_b: float,
+                   factors: CrossLayerFactors) -> Allocation:
+        s_a, s_b = layer_weighted_split(mean_load_a, mean_load_b, factors, self.s_total)
+        return Allocation(s_a, s_b, None, optimal_critical_attack(
+            mean_load_a, mean_load_b, factors, self.s_total))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_total", _positive(self.s_total, "s_total"))
 
-
-@dataclass(frozen=True)
-class EqualFreeSpace:
+class EqualFreeSpace(_Budget):
     """Half the budget to each layer, uniform within each layer."""
 
-    s_total: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_total", _positive(self.s_total, "s_total"))
+    def allocation(self, mean_load_a: float, mean_load_b: float,
+                   factors: CrossLayerFactors) -> Allocation:
+        half = 0.5 * self.s_total
+        return PerLayerEqual(half, half).allocation(mean_load_a, mean_load_b, factors)
 
 
 @dataclass(frozen=True)
@@ -75,9 +100,11 @@ class EqualToleranceFactor:
         name = "alpha" if self.alpha is not None else "s_total"
         object.__setattr__(self, name, _positive(getattr(self, name), name))
 
-    def resolve_alpha(self, mean_load_a: float, mean_load_b: float) -> float:
+    def allocation(self, mean_load_a: float, mean_load_b: float,
+                   factors: CrossLayerFactors) -> Allocation:
         total = _positive(mean_load_a, "mean_load_a") + _positive(mean_load_b, "mean_load_b")
-        return self.alpha if self.alpha is not None else self.s_total / total
+        alpha = self.alpha if self.alpha is not None else self.s_total / total
+        return Allocation(None, None, alpha, None)
 
 
 @dataclass(frozen=True)
@@ -90,6 +117,11 @@ class PerLayerEqual:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu_a", _positive(self.mu_a, "mu_a"))
         object.__setattr__(self, "mu_b", _positive(self.mu_b, "mu_b"))
+
+    def allocation(self, mean_load_a: float, mean_load_b: float,
+                   factors: CrossLayerFactors) -> Allocation:
+        bounds = per_layer_critical(self.mu_a, self.mu_b, mean_load_a, mean_load_b, factors)
+        return Allocation(self.mu_a, self.mu_b, None, bounds.p_opt)
 
 
 AllocationStrategy = Union[LayerWeightedEqual, EqualFreeSpace, EqualToleranceFactor, PerLayerEqual]
@@ -145,22 +177,6 @@ def per_layer_critical(mu_a: float, mu_b: float, mean_load_a: float, mean_load_b
     return PerLayerBounds(p_a, p_b, min(p_a, p_b))
 
 
-def dirac_free_space(strategy: AllocationStrategy,
-                     mean_load_a: float, mean_load_b: float,
-                     factors: CrossLayerFactors) -> tuple[float, float] | None:
-    """Per-layer Dirac free space (s_A, s_B) of a strategy; None for the tolerance factor."""
-    if isinstance(strategy, LayerWeightedEqual):
-        return layer_weighted_split(mean_load_a, mean_load_b, factors, strategy.s_total)
-    if isinstance(strategy, EqualFreeSpace):
-        half = 0.5 * strategy.s_total
-        return half, half
-    if isinstance(strategy, PerLayerEqual):
-        return strategy.mu_a, strategy.mu_b
-    if isinstance(strategy, EqualToleranceFactor):
-        return None
-    raise TypeError(f"unknown allocation strategy: {strategy!r}")
-
-
 def apply_strategy(strategy: AllocationStrategy,
                    load_a: MarginalDistribution, load_b: MarginalDistribution,
                    factors: CrossLayerFactors) -> SystemConfig:
@@ -170,27 +186,11 @@ def apply_strategy(strategy: AllocationStrategy,
     configuration carries a proportional joint, exact in every analytic
     query and in its populations.
     """
-    mean_a = load_a.mean()
-    mean_b = load_b.mean()
-    free = dirac_free_space(strategy, mean_a, mean_b, factors)
-    if free is None:
-        joint = ProportionalJoint(load_a, load_b, strategy.resolve_alpha(mean_a, mean_b))
+    if not isinstance(strategy, AllocationStrategy):
+        raise TypeError(f"unknown allocation strategy: {strategy!r}")
+    allocation = strategy.allocation(load_a.mean(), load_b.mean(), factors)
+    if allocation.alpha is not None:
+        joint = ProportionalJoint(load_a, load_b, allocation.alpha)
     else:
-        joint = IndependentJoint(load_a, Dirac(free[0]), load_b, Dirac(free[1]))
+        joint = IndependentJoint(load_a, Dirac(allocation.s_a), load_b, Dirac(allocation.s_b))
     return SystemConfig(joint, factors)
-
-
-def predicted_critical(strategy: AllocationStrategy,
-                       mean_load_a: float, mean_load_b: float,
-                       factors: CrossLayerFactors) -> float | None:
-    """Closed-form critical attack size of a strategy, if one exists.
-
-    Dirac allocations hit their per-layer bounds exactly; the tolerance
-    factor has no closed form (returns None, use the bisection search).
-    """
-    if isinstance(strategy, LayerWeightedEqual):
-        return optimal_critical_attack(mean_load_a, mean_load_b, factors, strategy.s_total)
-    free = dirac_free_space(strategy, mean_load_a, mean_load_b, factors)
-    if free is None:
-        return None
-    return per_layer_critical(*free, mean_load_a, mean_load_b, factors).p_opt

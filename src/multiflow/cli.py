@@ -334,23 +334,17 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
         strategies.append(("per_layer_equal", allocate.PerLayerEqual(args.mu_a, args.mu_b)))
     rows = []
     for label, strategy in strategies:
-        free = allocate.dirac_free_space(strategy, mean_a, mean_b, cfg.factors)
-        s_a, s_b = ("", "") if free is None else free
-        alpha = strategy.resolve_alpha(mean_a, mean_b) if free is None else ""
-        predicted = allocate.predicted_critical(strategy, mean_a, mean_b, cfg.factors)
-        rows.append((label, s_a, s_b, alpha, "" if predicted is None else predicted))
+        allocation = strategy.allocation(mean_a, mean_b, cfg.factors)
+        rows.append((label, *("" if value is None else value for value in allocation)))
     header = ["strategy", "s_a", "s_b", "alpha", "predicted_critical"]
     width = max(len(row[0]) for row in rows)
     print(f"loads: E[L_A]={mean_a:.6g}, E[L_B]={mean_b:.6g}; "
           f"beta=({cfg.factors.beta_a:g}, {cfg.factors.beta_b:g}); "
           f"budget={s_total:g}")
-    for row in rows:
-        cells = [f"{row[0]:<{width}}"]
-        cells.append(f"s_a={row[1]:.6g}" if row[1] != "" else "s_a=-")
-        cells.append(f"s_b={row[2]:.6g}" if row[2] != "" else "s_b=-")
-        cells.append(f"alpha={row[3]:.6g}" if row[3] != "" else "alpha=-")
-        cells.append(f"p_opt={row[4]:.6g}" if row[4] != "" else "p_opt=-")
-        print("  ".join(cells))
+    for label, *values in rows:
+        print("  ".join([f"{label:<{width}}"] + [
+            f"{key}=-" if value == "" else f"{key}={value:.6g}"
+            for key, value in zip(("s_a", "s_b", "alpha", "p_opt"), values)]))
     _table(args, spec, "optimize", name, header, list(zip(*rows)))
     return EXIT_OK
 

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from .distributions import (
     EmpiricalJoint,
     IndependentJoint,
     Pareto,
+    ProportionalJoint,
     Uniform,
     Weibull,
 )
@@ -176,6 +178,9 @@ _MARGINALS = {kind: (cls, {name: (float, MISSING) for name in names}) for kind, 
 _ALLOCATIONS = {name: (cls, _schema(cls, float)) for name, cls in (
     ("layer_weighted_equal", LayerWeightedEqual), ("equal_free_space", EqualFreeSpace),
     ("equal_tolerance_factor", EqualToleranceFactor), ("per_layer_equal", PerLayerEqual))}
+# A system name is a file-name part and a CSV cell, so it holds no path
+# separator, comma, quote or control character.
+_SYSTEM_NAME = re.compile(r'[^/\\,"\x00-\x1f\x7f-\x9f]+')
 _P_RANGE = {"min": (float, MISSING), "max": (float, MISSING), "count": (int, MISSING)}
 _SIM = _schema(SimParams, int, resample_population=bool)
 _OUTPUT = _schema(OutputParams, directory=str, formats=list)
@@ -244,10 +249,10 @@ def parse_system(record: dict, where: str, base_dir: Path) -> tuple[SystemConfig
         return SystemConfig(IndependentJoint(*marginals), factors), resolved
 
     cfg = apply_strategy(strategy, *marginals, factors)
-    if isinstance(strategy, EqualToleranceFactor):
+    if isinstance(cfg.joint, ProportionalJoint):
         resolved["alpha"] = cfg.joint.alpha
     else:
-        # every other strategy gives each layer one (Dirac) free space
+        # every other strategy builds one (Dirac) free space per layer
         resolved.update(free_a={"kind": "dirac", "value": cfg.joint.free_a.value},
                         free_b={"kind": "dirac", "value": cfg.joint.free_b.value})
     # the fields given, as read: the tag and float numbers
@@ -281,6 +286,9 @@ def parse_experiment(document: dict, base_dir: Path | None = None) -> Experiment
     systems: dict[str, SystemConfig] = {}
     resolved_systems: dict[str, dict] = {}
     for name, record in spec["systems"].items():
+        if not (isinstance(name, str) and _SYSTEM_NAME.fullmatch(name)):
+            raise ConfigError(f"spec.systems: system name {name!r} must be non-empty and hold "
+                              'no /, \\, comma, " or control character')
         systems[name], resolved_systems[name] = parse_system(
             record, f"spec.systems.{name}", base_dir)
 

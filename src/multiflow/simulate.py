@@ -204,10 +204,11 @@ class TrajectoryPoint(NamedTuple):
 
 class SweepState(NamedTuple):
     """Final state of an identity-prefix cascade, which ``resume`` continues
-    on the same population object only."""
+    on the same population object and under equal factors only."""
 
     population: Population
     attack_size: int
+    factors: CrossLayerFactors
     shed: tuple[float, float]  # total initial load of the failed nodes, per layer
     thresholds: tuple[float, float]  # every node with less free space has failed
 
@@ -312,6 +313,8 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors, attack_se
                              "with no attack_seed")
         if state.population is not pop:
             raise ValueError("resume comes from another population")
+        if state.factors != factors:
+            raise ValueError("resume comes from other cross-layer factors")
         if k < state.attack_size:
             raise ValueError(f"resume cannot shrink the attack from {state.attack_size} "
                              f"to {k} nodes")
@@ -331,7 +334,7 @@ def run_cascade(pop: Population, p: float, factors: CrossLayerFactors, attack_se
 
     def outcome(rounds, trajectory, truncated=False):
         sweep = (None if attack_seed is not None
-                 else SweepState(pop, k, (shed_a, shed_b), previous))
+                 else SweepState(pop, k, factors, (shed_a, shed_b), previous))
         return CascadeOutcome(alive / n, rounds, tuple(trajectory), failed, truncated, sweep)
 
     if alive == 0:

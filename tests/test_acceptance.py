@@ -133,7 +133,8 @@ def test_criterion_4_allocation_splits():
         assert s_a == pytest.approx(264.0, abs=5e-3)
         assert s_b == pytest.approx(456.0, abs=5e-3)
         strategy = EqualToleranceFactor(s_total=720.0)
-        assert strategy.resolve_alpha(125.0, 175.0) == pytest.approx(2.4, rel=1e-12)
+        alpha = strategy.allocation(125.0, 175.0, FACTORS_02).alpha
+        assert alpha == pytest.approx(2.4, rel=1e-12)
 
 
 def test_criterion_5_dominance_of_weighted_allocation():

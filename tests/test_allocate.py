@@ -25,9 +25,7 @@ from multiflow import (
     layer_weighted_split,
     optimal_critical_attack,
     per_layer_critical,
-    predicted_critical,
 )
-from multiflow.allocate import dirac_free_space
 from helpers import random_marginal, random_system, sampled_copy
 
 FACTORS = CrossLayerFactors(0.2, 0.2)
@@ -211,8 +209,8 @@ class TestStrategyValidation:
     @pytest.mark.parametrize("budget", [np.int64(700), np.float32(700)],
                              ids=["int64", "float32"])
     def test_numpy_scalar_budgets_are_accepted(self, budget):
-        reference = dirac_free_space(LayerWeightedEqual(700.0), 125.0, 175.0, FACTORS)
-        split = dirac_free_space(LayerWeightedEqual(budget), 125.0, 175.0, FACTORS)
+        reference = LayerWeightedEqual(700.0).allocation(125.0, 175.0, FACTORS)[:2]
+        split = LayerWeightedEqual(budget).allocation(125.0, 175.0, FACTORS)[:2]
         assert split == reference == layer_weighted_split(125.0, 175.0, FACTORS, 700.0)
         assert all(type(v) is float for v in split)
         assert EqualFreeSpace(budget) == EqualFreeSpace(700.0)
@@ -240,14 +238,18 @@ class TestStrategyValidation:
         "per_layer_mu": (lambda v: per_layer_critical(v, 360.0, 125.0, 175.0, FACTORS), "mu_a"),
         "per_layer_load": (lambda v: per_layer_critical(360.0, 360.0, v, 175.0, FACTORS),
                            "mean_load_a"),
-        "predicted_weighted": (lambda v: predicted_critical(LayerWeightedEqual(720.0), v, 175.0,
-                                                            FACTORS), "mean_load_a"),
-        "predicted_per_layer": (lambda v: predicted_critical(EqualFreeSpace(720.0), v, 175.0,
-                                                             FACTORS), "mean_load_a"),
-        "dirac_weighted": (lambda v: dirac_free_space(LayerWeightedEqual(720.0), v, 175.0,
-                                                      FACTORS), "mean_load_a"),
-        "resolve_alpha": (lambda v: EqualToleranceFactor(s_total=720.0).resolve_alpha(v, 175.0),
-                          "mean_load_a"),
+        "predicted_weighted": (lambda v: LayerWeightedEqual(720.0).allocation(
+            v, 175.0, FACTORS).critical, "mean_load_a"),
+        "predicted_per_layer": (lambda v: EqualFreeSpace(720.0).allocation(
+            v, 175.0, FACTORS).critical, "mean_load_a"),
+        "predicted_fixed_means": (lambda v: PerLayerEqual(300.0, 420.0).allocation(
+            v, 175.0, FACTORS).critical, "mean_load_a"),
+        "dirac_weighted": (lambda v: LayerWeightedEqual(720.0).allocation(
+            v, 175.0, FACTORS)[:2], "mean_load_a"),
+        "alpha_from_budget": (lambda v: EqualToleranceFactor(s_total=720.0).allocation(
+            v, 175.0, FACTORS).alpha, "mean_load_a"),
+        "given_alpha": (lambda v: EqualToleranceFactor(alpha=2.4).allocation(
+            125.0, v, FACTORS).alpha, "mean_load_b"),
     }
 
     @pytest.mark.parametrize("value", [np.float32(30.1), np.int64(30)], ids=repr)
@@ -270,24 +272,30 @@ class TestStrategyValidation:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(TypeError, match="unknown allocation strategy"):
             apply_strategy(object(), Pareto(100, 5), Uniform(150, 200), FACTORS)
-        with pytest.raises(TypeError, match="unknown allocation strategy"):
-            predicted_critical(object(), 125.0, 175.0, FACTORS)
 
 
 class TestPredictedCritical:
     def test_layer_weighted(self):
-        value = predicted_critical(LayerWeightedEqual(720.0), 125.0, 175.0, FACTORS)
+        value = LayerWeightedEqual(720.0).allocation(125.0, 175.0, FACTORS).critical
         assert value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_equal_free_space_uses_per_layer_bounds(self):
-        value = predicted_critical(EqualFreeSpace(720.0), 125.0, 175.0, FACTORS)
-        expected = per_layer_critical(360.0, 360.0, 125.0, 175.0, FACTORS).p_opt
-        assert value == expected
-        assert value < 2.0 / 3.0
+    @pytest.mark.parametrize("strategy, free", [
+        (EqualFreeSpace(720.0), (360.0, 360.0)),
+        (PerLayerEqual(200.0, 520.0), (200.0, 520.0)),
+    ], ids=["equal_free_space", "per_layer_equal"])
+    def test_dirac_strategies_use_per_layer_bounds(self, strategy, free):
+        allocation = strategy.allocation(125.0, 175.0, FACTORS)
+        assert allocation[:3] == (*free, None)
+        expected = per_layer_critical(*free, 125.0, 175.0, FACTORS).p_opt
+        assert allocation.critical == expected
+        assert allocation.critical < 2.0 / 3.0
 
-    def test_tolerance_factor_has_no_closed_form(self):
-        assert predicted_critical(EqualToleranceFactor(alpha=2.4), 125.0, 175.0,
-                                  FACTORS) is None
+    @pytest.mark.parametrize("strategy", [EqualToleranceFactor(alpha=2.4),
+                                          EqualToleranceFactor(s_total=720.0)],
+                             ids=["alpha", "budget"])
+    def test_tolerance_factor_has_no_closed_form(self, strategy):
+        # a budget of 720 over mean loads 125 + 175 is alpha = 2.4
+        assert strategy.allocation(125.0, 175.0, FACTORS) == (None, None, 2.4, None)
 
 
 class TestAsymmetricBeta:

@@ -272,6 +272,31 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # A system name is part of file names and a cell of critical.csv: "a,b"
+    # wrote an 8-field row under the 7-field header, and "x/../../escaped"
+    # wrote curve's table two directories above --out.
+    BAD_NAMES = {"empty": "", "slash": "a/b", "escape": "x/../../escaped",
+                 "backslash": "a\\b", "comma": "a,b", "quote": 'a"b', "newline": "a\nb",
+                 "tab": "a\tb", "nul": "a\x00b", "del": "a\x7fb", "c1": "a\x85b"}
+
+    @pytest.mark.parametrize("name", BAD_NAMES.values(), ids=BAD_NAMES)
+    def test_system_name_that_reaches_files_is_refused(self, tmp_path, capsys, name):
+        document = dict(SMALL_SPEC, systems={name: SMALL_SPEC["systems"]["demo"]})
+        message = (f"spec.systems: system name {name!r} must be non-empty and hold no "
+                   '/, \\, comma, " or control character')
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_experiment(document)
+        out = tmp_path / "run" / "out"
+        for command in ("curve", "critical"):
+            assert cli.main([command, "--config", write_spec(tmp_path, document),
+                             "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_system_name_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="^spec.systems: system name 1 must be"):
+            parse_experiment(dict(SMALL_SPEC, systems={1: SMALL_SPEC["systems"]["demo"]}))
+
     TYPOS = [
         ((), {"p_grd": [0.2]}, "spec.p_grd"),
         (("systems", "demo"), {"beta_aa": 0.3}, "spec.systems.demo.beta_aa"),

@@ -552,6 +552,24 @@ class TestNestedSweep:
         resumed = run_cascade(pop, 0.27, cfg.factors, resume=outcome)
         assert np.array_equal(resumed.failed, run_cascade(pop, 0.27, cfg.factors).failed)
 
+    def test_rejects_a_resume_under_other_factors(self):
+        # At p = 0.16 under beta = (1, 1) the system collapses; continued at
+        # p = 0.17 under beta = (0, 0), the resume read 0.0 survivors
+        # against 0.83 from scratch.
+        cfg = SystemConfig.from_marginals(Uniform(20, 40), Uniform(10, 60),
+                                          Uniform(20, 40), Uniform(10, 60))
+        pop = build_population(cfg, 20000, 5)
+        collapsed = run_cascade(pop, 0.16, CrossLayerFactors(1, 1))
+        assert collapsed.surviving_fraction == 0.0
+        independent = CrossLayerFactors(0, 0)
+        assert run_cascade(pop, 0.17, independent).surviving_fraction == 0.83
+        with pytest.raises(ValueError, match="^resume comes from other cross-layer factors$"):
+            run_cascade(pop, 0.17, independent, resume=collapsed)
+        # equal factors in another object continue the sweep
+        start = run_cascade(pop, 0.16, CrossLayerFactors(0.0, 0.0))
+        resumed = run_cascade(pop, 0.17, independent, resume=start)
+        assert np.array_equal(resumed.failed, run_cascade(pop, 0.17, independent).failed)
+
 
 class TestIdentityPrefix:
     """With no attack argument, a cascade attacks the first k nodes."""
