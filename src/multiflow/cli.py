@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allocate, meanfield, simulate
-from .config import ConfigError, ExperimentSpec, load_experiment
+from .config import ConfigError, ExperimentSpec, OutputParams, load_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,18 +48,14 @@ def _resolve_config_path(value: str) -> Path:
     raise ConfigError(f"config not found: {value!r} (no such file or bundled config)")
 
 
-def _apply_seed_override(spec: ExperimentSpec, seed: int | None) -> ExperimentSpec:
-    if seed is None or spec.sim is None:
-        return spec
-    return dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, seed_base=seed))
-
-
-def _out_dir(args, spec: ExperimentSpec) -> Path:
-    return Path(args.out if args.out is not None else spec.output.directory)
-
-
-def _formats(args, spec: ExperimentSpec) -> tuple[str, ...]:
-    return (args.format,) if args.format is not None else spec.output.formats
+def _apply_flags(spec: ExperimentSpec, args) -> ExperimentSpec:
+    """``spec`` with each of ``--seed``, ``--out`` and ``--format`` given written into it."""
+    sim = spec.sim
+    if args.seed is not None and sim is not None:
+        sim = dataclasses.replace(sim, seed_base=args.seed)
+    output = OutputParams(spec.output.directory if args.out is None else args.out,
+                          spec.output.formats if args.format is None else (args.format,))
+    return dataclasses.replace(spec, sim=sim, output=output)
 
 
 def _fmt(value) -> str:
@@ -175,7 +171,7 @@ def _json_provenance(spec: ExperimentSpec, kind: str, system: str | None) -> dic
     return payload
 
 
-def _table(args, spec: ExperimentSpec, kind: str, system: str | None,
+def _table(spec: ExperimentSpec, kind: str, system: str | None,
            header: list[str], columns, notes: dict | None = None,
            stem: str | None = None) -> None:
     """Write one sequence per header field to ``<stem>.<format>`` for each format.
@@ -185,8 +181,8 @@ def _table(args, spec: ExperimentSpec, kind: str, system: str | None,
     if stem is None:
         stem = kind if system is None else f"{kind}_{system}"
     notes = notes or {}
-    out = _out_dir(args, spec)
-    for fmt in _formats(args, spec):
+    out = Path(spec.output.directory)
+    for fmt in spec.output.formats:
         if fmt == "json":
             _write_json(out / f"{stem}.json",
                         {**_json_provenance(spec, kind, system), **notes},
@@ -234,7 +230,7 @@ def cmd_curve(args, spec: ExperimentSpec) -> int:
         if nonconverged:
             notes["nonconverged_p"] = nonconverged
             exit_code = EXIT_NONCONVERGED
-        _table(args, spec, "curve", name, header, columns, notes)
+        _table(spec, "curve", name, header, columns, notes)
     return exit_code
 
 
@@ -255,7 +251,7 @@ def cmd_critical(args, spec: ExperimentSpec) -> int:
                  if result.nonconverged else ""))
         if result.nonconverged:
             exit_code = EXIT_NONCONVERGED
-    _table(args, spec, "critical", None, header, list(zip(*rows)))
+    _table(spec, "critical", None, header, list(zip(*rows)))
     return exit_code
 
 
@@ -272,8 +268,6 @@ def _single_system(args, spec: ExperimentSpec):
 
 def cmd_stable_set(args, spec: ExperimentSpec) -> int:
     name, cfg = _single_system(args, spec)
-    if not (0.0 < args.p < 1.0):
-        raise ConfigError(f"--p must lie strictly in (0, 1), got {args.p}")
     grid = meanfield.stable_set_grid(args.p, cfg, x_max=args.x_max, y_max=args.y_max,
                                      resolution=args.resolution)
     header = ["x", "y", "lhs_a", "lhs_b", "stable"]
@@ -281,8 +275,8 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
     columns = [np.repeat(grid.x, grid.y.size), np.tile(grid.y, grid.x.size),
                grid.lhs_a.ravel(), grid.lhs_b.ravel(), grid.stable.ravel()]
     minimum = grid.minimum
-    out_dir = _out_dir(args, spec)
-    if "csv" in _formats(args, spec):
+    out_dir = Path(spec.output.directory)
+    if "csv" in spec.output.formats:
         comments = [f"p={args.p!r}", f"threshold={grid.threshold!r}",
                     f"empty={int(grid.empty)}"]
         _write_csv(out_dir / f"stable_set_{name}.csv",
@@ -297,7 +291,7 @@ def cmd_stable_set(args, spec: ExperimentSpec) -> int:
         "resolution": args.resolution,
     }
     _write_json(out_dir / f"stable_set_{name}.json", sidecar,
-                rows=(header, columns) if "json" in _formats(args, spec) else None)
+                rows=(header, columns) if "json" in spec.output.formats else None)
     if grid.empty:
         # A coarse or short grid can miss a stable region the solver reaches.
         steady = meanfield.iterate_to_steady_state(args.p, cfg)
@@ -317,8 +311,6 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
     name, cfg = _single_system(args, spec)
     mean_a, mean_b = cfg.joint.mean_loads
     s_total = args.budget
-    if s_total is not None and not (math.isfinite(s_total) and s_total > 0):
-        raise ConfigError(f"--budget: expected a positive finite number, got {s_total:g}")
     if s_total is None:
         s_total = spec.budget(name)
     if s_total is None:
@@ -345,7 +337,7 @@ def cmd_optimize(args, spec: ExperimentSpec) -> int:
         print("  ".join([f"{label:<{width}}"] + [
             f"{key}=-" if value == "" else f"{key}={value:.6g}"
             for key, value in zip(("s_a", "s_b", "alpha", "p_opt"), values)]))
-    _table(args, spec, "optimize", name, header, list(zip(*rows)))
+    _table(spec, "optimize", name, header, list(zip(*rows)))
     return EXIT_OK
 
 
@@ -357,13 +349,13 @@ def cmd_simulate(args, spec: ExperimentSpec) -> int:
     for name, cfg in spec.systems.items():
         curve = _monte_carlo(args, spec, name, cfg)
         count = len(spec.p_grid)
-        _table(args, spec, "simulate", name,
+        _table(spec, "simulate", name,
                ["p", "mean_n_inf", "std_n_inf", "runs", "n"],
                [spec.p_grid, curve.mean, curve.std, [spec.sim.runs] * count,
                 [spec.sim.n] * count])
         if args.raw:
             runs = spec.sim.runs
-            _table(args, spec, "simulate_runs", name, ["p", "run", "n_inf"],
+            _table(spec, "simulate_runs", name, ["p", "run", "n_inf"],
                    [np.repeat(spec.p_grid, runs), np.tile(np.arange(runs), count),
                     curve.samples.ravel()],
                    stem=f"simulate_{name}_runs")
@@ -379,6 +371,19 @@ def _integer_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _float_between(low: float, high: float = math.inf):
+    """An argparse type: a number strictly between ``low`` and ``high``, so never nan."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must lie in ({low:g}, {high:g}), got {text}")
         return value
     return parse
 
@@ -405,23 +410,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_critical = sub.add_parser("critical", help="bisect the critical attack size")
     common(p_critical)
-    p_critical.add_argument("--tol-p", type=float, default=meanfield.DEFAULT_TOL_P)
+    p_critical.add_argument("--tol-p", type=_float_between(0, 0.5), default=meanfield.DEFAULT_TOL_P)
 
     p_stable = sub.add_parser("stable-set", help="scan the stable set at one attack size")
     common(p_stable)
-    p_stable.add_argument("--p", type=float, required=True)
-    p_stable.add_argument("--resolution", type=int, default=meanfield.DEFAULT_GRID_RESOLUTION)
-    p_stable.add_argument("--x-max", type=float, default=None)
-    p_stable.add_argument("--y-max", type=float, default=None)
+    p_stable.add_argument("--p", type=_float_between(0, 1), required=True)
+    p_stable.add_argument("--resolution", type=_integer_at_least(2),
+                          default=meanfield.DEFAULT_GRID_RESOLUTION)
+    p_stable.add_argument("--x-max", type=_float_between(0), default=None)
+    p_stable.add_argument("--y-max", type=_float_between(0), default=None)
     p_stable.add_argument("--system", default=None)
 
     p_opt = sub.add_parser("optimize", help="allocation table for all strategies")
     common(p_opt)
-    p_opt.add_argument("--budget", type=float, default=None,
+    p_opt.add_argument("--budget", type=_float_between(0), default=None,
                        help="total free-space budget (overrides the spec)")
-    p_opt.add_argument("--mu-a", type=float, default=None,
+    p_opt.add_argument("--mu-a", type=_float_between(0), default=None,
                        help="fixed layer-A free-space mean (adds the per-layer row)")
-    p_opt.add_argument("--mu-b", type=float, default=None,
+    p_opt.add_argument("--mu-b", type=_float_between(0), default=None,
                        help="fixed layer-B free-space mean (adds the per-layer row)")
     p_opt.add_argument("--system", default=None)
 
@@ -449,9 +455,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         spec = load_experiment(_resolve_config_path(args.config))
-        spec = _apply_seed_override(spec, args.seed)
-        return _COMMANDS[args.command](args, spec)
-    except (ConfigError, ValueError) as exc:
+        return _COMMANDS[args.command](args, _apply_flags(spec, args))
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -240,8 +240,10 @@ def critical_attack_size(cfg: SystemConfig,
 
     A point is stable at p iff both p-free stability sides reach 1/(1-p),
     which rises with p, so "n_inf(p) > 0" switches off once and a plain
-    bisection of [tol_p, 1] finds the switch in 1 + ceil(log2((1-tol_p)/tol_p))
-    solves.  tol_p must lie in (0, 0.5); p = 1 itself is never solved.
+    bisection of [tol_p, 1] finds the switch in at most
+    1 + ceil(log2((1-tol_p)/tol_p)) solves.  It stops sooner when no double
+    lies strictly between the bracket's ends, where a midpoint would round
+    onto one of them.  tol_p must lie in (0, 0.5); p = 1 itself is never solved.
     """
     tol_p = _real(tol_p, "tol_p")
     if not 0.0 < tol_p < 0.5:
@@ -260,7 +262,7 @@ def critical_attack_size(cfg: SystemConfig,
                                     nonconverged=nonconverged)
 
     lower, upper = tol_p, 1.0
-    while upper - lower > tol_p:
+    while upper - lower > tol_p and math.nextafter(lower, upper) < upper:
         mid = 0.5 * (lower + upper)
         if alive(mid):
             lower = mid

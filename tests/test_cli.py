@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from multiflow import cli, simulate
-from multiflow.config import ConfigError, load_experiment, parse_experiment
+from multiflow.config import ConfigError, OutputParams, load_experiment, parse_experiment
 from multiflow.distributions import Weibull
 from helpers import dispatch_note
 
@@ -508,12 +508,14 @@ class TestCriticalCommand:
         assert stdout == clean_stdout.replace("\n", f" [{cut} nonconverged solves]\n")
         assert (out / "critical.csv").read_bytes() == clean_table
 
-    def test_non_finite_tol_p_names_the_field(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tol_p", ["nan", "-1", "0", "0.5"])
+    def test_invalid_tol_p_names_the_flag(self, tmp_path, capsys, tol_p):
         spec = write_spec(tmp_path, SMALL_SPEC)
         out = tmp_path / "out"
         assert cli.main(["critical", "--config", spec, "--out", str(out),
-                         "--tol-p", "nan"]) == 2
-        assert "tol_p" in capsys.readouterr().err
+                         f"--tol-p={tol_p}"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"multiflow critical: error: argument --tol-p: must lie in (0, 0.5), got {tol_p}"
         assert not out.exists()
 
 
@@ -595,22 +597,21 @@ class TestStableSetCommand:
         sidecar = json.loads((out / "stable_set_demo.json").read_text())
         assert sidecar["x_star"] == pytest.approx(0.0, abs=1.0)
 
-    def test_invalid_p(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, SMALL_SPEC)
-        out = tmp_path / "o2"
-        assert cli.main(["stable-set", "--config", spec, "--out", str(out),
-                         "--p", "1.5"]) == 2
-        assert "--p" in capsys.readouterr().err
-        assert not out.exists()
+    INVALID = [*((flag, value, f"must lie in (0, inf), got {value}")
+                 for flag in ("--x-max", "--y-max") for value in ("nan", "inf", "-inf")),
+               *(("--p", value, f"must lie in (0, 1), got {value}")
+                 for value in ("1.5", "0", "1", "nan")),
+               ("--resolution", "1", "must be >= 2, got 1")]
 
-    @pytest.mark.parametrize("flag, field", [("--x-max", "x_max"), ("--y-max", "y_max")])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_extent_is_rejected(self, tmp_path, capsys, flag, field, value):
+    @pytest.mark.parametrize("flag, value, message", INVALID,
+                             ids=[f"{flag}={value}" for flag, value, _ in INVALID])
+    def test_invalid_value_names_the_flag(self, tmp_path, capsys, flag, value, message):
         spec = write_spec(tmp_path, SMALL_SPEC)
         out = tmp_path / "out"
         assert cli.main(["stable-set", "--config", spec, "--out", str(out),
                          "--p", "0.25", "--resolution", "4", f"{flag}={value}"]) == 2
-        assert field in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"multiflow stable-set: error: argument {flag}: {message}"
         assert not out.exists()
 
 
@@ -700,13 +701,17 @@ class TestOptimizeCommand:
         assert cli.main(["optimize", "--config", spec, "--out", str(tmp_path)]) == 2
         assert "budget" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("budget", ["-5", "0", "nan", "inf"])
-    def test_invalid_budget_names_the_flag(self, tmp_path, capsys, budget):
+    @pytest.mark.parametrize("flag, value", [("--budget", "-5"), ("--budget", "0"),
+                                             ("--budget", "nan"), ("--budget", "inf"),
+                                             ("--mu-a", "nan"), ("--mu-a", "0")])
+    def test_invalid_value_names_the_flag(self, tmp_path, capsys, flag, value):
         spec = write_spec(tmp_path, self.SPEC)
-        assert cli.main(["optimize", "--config", spec, "--out", str(tmp_path),
-                         f"--budget={budget}"]) == 2
-        assert capsys.readouterr().err == \
-            f"error: --budget: expected a positive finite number, got {budget}\n"
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", spec, "--out", str(out),
+                         f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"multiflow optimize: error: argument {flag}: must lie in (0, inf), got {value}"
+        assert not out.exists()
 
     def test_per_layer_row_with_mu_flags(self, tmp_path):
         spec = write_spec(tmp_path, self.SPEC)
@@ -839,13 +844,24 @@ class TestSimulateCommand:
         document = dict(SMALL_SPEC, mode="simulate",
                         sim={"n": 500, "runs": 2, "seed_base": 7,
                              "resample_population": False})
-        spec = load_experiment(write_spec(tmp_path, document))
-        overridden = cli._apply_seed_override(spec, 99)
+        path = write_spec(tmp_path, document)
+        spec = load_experiment(path)
+
+        def apply(*flags):
+            args = cli.build_parser().parse_args(["simulate", "--config", path, *flags])
+            return cli._apply_flags(spec, args)
+
+        overridden = apply("--seed", "99")
         assert overridden.sim == type(spec.sim)(n=500, runs=2, seed_base=99,
                                                 resample_population=False)
         assert overridden.resolved["sim"] == dict(spec.resolved["sim"], seed_base=99)
         assert overridden.systems is spec.systems and overridden.output == spec.output
         assert spec.sim.seed_base == 7  # the parsed spec is left as it was
+        # the output block is not part of the resolved spec, so no sha256 moves
+        redirected = apply("--out", "elsewhere", "--format", "json")
+        assert redirected.output == OutputParams("elsewhere", ("json",))
+        assert redirected.resolved == spec.resolved and redirected.checksum == spec.checksum
+        assert spec.output == OutputParams()
 
     def test_seed_override_changes_output(self, tmp_path):
         document = dict(SMALL_SPEC, mode="simulate", p_grid=[0.45],
@@ -994,6 +1010,18 @@ class TestOutputBlock:
         assert (out / "curve_demo.csv").exists()
         assert not (out / "curve_demo.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize("command", ["critical", "curve"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, command, below):
+        spec = write_spec(tmp_path, SMALL_SPEC)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if below else blocker
+        assert cli.main([command, "--config", spec, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        assert blocker.read_text() == ""
 
     def test_invalid_format_rejected(self, tmp_path, capsys):
         document = dict(SMALL_SPEC, output={"formats": ["xml"]})

@@ -681,6 +681,26 @@ class TestCriticalAttackSize:
         assert len(solved) == 1 + math.ceil(math.log2((1 - tol_p) / tol_p))
         assert result.nonconverged == 0
 
+    def test_a_tol_p_below_the_spacing_of_doubles_stops(self, monkeypatch):
+        # p* = 2/3 here; once the bracket's ends are adjacent doubles, their
+        # midpoint rounds onto one of them and the bracket would stop moving
+        cfg = apply_strategy(LayerWeightedEqual(720), Pareto(100, 5), Uniform(150, 200),
+                             CrossLayerFactors(0.2, 0.2))
+        solved = []
+        solve = meanfield.iterate_to_steady_state
+
+        def counted(p, cfg):
+            solved.append(p)
+            if len(solved) > 200:
+                raise AssertionError("the bisection does not stop")
+            return solve(p, cfg)
+
+        monkeypatch.setattr(meanfield, "iterate_to_steady_state", counted)
+        result = critical_attack_size(cfg, tol_p=1e-16)
+        assert math.nextafter(result.lower, 1.0) == result.upper
+        assert len(solved) <= 1 + math.ceil(math.log2((1 - 1e-16) / 1e-16))
+        assert result.lower <= 2 / 3 <= result.upper
+
     @pytest.mark.parametrize("failing", [0, 5])
     def test_a_nonconverged_solve_is_counted(self, symmetric_uniform_config,
                                              monkeypatch, failing):
