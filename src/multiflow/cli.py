@@ -454,8 +454,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        spec = load_experiment(_resolve_config_path(args.config))
-        return _COMMANDS[args.command](args, _apply_flags(spec, args))
+        spec = _apply_flags(load_experiment(_resolve_config_path(args.config)), args)
+        # A file in the output directory's way is refused before any solve, and
+        # nothing is created; a path that cannot be read is left to the write.
+        out = Path(spec.output.directory)
+        at = next((at for at in (out, *out.parents) if os.path.exists(at)), None)
+        if at is not None and not at.is_dir():
+            raise ConfigError(f"output directory {str(out)!r}: {str(at)!r} is not a directory")
+        return _COMMANDS[args.command](args, spec)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,12 +23,12 @@ S = alpha * L used by the tolerance-factor allocation strategy.  The
 proportional coupling factorizes too, P[S_A > x, S_B > y] =
 P[L_A > x/alpha] * P[L_B > y/alpha], with partial loads
 M_A(x/alpha) * P[L_B > y/alpha] and likewise for B, so every solve and its
-``stability_sides`` are exact; the 10^6-row sample it can still draw (seed
+stability sides are exact; the 10^6-row sample it can still draw (seed
 424242) is only a reference for tests.  A closed form keeps no state, so
-the two closed-form joints are their own cursors.  Each joint states its
-per-layer moments once, ``mean_loads`` and ``mean_frees``, those of its
-measure (an empirical joint's are the sample's), and the solver reads them
-from the joint.
+the two closed-form joints are their own cursors, and ``stability_sides``
+reads every joint's ``advance``.  Each joint states its per-layer moments
+once, ``mean_loads`` and ``mean_frees``, those of its measure (an empirical
+joint's are the sample's), and the solver reads them from the joint.
 
 A sample-backed joint answers cursor queries from one sorted slab per layer:
 the sample rows in ascending order of that layer's free space, held as the
@@ -459,14 +459,15 @@ class JointLoadSpace:
     implements ``cascade_cursor``, and ``survival_stats`` is one advance of a
     fresh cursor for every joint; the two joints with a closed form,
     independent and tolerance factor, return themselves, with an
-    ``advance`` of their own.  ``stability_sides`` sweeps cursors, which
-    those two override.  Per-layer moments are pairs of floats, layer A
-    first: ``mean_loads`` is (E[L_A], E[L_B]) and ``mean_frees`` is
-    (E[S_A], E[S_B]), the exact moments of the joint's measure; the solver
-    and the stability sides read them here, and no cursor restates them.
-    ``free_floor`` is (min S_A, min S_B), the least free space each layer can
-    draw: no sampled free space lies below it.  A pickle carries the
-    dataclass fields only; cached derived values are rebuilt on demand.
+    ``advance`` of their own that also takes arrays.  ``stability_sides`` is
+    written here alone, from each joint's advance.  Per-layer moments are
+    pairs of floats, layer A first: ``mean_loads`` is (E[L_A], E[L_B]) and
+    ``mean_frees`` is (E[S_A], E[S_B]), the exact moments of the joint's
+    measure; the solver and the stability sides read them here, and no
+    cursor restates them.  ``free_floor`` is (min S_A, min S_B), the least
+    free space each layer can draw: no sampled free space lies below it.  A
+    pickle carries the dataclass fields only; cached derived values are
+    rebuilt on demand.
     """
 
     mean_loads: tuple[float, float]
@@ -500,21 +501,28 @@ class JointLoadSpace:
 
         lhs_a = (P * x + E[L_A 1]) / E[L_A] at thresholds (x + beta_b * y,
         y + beta_a * x), and lhs_b likewise; (x, y) is stable at attack p iff
-        both reach 1/(1-p).  Where P = 0 this gives 0, not 0/0.  Here each
-        row of fixed y is one cursor sweep, so ``xs`` must be nondecreasing;
-        a closed-form override evaluates the whole grid at once, in any order.
+        both reach 1/(1-p).  Where P = 0 this gives 0, not 0/0.  P and the
+        partial loads are the joint's own ``advance``: a joint that is its
+        own cursor (a closed form) answers the whole grid in one call, in
+        any order; otherwise each row of fixed y is one sweep of a fresh
+        cursor, so ``xs`` must be nondecreasing.
         """
-        if np.any(np.diff(xs) < 0):
-            raise ValueError("stability grid xs must be nondecreasing")
+        x = np.asarray(xs, dtype=float)[:, None]
+        y = np.asarray(ys, dtype=float)[None, :]
+        at_a, at_b = x + beta_b * y, y + beta_a * x
+        if self.cascade_cursor() is self:
+            prob, load_a, load_b = self.advance(at_a, at_b)
+        else:
+            if np.any(np.diff(xs) < 0):
+                raise ValueError("stability grid xs must be nondecreasing")
+            stats = np.empty(at_a.shape + (3,))
+            for iy in range(at_a.shape[1]):
+                cursor = self.cascade_cursor()
+                for ix in range(at_a.shape[0]):
+                    stats[ix, iy] = cursor.advance(at_a[ix, iy], at_b[ix, iy])
+            prob, load_a, load_b = stats.transpose(2, 0, 1)
         mean_a, mean_b = self.mean_loads
-        lhs_a, lhs_b = np.empty((2, len(xs), len(ys)))
-        for iy, y in enumerate(ys):
-            cursor = self.cascade_cursor()
-            for ix, x in enumerate(xs):
-                stats = cursor.advance(x + beta_b * y, y + beta_a * x)
-                lhs_a[ix, iy] = (stats.probability * x + stats.load_a) / mean_a
-                lhs_b[ix, iy] = (stats.probability * y + stats.load_b) / mean_b
-        return lhs_a, lhs_b
+        return (prob * x + load_a) / mean_a, (prob * y + load_b) / mean_b
 
     def sample_population(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         """Draw n i.i.d. nodes as the rows (load_a, free_a, load_b, free_b)."""
@@ -635,14 +643,6 @@ class IndependentJoint(JointLoadSpace):
         prob = self.free_a.survival(x) * self.free_b.survival(y)
         mean_a, mean_b = self.mean_loads
         return SurvivalStats(prob, mean_a * prob, mean_b * prob)
-
-    def stability_sides(self, xs, ys, beta_a: float, beta_b: float):
-        # Partial loads are E[L] * P, so each side is P * (x + E[L]) / E[L].
-        x = np.asarray(xs, dtype=float)[:, None]
-        y = np.asarray(ys, dtype=float)[None, :]
-        prob = self.free_a.survival(x + beta_b * y) * self.free_b.survival(y + beta_a * x)
-        mean_a, mean_b = self.mean_loads
-        return prob * (x + mean_a) / mean_a, prob * (y + mean_b) / mean_b
 
     def sample_head(self, n: int, rng: np.random.Generator, attacked: int):
         # per layer, n loads and then n free spaces
@@ -918,11 +918,11 @@ class ProportionalJoint(JointLoadSpace):
     """Free space coupled to load per node: S_{x,i} = alpha * L_{x,i}.
 
     Every query is exact.  S_i > t iff L_i > t / alpha, and the layers are
-    independent, so ``advance`` (the joint is its own cursor) and
-    ``stability_sides`` both evaluate one closed form from the load
-    marginals' survival and partial means, and populations use the exact
-    coupling.  ``_empirical``, a sample matrix of ``_STORED_ROWS`` rows drawn
-    from ``_STORED_SEED``, is no query's: it is kept only as a sample-backed
+    independent, so ``advance`` (the joint is its own cursor) evaluates one
+    closed form from the load marginals' survival and partial means, for
+    floats or whole grids, and populations use the exact coupling.
+    ``_empirical``, a sample matrix of ``_STORED_ROWS`` rows drawn from
+    ``_STORED_SEED``, is no query's: it is kept only as a sample-backed
     reference for tests and benchmarks.
     """
 
@@ -959,7 +959,7 @@ class ProportionalJoint(JointLoadSpace):
         # rounding is monotone, so alpha * L is never below alpha * min L
         return self.alpha * self.load_a.quantile(0.0), self.alpha * self.load_b.quantile(0.0)
 
-    def _closed_form(self, x, y) -> SurvivalStats:
+    def advance(self, x, y) -> SurvivalStats:
         """The survival stats at free-space thresholds (x, y), floats or arrays.
 
         With M(t) = E[L 1{L > t}], each partial load is one layer's partial
@@ -972,19 +972,8 @@ class ProportionalJoint(JointLoadSpace):
                              self.load_a.partial_mean(u) * survival_b,
                              survival_a * self.load_b.partial_mean(v))
 
-    # The joint is its own cursor.  ``stability_sides`` calls ``_closed_form``
-    # directly, so a wrapped ``advance`` (perfbench) counts cursor queries only.
-    advance = _closed_form
-
     def cascade_cursor(self) -> "ProportionalJoint":
         return self
-
-    def stability_sides(self, xs, ys, beta_a: float, beta_b: float):
-        x = np.asarray(xs, dtype=float)[:, None]
-        y = np.asarray(ys, dtype=float)[None, :]
-        prob, load_a, load_b = self._closed_form(x + beta_b * y, y + beta_a * x)
-        mean_a, mean_b = self.mean_loads
-        return (prob * x + load_a) / mean_a, (prob * y + load_b) / mean_b
 
     def sample_head(self, n: int, rng: np.random.Generator, attacked: int):
         loads, frees = _rows(n, attacked)

@@ -1019,8 +1019,11 @@ class TestOutputBlock:
         blocker.write_text("")
         out = blocker / "out" if below else blocker
         assert cli.main([command, "--config", spec, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        # refused before any system is solved, so critical prints no result
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: output directory {str(out)!r}: "
+                                f"{str(blocker)!r} is not a directory\n")
         assert blocker.read_text() == ""
 
     def test_invalid_format_rejected(self, tmp_path, capsys):
@@ -1328,7 +1331,13 @@ class TestArtifactDigests:
     CSV digest went from 953f6b3b... to b4a52cf0... when the tolerance-factor
     joint's stability sides became exact instead of a sweep over its stored
     sample: ``lhs_a``/``lhs_b`` moved by at most 1.4e-3, and the ``stable``
-    column, the JSON sidecar and stdout kept their bytes.
+    column, the JSON sidecar and stdout kept their bytes.  The two
+    independent ``stable-set`` file digests, the CSV 5d629e7d... →
+    83ca9e3a... and the JSON bc35970b... → 517bfaa5..., moved when every
+    joint's stability sides became the one formula (P * x + E[L 1]) / E[L]
+    read from its advance, in place of the independent joint's
+    P * (x + E[L]) / E[L]: only the last bits of some ``lhs_a``/``lhs_b``
+    cells moved; no ``stable`` flag, summary field or stdout byte changed.
 
     Every file digest of the ``alloc_pareto_uniform`` and ``asymmetric_beta``
     runs was captured again when the tolerance-factor cursor became exact:
@@ -1346,14 +1355,14 @@ class TestArtifactDigests:
         (["stable-set", "--config", "uniform_symmetric", "--p", "0.2"],
          "6b3c21b1902392d2300ea7aa7a502ae5366432403245c48f22d2e99b3d4a02fe",
          {"stable_set_uniform_symmetric.csv":
-          "5d629e7d863af68141c51731b09175a0cc865d063a0fd060efe979c0c00d7664",
+          "83ca9e3a2ff771271b10bca2549a09b5accf76bb56d0d43943aefa3cccd42905",
           "stable_set_uniform_symmetric.json":
           "4740bd5eb49e33473ad860609321811a181ee36e6887f655daedaeb4f35e3612"}),
         (["stable-set", "--config", "mixed_families", "--system", "uniform_uniform",
           "--p", "0.2", "--resolution", "60", "--format", "json"],
          "b48b9ec994061893b49e92187d693c4dc7f0563b5e5046087f44c411fd486478",
          {"stable_set_uniform_uniform.json":
-          "bc35970b853d7aae8b48763028951cac19e8ae3015753e84cf49e5fe09ab3d78"}),
+          "517bfaa5d8a72a05506b843cf6d1e7704b7e4716b5fa302391dee3d6da11a7f1"}),
         pytest.param(
             ["stable-set", "--config", "alloc_pareto_uniform", "--system",
              "equal_tolerance_factor", "--p", "0.2", "--resolution", "16"],

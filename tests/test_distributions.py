@@ -875,6 +875,47 @@ class TestJointContract:
         assert joint.cascade_cursor() is joint
         assert joint.advance(40.0, 13.0) == joint.survival_stats(40.0, 13.0)
 
+    # factory and whether the joint is a closed form (its own cursor)
+    SIDES = {
+        "independent_uniform": (lambda: IndependentJoint(
+            Uniform(20, 40), Uniform(25, 75), Uniform(20, 40), Uniform(30, 90)), True),
+        "independent_pareto": (lambda: IndependentJoint(
+            Uniform(20, 40), Pareto(30, 3), Pareto(24, 5), Pareto(40, 2.5)), True),
+        "independent_weibull": (lambda: IndependentJoint(
+            Pareto(24, 5), Weibull(10, 30, 2), Uniform(20, 40), Weibull(25, 40, 1.5)), True),
+        "tolerance_factor": (lambda: ProportionalJoint(Pareto(5, 3), Weibull(10, 30, 2), 2.4),
+                             True),
+        "empirical_continuous": (lambda: EmpiricalJoint(_matched_samples(20_000, 11)), False),
+        "empirical_tied": (lambda: EmpiricalJoint(_tied_samples(20_000, 12)), False),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SIDES))
+    def test_stability_sides_are_one_formula_of_its_advance(self, kind):
+        # lhs = (P * x + E[L 1]) / E[L], with P and E[L 1] the joint's own
+        # answers at the thresholds (x + beta_b * y, y + beta_a * x): the
+        # whole grid in one advance for a closed form, one fresh cursor per
+        # row of fixed y otherwise
+        make, closed = self.SIDES[kind]
+        joint = make()
+        xs, ys = np.linspace(0.0, 120.0, 40), np.linspace(0.0, 110.0, 36)
+        beta_a, beta_b = 0.3, 0.2
+        x, y = xs[:, None], ys[None, :]
+        at_a, at_b = x + beta_b * y, y + beta_a * x
+        if closed:
+            prob, load_a, load_b = joint.advance(at_a, at_b)
+        else:
+            prob, load_a, load_b = np.empty((3, xs.size, ys.size))
+            for iy in range(ys.size):
+                cursor = joint.cascade_cursor()
+                for ix in range(xs.size):
+                    prob[ix, iy], load_a[ix, iy], load_b[ix, iy] = cursor.advance(
+                        at_a[ix, iy], at_b[ix, iy])
+        assert prob[0, 0] == 1.0 and prob[-1, -1] < 0.01  # the grid spans the support
+        mean_a, mean_b = joint.mean_loads
+        lhs_a, lhs_b = joint.stability_sides(xs, ys, beta_a, beta_b)
+        assert lhs_a.tobytes() == ((prob * x + load_a) / mean_a).tobytes()
+        assert lhs_b.tobytes() == ((prob * y + load_b) / mean_b).tobytes()
+
     def test_layer_moments_are_defined_once_as_pairs(self):
         scalars = {"mean_load_a", "mean_load_b", "mean_free_a", "mean_free_b"}
         for cls in vars(distributions).values():
@@ -1021,6 +1062,14 @@ def _matched_samples(m: int, seed: int) -> np.ndarray:
     return np.column_stack([
         rng.uniform(20, 40, m), rng.uniform(25, 75, m),
         rng.uniform(20, 40, m), rng.uniform(25, 75, m)])
+
+
+def _tied_samples(m: int, seed: int) -> np.ndarray:
+    """``_matched_samples`` with each free space rounded to an integer, so
+    many rows share each free value; loads keep every bit."""
+    samples = _matched_samples(m, seed)
+    samples[:, [1, 3]] = np.round(samples[:, [1, 3]])
+    return samples
 
 
 def _four_array_slab(samples: np.ndarray, free: int, other: int):

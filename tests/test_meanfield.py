@@ -462,12 +462,16 @@ class TestStabilitySidesGolden:
     da77d4b9... (the sides swept over the stored sample) to 78284bb4... when
     the tolerance-factor joint's sides became exact, from the load
     marginals' partial means; no side moved by more than 8.7e-4 and no
-    cell's stability changed.
+    cell's stability changed.  The independent digest went from 021a8a7a...
+    to 4b0fdcaa... when every joint's sides became the one formula
+    (P * x + E[L 1]) / E[L] read from its advance, in place of the
+    independent joint's P * (x + E[L]) / E[L]: only the last bits of some
+    cells moved, and no cell's stability changed.
     """
 
     @pytest.mark.parametrize("config, system, resolution, digest", [
         ("uniform_symmetric", "uniform_symmetric", 40,
-         "021a8a7ae4f4a4ed9093b329669a2fe600d79a5897822bd3d61084f6f5ec5f50"),
+         "4b0fdcaa7dab74909ea47674350b02c29c10dea081ca41fd85f67a23f78d6301"),
         pytest.param("alloc_pareto_uniform", "equal_tolerance_factor", 8,
                      "78284bb454365cdee2811799b77a27997f225656e88d000800d2764d5fffc7fc",
                      marks=pytest.mark.dispatch_bound),
